@@ -6,13 +6,12 @@ claim checkable on small instances.
 """
 
 from .centrality import (DisconnectedFarnessError, DisconnectedRemovalError,
-                         GroupDistanceState, ObjectiveValue, closeness_value,
-                         farness_value, group_farness_raw, group_harmonic,
-                         harmonic_sum, patched_distances, removal_cost,
-                         state_apply_swap, state_init)
+                         GroupDistanceState, ObjectiveValue, group_farness_raw,
+                         group_harmonic, harmonic_sum, patched_distances,
+                         removal_cost, state_init)
 from .closeness import (DisconnectedGraphError, LevelBuckets, SwapCandidate,
                         add_estimate, farness_decrease, greedy_closeness,
-                        local_search_closeness, multi_swap_closeness)
+                        local_search_closeness)
 from .graph import (EdgeListFormatError, Graph, GraphError,
                     IsolatedVertexError, UNREACHABLE, is_connected,
                     largest_component, load_edge_list, multi_source_sssp,
@@ -29,18 +28,17 @@ from .reporting import AlgoConfig, RunReport
 __all__ = [
     "AlgoConfig", "BaseDistances", "BoundEntry", "BudgetExceededError",
     "DisconnectedFarnessError", "DisconnectedGraphError",
-    "DisconnectedRemovalError", "EdgeListFormatError", "Graph",
-    "GraphError", "GroupDistanceState", "IlpModel",
-    "InfeasibleAssignmentError", "IsolatedVertexError", "LevelBuckets",
-    "ObjectiveValue", "PrunedGainResult", "RunReport", "SwapCandidate",
-    "UNREACHABLE", "add_estimate", "best_random", "build_harmonic_model",
-    "closeness_value", "evaluate_assignment", "exhaustive_best",
-    "export_ilp_harmonic", "farness_decrease", "farness_value",
-    "greedy_closeness", "greedy_harmonic", "group_farness_raw",
-    "group_harmonic", "harmonic_centralities", "harmonic_sum",
-    "is_connected", "largest_component", "load_edge_list",
+    "DisconnectedRemovalError", "EdgeListFormatError", "Graph", "GraphError",
+    "GroupDistanceState", "IlpModel", "InfeasibleAssignmentError",
+    "IsolatedVertexError", "LevelBuckets", "ObjectiveValue",
+    "PrunedGainResult", "RunReport", "SwapCandidate", "UNREACHABLE",
+    "add_estimate", "best_random", "build_harmonic_model",
+    "evaluate_assignment", "exhaustive_best", "export_ilp_harmonic",
+    "farness_decrease", "greedy_closeness", "greedy_harmonic",
+    "group_farness_raw", "group_harmonic", "harmonic_centralities",
+    "harmonic_sum", "is_connected", "largest_component", "load_edge_list",
     "local_search_closeness", "local_search_harmonic", "multi_source_sssp",
-    "multi_swap_closeness", "patched_distances", "plain_greedy_harmonic",
-    "pruned_marginal_gain", "reachable_counts", "removal_cost", "sssp",
-    "state_apply_swap", "state_init", "top_harmonic_vertex", "write_lp",
+    "patched_distances", "plain_greedy_harmonic", "pruned_marginal_gain",
+    "reachable_counts", "removal_cost", "sssp", "state_init",
+    "top_harmonic_vertex", "write_lp",
 ]

@@ -62,14 +62,6 @@ def group_farness_raw(g: Graph, group) -> int:
     return total
 
 
-def closeness_value(raw: int, n: int) -> ObjectiveValue:
-    return ObjectiveValue("closeness", n / raw, raw)
-
-
-def farness_value(raw: int, n: int) -> ObjectiveValue:
-    return ObjectiveValue("farness", raw / n, raw)
-
-
 def _validate_group(g, members):
     if not members:
         raise ValueError("empty group")
@@ -179,12 +171,3 @@ def patched_distances(state: GroupDistanceState, u: int) -> list:
             out[x] = d2[x]
     return out
 
-
-def state_apply_swap(state: GroupDistanceState, u: int, v: int) -> GroupDistanceState:
-    """State for (S + v) - u, rebuilt from scratch."""
-    if u not in state.member_set:
-        raise ValueError(f"{u} is not a group member")
-    if v in state.member_set:
-        raise ValueError(f"{v} already in group")
-    new_members = [m for m in state.members if m != u] + [v]
-    return state_init(state.graph, new_members)

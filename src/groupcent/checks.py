@@ -172,7 +172,7 @@ def harmonic_sweep(directed: bool, graphs_per_n: int = 24, ns=(5, 6, 7, 8, 9),
             for k in ks:
                 if k > g.n:
                     continue
-                cfg = AlgoConfig(k=k, deterministic=True)
+                cfg = AlgoConfig(k=k)
                 opt = exhaustive_best(g, k, "harmonic").objective_value
                 greedy = greedy_harmonic(g, k, cfg)
                 row = {
@@ -201,7 +201,7 @@ def closeness_sweep(graphs_per_n: int = 20, ns=(5, 6, 7, 8, 9), ks=(1, 2, 3),
             for k in ks:
                 if k >= g.n:
                     continue
-                cfg = AlgoConfig(k=k, eps=eps, deterministic=True)
+                cfg = AlgoConfig(k=k, eps=eps)
                 opt = exhaustive_best(g, k, "closeness").raw_farness
                 ls = local_search_closeness(g, k, cfg)
                 rows.append({

@@ -1,7 +1,7 @@
 """Command-line front end: solve, compare, check.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible input (closeness on a
-disconnected graph), 3 enumeration-budget refusal.
+disconnected graph), 3 enumeration-budget refusal, 4 a check suite failed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from .centrality import group_farness_raw, group_harmonic
 from .checks import ALL_SUITES
 from .closeness import (DisconnectedGraphError, greedy_closeness,
-                        local_search_closeness, multi_swap_closeness)
+                        local_search_closeness)
 from .graph import GraphError, is_connected, largest_component, load_edge_list
 from .harmonic import greedy_harmonic, local_search_harmonic
 from .oracles import BudgetExceededError, best_random, exhaustive_best
@@ -23,10 +23,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
+EXIT_CHECK_FAILED = 4
 
-ALGOS = ("greedy-h", "ls-h", "greedy-c", "ls-c", "multiswap-c",
+ALGOS = ("greedy-h", "ls-h", "greedy-c", "ls-c",
          "exact-h", "exact-c", "random-h", "random-c")
-CLOSENESS_ALGOS = {"greedy-c", "ls-c", "multiswap-c", "exact-c", "random-c"}
+CLOSENESS_ALGOS = {"greedy-c", "ls-c", "exact-c", "random-c"}
 
 
 class UsageError(Exception):
@@ -46,11 +47,10 @@ def _add_solve_args(p):
     p.add_argument("--directed", action="store_true")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--p", type=int, default=1)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true")
+    p.add_argument("--deterministic", action="store_true",
+                   help="accepted for compatibility; every run is deterministic")
     p.add_argument("--scc", action="store_true",
                    help="run on the largest (strongly) connected component")
     p.add_argument("--output", choices=("json", "csv"), default="json")
@@ -100,10 +100,6 @@ def _run_algo(algo, g, cfg):
         return greedy_closeness(g, cfg.k, cfg)
     if algo == "ls-c":
         return local_search_closeness(g, cfg.k, cfg)
-    if algo == "multiswap-c":
-        if not 1 < cfg.p < cfg.k:
-            raise UsageError(f"multiswap-c needs 1 < p < k, got p={cfg.p} k={cfg.k}")
-        return multi_swap_closeness(g, cfg.k, cfg.p, cfg)
     if algo == "exact-h":
         return exhaustive_best(g, cfg.k, "harmonic", cfg=cfg)
     if algo == "exact-c":
@@ -154,9 +150,7 @@ def _cmd_solve(args):
 
 def _config_from_args(args):
     try:
-        return AlgoConfig(k=args.k, eps=args.eps, p=args.p, trials=args.trials,
-                          seed=args.seed, workers=args.workers,
-                          deterministic=args.deterministic)
+        return AlgoConfig(k=args.k, eps=args.eps, trials=args.trials, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -213,6 +207,7 @@ def _cmd_compare(args):
 def _cmd_check(args):
     suites = list(ALL_SUITES) if args.suite == "all" else [args.suite]
     graphs = None
+    passed = True
     if args.graph:
         graphs = [load_edge_list(args.graph, directed=args.directed,
                                  weighted=args.weighted)]
@@ -222,12 +217,13 @@ def _cmd_check(args):
             outcome = fn(graphs=graphs, seed=args.seed)
         else:
             outcome = fn(seed=args.seed)
+        passed = passed and outcome.passed
         print(outcome.summary())
         for note in outcome.notes:
             print(f"  note: {note}")
         for v in outcome.violations[:10]:
             print(f"  counterexample: {v}")
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

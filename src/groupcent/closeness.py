@@ -28,7 +28,6 @@ from typing import NamedTuple
 from .centrality import (DisconnectedRemovalError, group_farness_raw,
                          patched_distances, removal_cost, state_init)
 from .graph import Graph, UNREACHABLE, is_connected, multi_source_sssp, sssp
-from .parallel import EvalPool
 from .reporting import AlgoConfig, RunReport, graph_summary
 
 
@@ -40,7 +39,6 @@ class SwapCandidate(NamedTuple):
     remove_vertex: int
     add_vertex: int
     removal_cost: int
-    add_estimate: float
 
 
 class DecreaseResult(NamedTuple):
@@ -79,9 +77,6 @@ class LevelBuckets:
 
     def sum_ge(self, t: int) -> int:
         return self._suffix_sum[bisect_left(self._dists, t)]
-
-    def vertices_ge(self, t: int):
-        return [x for _, x in self.pairs[bisect_left(self._dists, t):]]
 
 
 class _SuffixTracker:
@@ -303,6 +298,30 @@ def _closeness_start_vertex(g):
     return best_v
 
 
+def _greedy_closeness_core(g, k):
+    """Greedy selection without the report. Returns (group, stats)."""
+    group = [_closeness_start_vertex(g)]
+    stats = {"evaluated": g.n, "pruned": 0, "iterations": k}
+    while len(group) < k:
+        dbase = multi_source_sssp(g, group)
+        buckets = LevelBuckets.from_distances(dbase)
+        in_group = set(group)
+        best_dec = 0
+        best_v = -1
+        for v in range(g.n):
+            if v in in_group:
+                continue
+            # abort once the bound cannot strictly beat the incumbent
+            res = farness_decrease(g, dbase, buckets, v, best_dec + 1)
+            stats["evaluated"] += 1
+            if not res.is_exact:
+                stats["pruned"] += 1
+            elif res.value > best_dec:
+                best_dec, best_v = res.value, v
+        group.append(best_v)
+    return group, stats
+
+
 def greedy_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunReport:
     """Plain greedy: each round adds the candidate whose inclusion shrinks
     raw farness the most. Within a round, a candidate's traversal aborts as
@@ -314,30 +333,7 @@ def greedy_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunRepo
     if not 1 <= k < g.n:
         raise ValueError(f"k={k} out of range for n={g.n} (closeness needs k < n)")
     t0 = time.perf_counter()
-    group = [_closeness_start_vertex(g)]
-    stats = {"evaluated": g.n, "pruned": 0, "iterations": k}
-    width = cfg.effective_workers()
-    with EvalPool(width) as pool:
-        while len(group) < k:
-            dbase = multi_source_sssp(g, group)
-            buckets = LevelBuckets.from_distances(dbase)
-            in_group = set(group)
-            candidates = [v for v in range(g.n) if v not in in_group]
-            best_dec = 0
-            best_v = -1
-            for lo in range(0, len(candidates), width):
-                batch = candidates[lo:lo + width]
-                floor = best_dec + 1  # abort once the bound cannot strictly beat
-                results = pool.map(
-                    lambda cand: farness_decrease(g, dbase, buckets, cand, floor), batch)
-                for v, res in zip(batch, results):
-                    stats["evaluated"] += 1
-                    if res.is_exact:
-                        if res.value > best_dec:
-                            best_dec, best_v = res.value, v
-                    else:
-                        stats["pruned"] += 1
-            group.append(best_v)
+    group, stats = _greedy_closeness_core(g, k)
     return _closeness_report(g, "greedy-c", group, cfg, t0, stats)
 
 
@@ -357,154 +353,72 @@ def local_search_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None,
         raise ValueError(f"k={k} out of range for n={g.n} (closeness needs k < n)")
     t0 = time.perf_counter()
     n = g.n
-    group = list(greedy_closeness(g, k, cfg).group)
+    group, _ = _greedy_closeness_core(g, k)
     stats = {"evaluated": 0, "pruned": 0, "iterations": 0}
     swaps: list[SwapCandidate] = []
     q_size = k * (n - k)
     shrink = 1 - Fraction(str(cfg.eps)) / q_size
     exclude_deg1 = g.unit_weights and not g.directed
-    width = cfg.effective_workers()
-    with EvalPool(width) as pool:
-        improved = True
-        while improved:
-            improved = False
-            stats["iterations"] += 1
-            state = state_init(g, group)
-            raw = state.raw_farness
-            threshold = shrink * raw
-            members = []
+    improved = True
+    while improved:
+        improved = False
+        stats["iterations"] += 1
+        state = state_init(g, group)
+        raw = state.raw_farness
+        threshold = shrink * raw
+        members = []
+        if k == 1:
+            members.append((0, group[0]))
+        else:
+            for u in group:
+                try:
+                    members.append((removal_cost(state, u), u))
+                except DisconnectedRemovalError:
+                    continue  # unremovable member
+        members.sort()
+        candidates_all = sorted(
+            (v for v in range(n) if v not in state.member_set
+             and not (exclude_deg1 and g.out_degree(v) == 1)),
+            key=lambda v: (-add_estimate(state, v), v))
+        for cost_u, u in members:
             if k == 1:
-                members.append((0, group[0]))
+                v = _scan_singleton(g, candidates_all, threshold, stats, use_pruning)
             else:
-                for u in group:
-                    try:
-                        members.append((removal_cost(state, u), u))
-                    except DisconnectedRemovalError:
-                        continue  # unremovable member
-            members.sort()
-            candidates_all = sorted(
-                (v for v in range(n) if v not in state.member_set
-                 and not (exclude_deg1 and g.out_degree(v) == 1)),
-                key=lambda v: (-add_estimate(state, v), v))
-            for cost_u, u in members:
-                if k == 1:
-                    committed = _scan_singleton(g, pool, width, candidates_all,
-                                                threshold, stats, use_pruning)
-                else:
-                    dbase = patched_distances(state, u)
-                    buckets = LevelBuckets.from_distances(dbase)
-                    floor = raw + cost_u - threshold if use_pruning else None
-                    committed = _scan_pairs(g, pool, width, candidates_all, dbase,
-                                            buckets, raw, cost_u, threshold,
-                                            floor, stats)
-                if committed is not None:
-                    v, new_raw = committed
-                    est = add_estimate(state, v)
-                    swaps.append(SwapCandidate(u, v, cost_u, est))
-                    group = sorted(set(group) - {u} | {v})
-                    improved = True
-                    break
+                dbase = patched_distances(state, u)
+                buckets = LevelBuckets.from_distances(dbase)
+                floor = raw + cost_u - threshold if use_pruning else None
+                v = _scan_pairs(g, candidates_all, dbase, buckets, raw, cost_u,
+                                threshold, floor, stats)
+            if v is not None:
+                swaps.append(SwapCandidate(u, v, cost_u))
+                group = sorted(set(group) - {u} | {v})
+                improved = True
+                break
     stats["swaps"] = len(swaps)
     return _closeness_report(g, "ls-c", group, cfg, t0, stats, swap_sequence=swaps)
 
 
-def _scan_pairs(g, pool, width, candidates, dbase, buckets, raw, cost_u,
-                threshold, floor, stats):
-    for lo in range(0, len(candidates), width):
-        batch = candidates[lo:lo + width]
-        results = pool.map(
-            lambda cand: farness_decrease(g, dbase, buckets, cand, floor), batch)
-        for v, res in zip(batch, results):
-            stats["evaluated"] += 1
-            if not res.is_exact:
-                stats["pruned"] += 1
-                continue
-            new_raw = raw + cost_u - res.value
-            if new_raw <= threshold:
-                return v, new_raw
+def _scan_pairs(g, candidates, dbase, buckets, raw, cost_u, threshold, floor, stats):
+    """First candidate whose swap for the member behind ``dbase`` clears
+    ``threshold``, or None."""
+    for v in candidates:
+        res = farness_decrease(g, dbase, buckets, v, floor)
+        stats["evaluated"] += 1
+        if not res.is_exact:
+            stats["pruned"] += 1
+        elif raw + cost_u - res.value <= threshold:
+            return v
     return None
 
 
-def _scan_singleton(g, pool, width, candidates, threshold, stats, use_pruning):
+def _scan_singleton(g, candidates, threshold, stats, use_pruning):
+    """First candidate whose singleton farness clears ``threshold``, or None."""
     stop_above = int_floor(threshold) if use_pruning else None
-    for lo in range(0, len(candidates), width):
-        batch = candidates[lo:lo + width]
-        results = pool.map(
-            lambda cand: _farness_of_singleton(g, cand, stop_above), batch)
-        for v, (exact, total) in zip(batch, results):
-            stats["evaluated"] += 1
-            if not exact:
-                stats["pruned"] += 1
-                continue
-            if total <= threshold:
-                return v, total
+    for v in candidates:
+        exact, total = _farness_of_singleton(g, v, stop_above)
+        stats["evaluated"] += 1
+        if not exact:
+            stats["pruned"] += 1
+        elif total <= threshold:
+            return v
     return None
-
-
-def multi_swap_closeness(g: Graph, k: int, p: int,
-                         cfg: AlgoConfig | None = None) -> RunReport:
-    """Composite moves: drop the p cheapest members, then re-add candidates
-    in estimate order until the group is full again, keeping the move only
-    if farness shrinks by the acceptance factor (with Q = C(n-k+p, p)).
-    When a full candidate scan produces no acceptable composition, the
-    previous group is restored and the search stops. This explores a
-    restricted neighborhood, so unlike the single-swap search it carries no
-    ratio guarantee; it is reported as a heuristic mode."""
-    from math import comb
-
-    cfg = cfg or AlgoConfig(k=k, p=p)
-    _require_connected(g)
-    if not 1 <= k < g.n:
-        raise ValueError(f"k={k} out of range for n={g.n} (closeness needs k < n)")
-    if not 1 < p < k:
-        raise ValueError(f"p={p} must satisfy 1 < p < k")
-    t0 = time.perf_counter()
-    group = list(greedy_closeness(g, k, cfg).group)
-    stats = {"evaluated": 0, "pruned": 0, "iterations": 0}
-    swaps = []
-    shrink = 1 - Fraction(str(cfg.eps)) / comb(g.n - k + p, p)
-    while True:
-        stats["iterations"] += 1
-        old_group = list(group)
-        state = state_init(g, group)
-        raw_old = state.raw_farness
-        threshold = shrink * raw_old
-        for _ in range(p):
-            costs = []
-            for u in group:
-                try:
-                    costs.append((removal_cost(state, u), u))
-                except DisconnectedRemovalError:
-                    continue
-            _, drop = min(costs)
-            group = [m for m in group if m != drop]
-            state = state_init(g, group)
-        candidates = sorted((v for v in range(g.n) if v not in state.member_set),
-                            key=lambda v: (-add_estimate(state, v), v))
-        accepted = False
-        for v in candidates:
-            group = sorted(group + [v])
-            state = state_init(g, group)
-            stats["evaluated"] += 1
-            if len(group) < k:
-                continue
-            if state.raw_farness <= threshold:
-                accepted = True
-                swaps.append(tuple(sorted(set(old_group) - set(group))) +
-                             tuple(sorted(set(group) - set(old_group))))
-                break
-            costs = []
-            for u in group:
-                try:
-                    costs.append((removal_cost(state, u), u))
-                except DisconnectedRemovalError:
-                    continue
-            _, drop = min(costs)
-            group = [m for m in group if m != drop]
-            state = state_init(g, group)
-        if not accepted:
-            group = old_group
-            break
-    stats["swaps"] = len(swaps)
-    return _closeness_report(g, "multiswap-c", group, cfg, t0, stats,
-                             swap_sequence=swaps)

@@ -101,16 +101,9 @@ class Graph:
     def out_degree(self, u: int) -> int:
         return self.indptr[u + 1] - self.indptr[u]
 
-    def in_degree(self, u: int) -> int:
-        return self.rindptr[u + 1] - self.rindptr[u]
-
     def neighbors(self, u: int):
         lo, hi = self.indptr[u], self.indptr[u + 1]
         return list(zip(self.targets[lo:hi], self.weights[lo:hi]))
-
-    def in_neighbors(self, u: int):
-        lo, hi = self.rindptr[u], self.rindptr[u + 1]
-        return list(zip(self.rtargets[lo:hi], self.rweights[lo:hi]))
 
     def edges(self):
         """Canonical edge triples (u, v, w); one per undirected edge."""

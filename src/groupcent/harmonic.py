@@ -26,7 +26,6 @@ from typing import NamedTuple
 from .centrality import harmonic_sum, patched_distances, state_init
 from .graph import (Graph, UNREACHABLE, connected_component_ids,
                     multi_source_sssp, reachable_counts, sssp)
-from .parallel import EvalPool
 from .reporting import AlgoConfig, RunReport, graph_summary
 
 PRUNE_MARGIN = 1e-9
@@ -232,7 +231,7 @@ def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_
     )
 
 
-def _greedy_core(g, k, cfg):
+def _greedy_core(g, k):
     """Lazy greedy selection. Returns (group, per-vertex harmonic values,
     best gain per round, stats)."""
     n = g.n
@@ -247,39 +246,30 @@ def _greedy_core(g, k, cfg):
     reach, comp = graph_reach_info(g)
     stats = {"evaluated": n, "pruned": 0, "iterations": k}
     round_gains: list[float] = []
-    width = cfg.effective_workers()
-    with EvalPool(width) as pool:
-        while len(group) < k:
-            dist = multi_source_sssp(g, group)
-            base = BaseDistances(g, dist, reach, comp)
-            heap = [BoundEntry(-gain_bound[u], u) for u in range(n) if u not in in_group]
-            heapify(heap)
-            best_gain = float("-inf")
-            best_u = -1
-            while heap:
-                if best_u >= 0 and -heap[0].neg_bound <= best_gain - PRUNE_MARGIN:
-                    break
-                batch = []
-                while heap and len(batch) < width:
-                    if best_u >= 0 and -heap[0].neg_bound <= best_gain - PRUNE_MARGIN:
-                        break
-                    batch.append(heappop(heap).vertex)
-                cutoff = best_gain
-                results = pool.map(
-                    lambda cand: pruned_marginal_gain(g, base, cand, cutoff), batch)
-                for cand, res in zip(batch, results):
-                    stats["evaluated"] += 1
-                    if res.is_exact:
-                        gain_bound[cand] = res.value
-                        if res.value > best_gain or (res.value == best_gain and cand < best_u):
-                            best_gain, best_u = res.value, cand
-                    else:
-                        stats["pruned"] += 1
-                        if res.value < gain_bound[cand]:
-                            gain_bound[cand] = res.value
-            group.append(best_u)
-            in_group.add(best_u)
-            round_gains.append(best_gain)
+    while len(group) < k:
+        dist = multi_source_sssp(g, group)
+        base = BaseDistances(g, dist, reach, comp)
+        heap = [BoundEntry(-gain_bound[u], u) for u in range(n) if u not in in_group]
+        heapify(heap)
+        best_gain = float("-inf")
+        best_u = -1
+        while heap:
+            if best_u >= 0 and -heap[0].neg_bound <= best_gain - PRUNE_MARGIN:
+                break
+            cand = heappop(heap).vertex
+            res = pruned_marginal_gain(g, base, cand, best_gain)
+            stats["evaluated"] += 1
+            if res.is_exact:
+                gain_bound[cand] = res.value
+                if res.value > best_gain or (res.value == best_gain and cand < best_u):
+                    best_gain, best_u = res.value, cand
+            else:
+                stats["pruned"] += 1
+                if res.value < gain_bound[cand]:
+                    gain_bound[cand] = res.value
+        group.append(best_u)
+        in_group.add(best_u)
+        round_gains.append(best_gain)
     return group, values, round_gains, stats
 
 
@@ -295,7 +285,7 @@ def greedy_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunRepor
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
     t0 = time.perf_counter()
-    group, _, round_gains, stats = _greedy_core(g, k, cfg)
+    group, _, round_gains, stats = _greedy_core(g, k)
     return _finish_report(g, "greedy-h", group, cfg, t0, stats, round_gains=round_gains)
 
 
@@ -351,60 +341,50 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
         raise ValueError(f"k={k} out of range for n={g.n}")
     t0 = time.perf_counter()
     n = g.n
-    group, values, round_gains, stats = _greedy_core(g, k, cfg)
+    group, values, round_gains, stats = _greedy_core(g, k)
     stats = dict(stats)
     stats["iterations"] = 0
     swaps: list[tuple[int, int]] = []
     if k < n:
         reach, comp = graph_reach_info(g)
         q_size = k * (n - k)
-        width = cfg.effective_workers()
-        with EvalPool(width) as pool:
-            improved = True
-            while improved:
-                improved = False
-                stats["iterations"] += 1
-                state = state_init(g, group)
-                gh_here = harmonic_sum(state.dist_nearest, state.member_set)
-                # multiplicative acceptance when positive; strict absolute
-                # improvement when the objective sits at zero
-                if gh_here > 0.0:
-                    threshold = gh_here * (1.0 + cfg.eps / q_size)
-                    accepts = lambda val: val >= threshold
-                else:
-                    threshold = gh_here + ABS_IMPROVE
-                    accepts = lambda val: val > threshold
-                scan = []
-                for u in group:
-                    d_without = patched_distances(state, u)
-                    gh_without = harmonic_sum(d_without, state.member_set - {u})
-                    scan.append((gh_here - gh_without, u, d_without, gh_without))
-                scan.sort(key=lambda item: (item[0], item[1]))
-                candidates = sorted((x for x in range(n) if x not in state.member_set),
-                                    key=lambda x: (-values[x], x))
-                for _, u, d_without, gh_without in scan:
-                    base = BaseDistances(g, d_without, reach, comp)
-                    cutoff = threshold - gh_without
-                    done = False
-                    for lo in range(0, len(candidates), width):
-                        batch = candidates[lo:lo + width]
-                        results = pool.map(
-                            lambda cand: pruned_marginal_gain(g, base, cand, cutoff), batch)
-                        for v, res in zip(batch, results):
-                            stats["evaluated"] += 1
-                            if not res.is_exact:
-                                stats["pruned"] += 1
-                                continue
-                            if accepts(gh_without + res.value):
-                                group = sorted(set(group) - {u} | {v})
-                                swaps.append((u, v))
-                                improved = True
-                                done = True
-                                break
-                        if done:
-                            break
-                    if done:
+        improved = True
+        while improved:
+            improved = False
+            stats["iterations"] += 1
+            state = state_init(g, group)
+            gh_here = harmonic_sum(state.dist_nearest, state.member_set)
+            # multiplicative acceptance when positive; strict absolute
+            # improvement when the objective sits at zero
+            if gh_here > 0.0:
+                threshold = gh_here * (1.0 + cfg.eps / q_size)
+                accepts = lambda val: val >= threshold
+            else:
+                threshold = gh_here + ABS_IMPROVE
+                accepts = lambda val: val > threshold
+            scan = []
+            for u in group:
+                d_without = patched_distances(state, u)
+                gh_without = harmonic_sum(d_without, state.member_set - {u})
+                scan.append((gh_here - gh_without, u, d_without, gh_without))
+            scan.sort(key=lambda item: (item[0], item[1]))
+            candidates = sorted((x for x in range(n) if x not in state.member_set),
+                                key=lambda x: (-values[x], x))
+            for _, u, d_without, gh_without in scan:
+                base = BaseDistances(g, d_without, reach, comp)
+                cutoff = threshold - gh_without
+                for v in candidates:
+                    res = pruned_marginal_gain(g, base, v, cutoff)
+                    stats["evaluated"] += 1
+                    if not res.is_exact:
+                        stats["pruned"] += 1
+                    elif accepts(gh_without + res.value):
+                        group = sorted(set(group) - {u} | {v})
+                        swaps.append((u, v))
+                        improved = True
                         break
+                if improved:
+                    break
     stats["swaps"] = len(swaps)
     return _finish_report(g, "ls-h", group, cfg, t0, stats,
                           swap_sequence=swaps, round_gains=round_gains)

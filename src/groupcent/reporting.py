@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from .graph import Graph
@@ -13,36 +12,27 @@ from .graph import Graph
 class AlgoConfig:
     k: int
     eps: float = 0.01
-    p: int = 1
     trials: int = 100
     seed: int = 0
-    workers: int | None = None  # None -> logical core count
-    deterministic: bool = False
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
-    def effective_workers(self) -> int:
-        if self.deterministic:
-            return 1
-        return self.workers or os.cpu_count() or 1
-
     def echo(self) -> dict:
+        # every run is serial and deterministic; "workers" and
+        # "deterministic" stay in the report format with their fixed values
         return {
             "k": self.k,
             "eps": self.eps,
-            "p": self.p,
             "trials": self.trials,
             "seed": self.seed,
-            "workers": self.effective_workers(),
-            "deterministic": self.deterministic,
+            "workers": 1,
+            "deterministic": True,
         }
 
 
@@ -97,7 +87,7 @@ class RunReport:
 CSV_COLUMNS = [
     "algorithm", "k", "group", "objectiveKind", "objectiveValue", "rawFarness",
     "iterations", "swapsCommitted", "candidatesEvaluated", "traversalsPruned",
-    "wallTimeMillis", "n", "m", "directed", "weighted", "hash", "eps", "p",
+    "wallTimeMillis", "n", "m", "directed", "weighted", "hash", "eps",
     "trials", "seed", "workers", "deterministic",
 ]
 
@@ -112,7 +102,7 @@ def report_to_csv_row(report: RunReport) -> str:
         d["traversalsPruned"], d["wallTimeMillis"],
         d["graph"]["n"], d["graph"]["m"], d["graph"]["directed"],
         d["graph"]["weighted"], d["graph"]["hash"],
-        d["config"]["eps"], d["config"]["p"], d["config"]["trials"],
+        d["config"]["eps"], d["config"]["trials"],
         d["config"]["seed"], d["config"]["workers"], d["config"]["deterministic"],
     ]
     return ",".join(str(c) for c in cells)

@@ -159,7 +159,7 @@ def test_criterion_08_pruning_transparency():
         g = random_graph(rng.randrange(10, 41), rng,
                          directed=bool(trial % 3 == 0), weights=weights)
         k = rng.randrange(2, 6)
-        cfg = AlgoConfig(k=k, deterministic=True)
+        cfg = AlgoConfig(k=k)
         if greedy_harmonic(g, k, cfg).group != plain_greedy_harmonic(g, k, cfg).group:
             greedy_ok = False
             break
@@ -175,7 +175,7 @@ def test_criterion_08_pruning_transparency():
         k = rng.randrange(1, 4)
         if k >= g.n:
             continue
-        cfg = AlgoConfig(k=k, deterministic=True)
+        cfg = AlgoConfig(k=k)
         pruned = local_search_closeness(g, k, cfg, use_pruning=True)
         plain = local_search_closeness(g, k, cfg, use_pruning=False)
         if pruned.swap_sequence != plain.swap_sequence or pruned.group != plain.group:

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from groupcent import checks
 from groupcent.cli import main
 
 
@@ -78,10 +80,19 @@ class TestSolve:
                                  "--algo", algo, "--deterministic")
             assert code == 0, (algo, err)
             assert json.loads(out)["algorithm"] == algo
-        code, out, _ = run(capsys, "solve", "--graph", str(p), "--k", "4",
-                           "--algo", "multiswap-c", "--p", "2", "--deterministic")
-        assert code == 0
-        assert json.loads(out)["algorithm"] == "multiswap-c"
+
+    def test_serial_by_default_and_retired_options_rejected(self, capsys,
+                                                            weighted_path):
+        argv = ("solve", "--graph", weighted_path, "--weighted", "--k", "2",
+                "--algo", "ls-c")
+        _, out1, _ = run(capsys, *argv)
+        _, out2, _ = run(capsys, *argv)
+        strip = lambda s: re.sub(r'"wallTimeMillis":[^,]*,', "", s)
+        assert (strip(out1) == strip(out2)
+                and json.loads(out1)["config"]["workers"] == 1)
+        assert [run(capsys, *argv, *extra)[0] for extra in
+                (("--workers", "2"), ("--p", "2"), ("--algo", "multiswap-c"))] \
+            == [1, 1, 1]
 
 
 class TestExitCodes:
@@ -114,11 +125,6 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--graph", str(p), "--k", "20",
                            "--algo", "exact-h")
         assert code == 3
-
-    def test_multiswap_needs_p(self, capsys, path3):
-        code, _, _ = run(capsys, "solve", "--graph", path3, "--k", "2",
-                         "--algo", "multiswap-c")
-        assert code == 1
 
 
 class TestCompare:
@@ -185,3 +191,12 @@ class TestCheck:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 3
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_failing_suite_fails_the_process(self, capsys, monkeypatch):
+        failing = lambda seed: checks.CheckOutcome(
+            name="failing", passed=False, checked=1, violations=["x"])
+        monkeypatch.setitem(checks.ALL_SUITES, "failing", failing)
+        code, out, _ = run(capsys, "check")
+        assert code == 4
+        assert "FAIL failing: 1 checks, 1 violations" in out
+        assert run(capsys, "check", "--suite", "bounds")[0] == 0

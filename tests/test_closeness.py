@@ -8,8 +8,7 @@ from groupcent.centrality import (group_farness_raw, patched_distances,
                                   state_init)
 from groupcent.closeness import (DisconnectedGraphError, LevelBuckets,
                                  add_estimate, farness_decrease,
-                                 greedy_closeness, local_search_closeness,
-                                 multi_swap_closeness)
+                                 greedy_closeness, local_search_closeness)
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   random_graph, star_graph,
                                   undirected_connected)
@@ -18,8 +17,8 @@ from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
 
 
-def det_cfg(k, **kw):
-    return AlgoConfig(k=k, deterministic=True, **kw)
+def _vertices_ge(buckets, t):
+    return [x for d, x in buckets.pairs if d >= t]
 
 
 def weighted_path_l2():
@@ -28,14 +27,14 @@ def weighted_path_l2():
 
 class TestGreedyCloseness:
     def test_star_center(self):
-        r = greedy_closeness(star_graph(5), 1, det_cfg(1))
+        r = greedy_closeness(star_graph(5), 1, AlgoConfig(k=1))
         assert r.group == [0]
 
     def test_weighted_path_singleton_tie(self):
         # singleton raw farness values are 9, 5, 5, 7; the tie goes to v1
         g = weighted_path_l2()
         assert [group_farness_raw(g, [v]) for v in range(4)] == [9, 5, 5, 7]
-        r = greedy_closeness(g, 1, det_cfg(1))
+        r = greedy_closeness(g, 1, AlgoConfig(k=1))
         assert r.group == [1]
         assert r.raw_farness == 5
 
@@ -50,7 +49,7 @@ class TestGreedyCloseness:
                 if k >= g.n:
                     continue
                 opt = exhaustive_best(g, k, "closeness").raw_farness
-                got = greedy_closeness(g, k, det_cfg(k)).raw_farness
+                got = greedy_closeness(g, k, AlgoConfig(k=k)).raw_farness
                 assert got >= opt
 
     def test_pruning_transparent_for_selection(self):
@@ -60,7 +59,7 @@ class TestGreedyCloseness:
             g = undirected_connected(rng.randrange(6, 12), rng,
                                      weights=(1,) if trial % 2 else (1, 2))
             k = 3
-            report = greedy_closeness(g, k, det_cfg(k))
+            report = greedy_closeness(g, k, AlgoConfig(k=k))
             # reference: enumerate greedily without any pruning
             ref = [min(range(g.n), key=lambda v: (group_farness_raw(g, [v]), v))]
             while len(ref) < k:
@@ -77,12 +76,12 @@ class TestGreedyCloseness:
     def test_disconnected_rejected(self):
         g = Graph(4, [(0, 1, 1), (2, 3, 1)])
         with pytest.raises(DisconnectedGraphError):
-            greedy_closeness(g, 1, det_cfg(1))
+            greedy_closeness(g, 1, AlgoConfig(k=1))
 
     def test_k_bounds(self):
         g = path_graph([1, 1])
         with pytest.raises(ValueError):
-            greedy_closeness(g, 3, det_cfg(3))
+            greedy_closeness(g, 3, AlgoConfig(k=3))
 
 
 class TestFarnessDecreaseBounds:
@@ -151,14 +150,14 @@ class TestLevelBuckets:
             assert cur <= prev
             assert cur == sum(1 for d in st.dist_nearest if d >= t)
             assert b.sum_ge(t) == sum(d for d in st.dist_nearest if d >= t)
-            assert sorted(b.vertices_ge(t)) == sorted(
+            assert sorted(_vertices_ge(b, t)) == sorted(
                 x for x, d in enumerate(st.dist_nearest) if d >= t)
             prev = cur
 
     def test_rebuilt_after_commit_matches_state(self):
         rng = random.Random(45)
         g = undirected_connected(10, rng)
-        r = local_search_closeness(g, 3, det_cfg(3))
+        r = local_search_closeness(g, 3, AlgoConfig(k=3))
         st = state_init(g, r.group)
         b = LevelBuckets.from_distances(st.dist_nearest)
         assert b.count_ge(1) == g.n - 3
@@ -167,7 +166,7 @@ class TestLevelBuckets:
 class TestLocalSearchCloseness:
     def test_optimum_start_zero_swaps(self):
         g = star_graph(6)
-        r = local_search_closeness(g, 1, det_cfg(1))
+        r = local_search_closeness(g, 1, AlgoConfig(k=1))
         assert r.group == [0]
         assert r.swaps_committed == 0
 
@@ -177,13 +176,13 @@ class TestLocalSearchCloseness:
             g = undirected_connected(12, rng, extra=0.1, weights=(1, 2))
             k = 3
             eps = 0.01
-            r = local_search_closeness(g, k, det_cfg(k, eps=eps))
-            greedy_raw = greedy_closeness(g, k, det_cfg(k)).raw_farness
+            r = local_search_closeness(g, k, AlgoConfig(k=k, eps=eps))
+            greedy_raw = greedy_closeness(g, k, AlgoConfig(k=k)).raw_farness
             assert r.raw_farness <= greedy_raw
             if r.swap_sequence:
                 shrink = 1 - Fraction(str(eps)) / (k * (g.n - k))
                 raw = greedy_raw
-                group = list(greedy_closeness(g, k, det_cfg(k)).group)
+                group = list(greedy_closeness(g, k, AlgoConfig(k=k)).group)
                 for swap in r.swap_sequence:
                     group = sorted(set(group) - {swap.remove_vertex}
                                    | {swap.add_vertex})
@@ -202,7 +201,7 @@ class TestLocalSearchCloseness:
                 if k >= g.n:
                     continue
                 opt = exhaustive_best(g, k, "closeness").raw_farness
-                ls = local_search_closeness(g, k, det_cfg(k, eps=0.001))
+                ls = local_search_closeness(g, k, AlgoConfig(k=k, eps=0.001))
                 assert ls.raw_farness <= 5 * opt
 
     def test_pruned_and_unpruned_commit_identical_sequences(self):
@@ -216,8 +215,8 @@ class TestLocalSearchCloseness:
             k = rng.randrange(1, 4)
             if k >= g.n:
                 continue
-            a = local_search_closeness(g, k, det_cfg(k), use_pruning=True)
-            b = local_search_closeness(g, k, det_cfg(k), use_pruning=False)
+            a = local_search_closeness(g, k, AlgoConfig(k=k), use_pruning=True)
+            b = local_search_closeness(g, k, AlgoConfig(k=k), use_pruning=False)
             assert a.swap_sequence == b.swap_sequence
             assert a.group == b.group
 
@@ -234,7 +233,7 @@ class TestLocalSearchCloseness:
                  undirected_connected(rng.randrange(5, 9), rng, weights=weights))
             k = rng.randrange(1, min(4, g.n - 1) + 1)
             eps = 0.01
-            r = local_search_closeness(g, k, det_cfg(k, eps=eps))
+            r = local_search_closeness(g, k, AlgoConfig(k=k, eps=eps))
             members = set(r.group)
             raw = group_farness_raw(g, r.group)
             shrink = 1 - Fraction(str(eps)) / (k * (g.n - k))
@@ -249,7 +248,7 @@ class TestLocalSearchCloseness:
         # greedy from the worst singleton cannot happen, so force a start by
         # checking the search still finds the best singleton on a lollipop
         g = Graph(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1), (4, 5, 1)])
-        r = local_search_closeness(g, 1, det_cfg(1, eps=0.001))
+        r = local_search_closeness(g, 1, AlgoConfig(k=1, eps=0.001))
         opt = exhaustive_best(g, 1, "closeness")
         assert r.raw_farness <= 5 * opt.raw_farness
 
@@ -291,7 +290,7 @@ class TestDegreeOneExclusion:
             g = undirected_connected(rng.randrange(6, 10), rng, extra=0.1)
             k = 2
             opt = exhaustive_best(g, k, "closeness").raw_farness
-            ls = local_search_closeness(g, k, det_cfg(k, eps=0.001))
+            ls = local_search_closeness(g, k, AlgoConfig(k=k, eps=0.001))
             assert ls.raw_farness <= 5 * opt
 
 
@@ -329,48 +328,3 @@ class TestAddEstimate:
                         verdicts[v] = accept
                     else:
                         assert verdicts[v] == accept
-
-
-class TestMultiSwap:
-    def test_never_worse_than_initial(self):
-        rng = random.Random(52)
-        for _ in range(10):
-            g = undirected_connected(rng.randrange(8, 14), rng, weights=(1, 2))
-            k, p = 4, 2
-            ms = multi_swap_closeness(g, k, p, det_cfg(k, p=p))
-            init = greedy_closeness(g, k, det_cfg(k))
-            assert ms.raw_farness <= init.raw_farness
-
-    def test_paired_against_single_swap_logged(self):
-        rng = random.Random(53)
-        wins = ties = losses = 0
-        for _ in range(12):
-            g = undirected_connected(rng.randrange(9, 14), rng, extra=0.1)
-            k, p = 4, 2
-            single = local_search_closeness(g, k, det_cfg(k)).raw_farness
-            multi = multi_swap_closeness(g, k, p, det_cfg(k, p=p)).raw_farness
-            if multi < single:
-                wins += 1
-            elif multi == single:
-                ties += 1
-            else:
-                losses += 1
-        print(f"multi-swap vs single-swap: {wins} wins, {ties} ties, {losses} losses")
-
-    def test_p_validation(self):
-        g = undirected_connected(8, random.Random(54))
-        with pytest.raises(ValueError):
-            multi_swap_closeness(g, 3, 3, det_cfg(3, p=3))
-        with pytest.raises(ValueError):
-            multi_swap_closeness(g, 3, 1, det_cfg(3, p=1))
-
-
-def test_threaded_workers_match_serial():
-    rng = random.Random(55)
-    for _ in range(5):
-        g = undirected_connected(12, rng, weights=(1, 2))
-        k = 3
-        serial = local_search_closeness(g, k, det_cfg(k))
-        threaded = local_search_closeness(g, k, AlgoConfig(k=k, workers=4))
-        assert serial.group == threaded.group
-        assert serial.swap_sequence == threaded.swap_sequence

@@ -16,10 +16,6 @@ from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
 
 
-def det_cfg(k, **kw):
-    return AlgoConfig(k=k, deterministic=True, **kw)
-
-
 def make_base(g, group):
     dist = multi_source_sssp(g, group)
     reach, comp = graph_reach_info(g)
@@ -100,12 +96,12 @@ class TestPrunedMarginalGain:
 
 class TestGreedy:
     def test_star_k1(self):
-        r = greedy_harmonic(star_graph(5), 1, det_cfg(1))
+        r = greedy_harmonic(star_graph(5), 1, AlgoConfig(k=1))
         assert r.group == [0]
         assert r.objective_value == 5.0
 
     def test_single_edge_full_group(self):
-        r = greedy_harmonic(Graph(2, [(0, 1, 1)]), 2, det_cfg(2))
+        r = greedy_harmonic(Graph(2, [(0, 1, 1)]), 2, AlgoConfig(k=2))
         assert r.group == [0, 1]
         assert r.objective_value == 0.0
 
@@ -123,8 +119,8 @@ class TestGreedy:
             g = random_graph(rng.randrange(8, 30), rng, directed=bool(trial % 3 == 0),
                              weights=weights)
             k = rng.randrange(2, 6)
-            lazy = greedy_harmonic(g, k, det_cfg(k))
-            plain = plain_greedy_harmonic(g, k, det_cfg(k))
+            lazy = greedy_harmonic(g, k, AlgoConfig(k=k))
+            plain = plain_greedy_harmonic(g, k, AlgoConfig(k=k))
             assert lazy.group == plain.group
             assert lazy.traversals_pruned >= 0
 
@@ -137,8 +133,8 @@ class TestGreedy:
             for c in (2, 4):
                 scaled = Graph(g.n, [(u, v, w * c) for u, v, w in g.edges()])
                 k = 3
-                assert (greedy_harmonic(g, k, det_cfg(k)).group
-                        == greedy_harmonic(scaled, k, det_cfg(k)).group)
+                assert (greedy_harmonic(g, k, AlgoConfig(k=k)).group
+                        == greedy_harmonic(scaled, k, AlgoConfig(k=k)).group)
 
     def test_directed_floor_small_sweep(self):
         rng = random.Random(26)
@@ -147,30 +143,21 @@ class TestGreedy:
             g = directed_strongly_connected(rng.randrange(5, 9), rng, weights=(1, 2))
             for k in (1, 2, 3):
                 opt = exhaustive_best(g, k, "harmonic").objective_value
-                got = greedy_harmonic(g, k, det_cfg(k)).objective_value
+                got = greedy_harmonic(g, k, AlgoConfig(k=k)).objective_value
                 assert got >= g.lambda_ratio * floor_const * opt - 1e-9
-
-    def test_threaded_workers_match_serial(self):
-        rng = random.Random(27)
-        for _ in range(5):
-            g = random_graph(20, rng)
-            k = 4
-            serial = greedy_harmonic(g, k, det_cfg(k))
-            threaded = greedy_harmonic(g, k, AlgoConfig(k=k, workers=4))
-            assert serial.group == threaded.group
 
     def test_report_value_matches_recomputation(self):
         rng = random.Random(31)
         for trial in range(10):
             g = random_graph(12, rng, directed=bool(trial % 2))
-            r = greedy_harmonic(g, 3, det_cfg(3))
+            r = greedy_harmonic(g, 3, AlgoConfig(k=3))
             assert r.objective_value == group_harmonic(g, r.group).value
             assert len(r.group) == 3
 
 
 class TestLocalSearch:
     def test_local_optimum_returned_unchanged(self):
-        r = local_search_harmonic(star_graph(6), 1, det_cfg(1))
+        r = local_search_harmonic(star_graph(6), 1, AlgoConfig(k=1))
         assert r.group == [0]
         assert r.swaps_committed == 0
 
@@ -182,8 +169,8 @@ class TestLocalSearch:
             k = rng.randrange(1, 5)
             if k > g.n:
                 continue
-            greedy = greedy_harmonic(g, k, det_cfg(k))
-            ls = local_search_harmonic(g, k, det_cfg(k))
+            greedy = greedy_harmonic(g, k, AlgoConfig(k=k))
+            ls = local_search_harmonic(g, k, AlgoConfig(k=k))
             assert ls.objective_value >= greedy.objective_value - 1e-12
 
     def test_close_to_optimum_on_small_instances(self):
@@ -193,14 +180,14 @@ class TestLocalSearch:
             g = undirected_connected(rng.randrange(6, 10), rng, weights=(1, 2))
             for k in (2, 3):
                 opt = exhaustive_best(g, k, "harmonic").objective_value
-                ls = local_search_harmonic(g, k, det_cfg(k)).objective_value
+                ls = local_search_harmonic(g, k, AlgoConfig(k=k)).objective_value
                 if opt > 0:
                     ratios.append(ls / opt)
         assert sum(ratios) / len(ratios) >= 0.99
 
     def test_full_group_no_swaps(self):
         g = path_graph([1, 1])
-        r = local_search_harmonic(g, 3, det_cfg(3))
+        r = local_search_harmonic(g, 3, AlgoConfig(k=3))
         assert r.group == [0, 1, 2]
         assert r.swaps_committed == 0
 
@@ -216,7 +203,7 @@ class TestLocalSearch:
                  undirected_connected(rng.randrange(5, 9), rng, weights=weights))
             k = rng.randrange(1, min(4, g.n))
             eps = 0.01
-            r = local_search_harmonic(g, k, det_cfg(k, eps=eps))
+            r = local_search_harmonic(g, k, AlgoConfig(k=k, eps=eps))
             members = set(r.group)
             value = group_harmonic(g, r.group).value
             q = k * (g.n - k)
@@ -242,7 +229,7 @@ class TestLocalSearch:
         for _ in range(60):
             g = directed_strongly_connected(rng.randrange(4, 8), rng)
             k = min(3, g.n - 1)
-            r = greedy_harmonic(g, k, det_cfg(k))
+            r = greedy_harmonic(g, k, AlgoConfig(k=k))
             if any(gain < 0 for gain in r.round_gains):
                 fired += 1
                 opt = exhaustive_best(g, k, "harmonic").objective_value
