@@ -1,39 +1,15 @@
-"""Thread-pool evaluation of independent candidate batches.
+"""Serial stand-in for the retired thread-pool dispatch.
 
-Results are always merged in submission order, so algorithm output is
-identical for any worker count; workers only change wall time. CPython's
-GIL serializes pure-Python kernels, so speedups are modest; the structure
-matters more than the speedup at this scale.
+No solver calls this module: every candidate scan is a plain serial loop.
+It stays only because the benchmark's tracer (``bench/tracing.py``) lists
+``parallel.EvalPool.map`` among its built-in targets and its self-test
+expects every built-in target to resolve. Delete it together with that
+target at the next change to the benchmark.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 
 class EvalPool:
-    def __init__(self, workers: int):
-        self.workers = max(1, workers)
-        self._ex = ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
-
     def map(self, fn, items):
-        items = list(items)
-        if self._ex is None or len(items) <= 1:
-            return [fn(x) for x in items]
-        return list(self._ex.map(fn, items))
-
-    def close(self):
-        if self._ex is not None:
-            self._ex.shutdown(wait=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-def chunked(seq, size):
-    size = max(1, size)
-    for i in range(0, len(seq), size):
-        yield seq[i:i + size]
+        return [fn(x) for x in items]
