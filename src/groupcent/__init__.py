@@ -16,8 +16,7 @@ from .graph import (EdgeListFormatError, Graph, GraphError,
                     IsolatedVertexError, UNREACHABLE, is_connected,
                     largest_component, load_edge_list, multi_source_sssp,
                     reachable_counts, sssp)
-from .harmonic import (BaseDistances, BoundEntry, PrunedGainResult,
-                       greedy_harmonic, harmonic_centralities,
+from .harmonic import (BoundEntry, greedy_harmonic, harmonic_centralities,
                        local_search_harmonic, plain_greedy_harmonic,
                        pruned_marginal_gain, top_harmonic_vertex)
 from .oracles import (BudgetExceededError, IlpModel, InfeasibleAssignmentError,
@@ -26,12 +25,12 @@ from .oracles import (BudgetExceededError, IlpModel, InfeasibleAssignmentError,
 from .reporting import AlgoConfig, RunReport
 
 __all__ = [
-    "AlgoConfig", "BaseDistances", "BoundEntry", "BudgetExceededError",
+    "AlgoConfig", "BoundEntry", "BudgetExceededError",
     "DisconnectedFarnessError", "DisconnectedGraphError",
     "DisconnectedRemovalError", "EdgeListFormatError", "Graph", "GraphError",
     "GroupDistanceState", "IlpModel", "InfeasibleAssignmentError",
     "IsolatedVertexError", "LevelBuckets", "ObjectiveValue",
-    "PrunedGainResult", "RunReport", "SwapCandidate", "UNREACHABLE",
+    "RunReport", "SwapCandidate", "UNREACHABLE",
     "add_estimate", "best_random", "build_harmonic_model",
     "evaluate_assignment", "exhaustive_best", "export_ilp_harmonic",
     "farness_decrease", "greedy_closeness", "greedy_harmonic",

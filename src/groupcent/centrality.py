@@ -25,9 +25,8 @@ class DisconnectedRemovalError(ValueError):
 
 @dataclass(frozen=True)
 class ObjectiveValue:
-    kind: str  # "harmonic" | "closeness" | "farness"
+    kind: str  # "harmonic"
     value: float
-    raw_sum: int | None = None
 
 
 def harmonic_sum(dist, members) -> float:

@@ -194,14 +194,19 @@ def _cmd_compare(args):
             "relativeTime": speed,
         }, separators=(",", ":")))
     if len(args.graph) > 1:
-        geo = lambda xs: math.exp(sum(math.log(x) for x in xs) / len(xs))
         print(json.dumps({
             "aggregate": "geometric-mean",
             "graphs": len(args.graph),
-            "qualityRatio": geo([r for r in ratios if r > 0]),
-            "relativeTime": geo([s for s in speeds if s > 0]),
+            "qualityRatio": _geo_mean(ratios),
+            "relativeTime": _geo_mean(speeds),
         }, separators=(",", ":")))
     return EXIT_OK
+
+
+def _geo_mean(xs):
+    """Geometric mean of the positive values; NaN when there is none."""
+    xs = [x for x in xs if x > 0]
+    return math.exp(sum(map(math.log, xs)) / len(xs)) if xs else float("nan")
 
 
 def _cmd_check(args):

@@ -391,8 +391,7 @@ def reachable_counts(g: Graph):
 
     Undirected graphs use component sizes. Directed graphs compute exact
     reachable-set sizes on the strongly-connected condensation with bitset
-    unions, which is quadratic in the component count; fine at the scales
-    this library targets.
+    unions, which is quadratic in the component count. No solver calls it.
     """
     n = g.n
     if not g.directed:

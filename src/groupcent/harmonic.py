@@ -3,18 +3,15 @@
 Marginal gains are evaluated by a pruned traversal from the candidate that
 only visits vertices strictly closer to the candidate than to the current
 group (any vertex whose shortest path passes a non-qualifying vertex cannot
-qualify either, so pruning the expansion is exact). While the traversal
-runs, a running upper bound on the final gain is maintained: the explored
-contribution so far, plus the most optimistic placement of every vertex the
-traversal could still reach. Once the bound falls below the best exact gain
-already found in the round, the traversal is abandoned and the bound itself
-remains a valid certificate for later rounds.
+qualify either, so pruning the expansion is exact). Every traversal runs to
+completion and returns the exact gain.
 
 Greedy evaluates candidates lazily out of a max-priority queue of stale
-bounds (gains only shrink as the group grows). To keep the pruned run
-selection-identical to a plain exhaustive greedy, pruning triggers only when
-a bound is below the incumbent by a small margin, so exact ties are always
-evaluated and resolved by vertex id.
+gains, which stay valid upper bounds because gains only shrink as the group
+grows. To keep the lazy run selection-identical to a plain exhaustive
+greedy, a round stops only when the best remaining bound is below the
+incumbent by a small margin, so exact ties are always evaluated and resolved
+by vertex id.
 """
 
 from __future__ import annotations
@@ -24,17 +21,11 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .centrality import harmonic_sum, patched_distances, state_init
-from .graph import (Graph, UNREACHABLE, connected_component_ids,
-                    multi_source_sssp, reachable_counts, sssp)
+from .graph import Graph, UNREACHABLE, multi_source_sssp, sssp
 from .reporting import AlgoConfig, RunReport, graph_summary
 
 PRUNE_MARGIN = 1e-9
 ABS_IMPROVE = 1e-9  # absolute acceptance fallback when the objective is zero
-
-
-class PrunedGainResult(NamedTuple):
-    is_exact: bool
-    value: float  # exact marginal gain, or a still-valid upper bound
 
 
 class BoundEntry(NamedTuple):
@@ -42,46 +33,6 @@ class BoundEntry(NamedTuple):
     Equal bounds pop in ascending vertex order."""
     neg_bound: float
     vertex: int
-
-
-class BaseDistances:
-    """Distances from the current base group plus reach corrections.
-
-    On undirected unit-weight graphs, vertices already at distance 1 from
-    the base group can never contribute to any candidate's gain, so they are
-    removed from the candidate's reachable-count before it feeds the
-    optimistic tail of the bound.
-    """
-
-    __slots__ = ("graph", "dist", "reach", "comp", "_dist1_per_comp")
-
-    def __init__(self, g: Graph, dist, reach, comp=None):
-        self.graph = g
-        self.dist = dist
-        self.reach = reach
-        self.comp = comp
-        self._dist1_per_comp = None
-        if comp is not None and g.unit_weights and not g.directed:
-            counts = [0] * (max(comp) + 1)
-            for x, d in enumerate(dist):
-                if d == 1:
-                    counts[comp[x]] += 1
-            self._dist1_per_comp = counts
-
-    def effective_reach(self, u: int) -> int:
-        r = self.reach[u]
-        if self._dist1_per_comp is None:
-            return r
-        r -= self._dist1_per_comp[self.comp[u]]
-        if self.dist[u] == 1:  # u itself stays countable
-            r += 1
-        return r
-
-
-def graph_reach_info(g: Graph):
-    reach = reachable_counts(g)
-    comp = connected_component_ids(g)[0] if not g.directed else None
-    return reach, comp
 
 
 def harmonic_centralities(g: Graph):
@@ -98,59 +49,31 @@ def harmonic_centralities(g: Graph):
 
 
 def top_harmonic_vertex(g: Graph) -> int:
+    """Vertex of largest harmonic centrality, the smallest id on ties."""
     values = harmonic_centralities(g)
-    best = 0
-    for u in range(1, g.n):
-        if values[u] > values[best]:
-            best = u
-    return best
+    return values.index(max(values))
 
 
-def pruned_marginal_gain(g: Graph, base: BaseDistances, u: int,
-                         cutoff: float = float("-inf"), record=None) -> PrunedGainResult:
-    """Marginal harmonic gain of adding u to the base group.
-
-    Returns an exact gain when the traversal completes, otherwise a valid
-    upper bound proving the gain cannot beat ``cutoff``. ``record`` collects
-    every intermediate bound for instrumentation.
-    """
+def pruned_marginal_gain(g: Graph, dist, u: int) -> float:
+    """Exact marginal harmonic gain of adding u to the group whose
+    distances are ``dist``."""
     if g.unit_weights:
-        return _gain_unit(g, base, u, cutoff, record)
-    return _gain_weighted(g, base, u, cutoff, record)
+        gain = _gain_unit(g, dist, u)
+    else:
+        gain = _gain_weighted(g, dist, u)
+    su = dist[u]
+    return gain - (0.0 if su == UNREACHABLE else 1.0 / su)
 
 
-def _gain_unit(g, base, u, cutoff, record):
-    dist_to = base.dist
-    n, indptr, targets = g.n, g.indptr, g.targets
-    su = dist_to[u]
-    inv_su = 0.0 if su == UNREACHABLE else 1.0 / su
-    undirected = not g.directed
-    threshold = cutoff - PRUNE_MARGIN
-    seen = bytearray(n)
+def _gain_unit(g, dist_to, u):
+    indptr, targets = g.indptr, g.targets
+    seen = bytearray(g.n)
     seen[u] = 1
     level = [u]
-    explored = 1
     gain = 0.0
-    r_rem = base.effective_reach(u)
-    i = 0
-    while True:
-        # optimistic tail: the frontier can spawn at most this many vertices
-        # one hop out, everything else reachable sits two hops out
-        fanout = 0
-        for x in level:
-            fanout += indptr[x + 1] - indptr[x]
-            if undirected and i > 0:
-                fanout -= 1
-        remaining = r_rem - explored
-        if remaining < 0:
-            remaining = 0
-        at_next = fanout if fanout < remaining else remaining
-        bound = gain + at_next / (i + 1) + (remaining - at_next) / (i + 2) - inv_su
-        if record is not None:
-            record.append(bound)
-        if bound <= threshold:
-            return PrunedGainResult(False, bound)
-        nd = i + 1
+    nd = 0
+    while level:
+        nd += 1
         nxt = []
         for x in level:
             for j in range(indptr[x], indptr[x + 1]):
@@ -160,32 +83,22 @@ def _gain_unit(g, base, u, cutoff, record):
                     dy = dist_to[y]
                     gain += 1.0 / nd - (0.0 if dy == UNREACHABLE else 1.0 / dy)
                     nxt.append(y)
-        if not nxt:
-            return PrunedGainResult(True, gain - inv_su)
-        explored += len(nxt)
         level = nxt
-        i = nd
+    return gain
 
 
-def _gain_weighted(g, base, u, cutoff, record):
-    dist_to = base.dist
-    n, indptr, targets, wts = g.n, g.indptr, g.targets, g.weights
-    su = dist_to[u]
-    inv_su = 0.0 if su == UNREACHABLE else 1.0 / su
-    threshold = cutoff - PRUNE_MARGIN
-    tentative = [UNREACHABLE] * n
+def _gain_weighted(g, dist_to, u):
+    indptr, targets, wts = g.indptr, g.targets, g.weights
+    tentative = [UNREACHABLE] * g.n
     tentative[u] = 0
-    done = bytearray(n)
+    done = bytearray(g.n)
     heap = [(0, u)]
     gain = 0.0
-    settled = 0
-    r_u = base.effective_reach(u)
     while heap:
         d, x = heappop(heap)
         if done[x]:
             continue
         done[x] = 1
-        settled += 1
         if x != u:
             dx = dist_to[x]
             gain += 1.0 / d - (0.0 if dx == UNREACHABLE else 1.0 / dx)
@@ -195,18 +108,7 @@ def _gain_weighted(g, base, u, cutoff, record):
             if not done[y] and ny < dist_to[y] and ny < tentative[y]:
                 tentative[y] = ny
                 heappush(heap, (ny, y))
-        if not heap:
-            break
-        if d > 0:
-            remaining = r_u - settled
-            if remaining < 0:
-                remaining = 0
-            bound = gain + remaining / d - inv_su
-            if record is not None:
-                record.append(bound)
-            if bound <= threshold:
-                return PrunedGainResult(False, bound)
-    return PrunedGainResult(True, gain - inv_su)
+    return gain
 
 
 def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_gains=()):
@@ -222,7 +124,7 @@ def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_
         iterations=stats.get("iterations", 0),
         swaps_committed=stats.get("swaps", 0),
         candidates_evaluated=stats.get("evaluated", 0),
-        traversals_pruned=stats.get("pruned", 0),
+        traversals_pruned=0,  # every traversal runs to its exact gain
         wall_time_millis=(time.perf_counter() - t0) * 1000.0,
         config=cfg.echo(),
         graph=graph_summary(g),
@@ -236,19 +138,14 @@ def _greedy_core(g, k):
     best gain per round, stats)."""
     n = g.n
     values = harmonic_centralities(g)
-    start = 0
-    for u in range(1, n):
-        if values[u] > values[start]:
-            start = u
+    start = values.index(max(values))
     group = [start]
     in_group = {start}
     gain_bound = values.copy()
-    reach, comp = graph_reach_info(g)
-    stats = {"evaluated": n, "pruned": 0, "iterations": k}
+    stats = {"evaluated": n, "iterations": k}
     round_gains: list[float] = []
     while len(group) < k:
         dist = multi_source_sssp(g, group)
-        base = BaseDistances(g, dist, reach, comp)
         heap = [BoundEntry(-gain_bound[u], u) for u in range(n) if u not in in_group]
         heapify(heap)
         best_gain = float("-inf")
@@ -257,16 +154,11 @@ def _greedy_core(g, k):
             if best_u >= 0 and -heap[0].neg_bound <= best_gain - PRUNE_MARGIN:
                 break
             cand = heappop(heap).vertex
-            res = pruned_marginal_gain(g, base, cand, best_gain)
+            gain = pruned_marginal_gain(g, dist, cand)
             stats["evaluated"] += 1
-            if res.is_exact:
-                gain_bound[cand] = res.value
-                if res.value > best_gain or (res.value == best_gain and cand < best_u):
-                    best_gain, best_u = res.value, cand
-            else:
-                stats["pruned"] += 1
-                if res.value < gain_bound[cand]:
-                    gain_bound[cand] = res.value
+            gain_bound[cand] = gain
+            if gain > best_gain or (gain == best_gain and cand < best_u):
+                best_gain, best_u = gain, cand
         group.append(best_u)
         in_group.add(best_u)
         round_gains.append(best_gain)
@@ -290,8 +182,8 @@ def greedy_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunRepor
 
 
 def plain_greedy_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunReport:
-    """Reference greedy without laziness or pruning: every candidate is
-    evaluated exactly in every round. Used to validate that pruning is
+    """Reference greedy without laziness: every candidate is evaluated in
+    every round. Used to validate that the lazy queue is
     selection-transparent."""
     cfg = cfg or AlgoConfig(k=k)
     if not 1 <= k <= g.n:
@@ -299,27 +191,22 @@ def plain_greedy_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
     t0 = time.perf_counter()
     n = g.n
     values = harmonic_centralities(g)
-    start = 0
-    for u in range(1, n):
-        if values[u] > values[start]:
-            start = u
+    start = values.index(max(values))
     group = [start]
     in_group = {start}
-    reach, comp = graph_reach_info(g)
-    stats = {"evaluated": n, "pruned": 0, "iterations": k}
+    stats = {"evaluated": n, "iterations": k}
     round_gains = []
     while len(group) < k:
         dist = multi_source_sssp(g, group)
-        base = BaseDistances(g, dist, reach, comp)
         best_gain = float("-inf")
         best_u = -1
         for u in range(n):
             if u in in_group:
                 continue
-            res = pruned_marginal_gain(g, base, u)
+            gain = pruned_marginal_gain(g, dist, u)
             stats["evaluated"] += 1
-            if res.value > best_gain:
-                best_gain, best_u = res.value, u
+            if gain > best_gain:
+                best_gain, best_u = gain, u
         group.append(best_u)
         in_group.add(best_u)
         round_gains.append(best_gain)
@@ -342,11 +229,9 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
     t0 = time.perf_counter()
     n = g.n
     group, values, round_gains, stats = _greedy_core(g, k)
-    stats = dict(stats)
     stats["iterations"] = 0
     swaps: list[tuple[int, int]] = []
     if k < n:
-        reach, comp = graph_reach_info(g)
         q_size = k * (n - k)
         improved = True
         while improved:
@@ -371,14 +256,9 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
             candidates = sorted((x for x in range(n) if x not in state.member_set),
                                 key=lambda x: (-values[x], x))
             for _, u, d_without, gh_without in scan:
-                base = BaseDistances(g, d_without, reach, comp)
-                cutoff = threshold - gh_without
                 for v in candidates:
-                    res = pruned_marginal_gain(g, base, v, cutoff)
                     stats["evaluated"] += 1
-                    if not res.is_exact:
-                        stats["pruned"] += 1
-                    elif accepts(gh_without + res.value):
+                    if accepts(gh_without + pruned_marginal_gain(g, d_without, v)):
                         group = sorted(set(group) - {u} | {v})
                         swaps.append((u, v))
                         improved = True

@@ -1,10 +1,13 @@
 import json
+import math
 import re
+import signal
 
 import pytest
 
 from groupcent import checks
 from groupcent.cli import main
+from groupcent.graph import Graph
 
 
 def run(capsys, *argv):
@@ -25,6 +28,26 @@ def weighted_path(tmp_path):
     p = tmp_path / "wpath.txt"
     p.write_text("% weighted 4-path\n0 1 2\n1 2 1\n2 3 1\n")
     return str(p)
+
+
+@pytest.fixture
+def single_edge(tmp_path):
+    p = tmp_path / "edge.txt"
+    p.write_text("0 1\n")
+    return str(p)
+
+
+def within(seconds, fn, *args, **kwargs):
+    """fn's result, or TimeoutError when it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture
@@ -172,6 +195,16 @@ class TestCompare:
         assert len(lines) == 3
         assert json.loads(lines[-1])["aggregate"] == "geometric-mean"
 
+    def test_aggregate_without_positive_ratio_is_nan(self, capsys, single_edge):
+        # a full group on a single edge scores 0 for both solvers
+        code, out, _ = run(capsys, "compare", "--graph", single_edge, "--graph",
+                           single_edge, "--k", "2", "--algo", "greedy-h",
+                           "--baseline", "exact")
+        assert code == 0
+        *per_graph, aggregate = map(json.loads, out.strip().splitlines())
+        assert all(math.isnan(line["qualityRatio"]) for line in per_graph)
+        assert math.isnan(aggregate["qualityRatio"])
+
 
 class TestCheck:
     def test_bounds_suite_passes(self, capsys):
@@ -184,6 +217,33 @@ class TestCheck:
                            "--graph", weighted_path, "--weighted")
         assert code == 0
         assert out.startswith("PASS submodularity")
+
+    @pytest.mark.parametrize("suite", ("bounds", "submodularity"))
+    def test_single_edge_graph_falls_back_to_generated(self, capsys,
+                                                       single_edge, suite):
+        code, out, _ = within(60, run, capsys, "check", "--suite", suite,
+                              "--graph", single_edge)
+        assert code == 0
+        assert out.startswith(f"PASS {suite}")
+        assert "generated graphs" in out
+
+    def test_bounds_skip_graphs_that_cannot_host_a_case(self):
+        edge = Graph(2, [(0, 1, 1)])
+        outcome = within(60, checks.bound_check, cases_per_regime=5,
+                         graphs=[edge])
+        assert outcome.passed and outcome.checked > 0 and outcome.notes
+        pair = Graph(4, [(0, 1, 1), (2, 3, 1)])
+        path = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        outcome = within(60, checks.bound_check, cases_per_regime=5,
+                         graphs=[pair, path])
+        assert outcome.passed and outcome.checked > 0 and not outcome.notes
+
+    def test_submodularity_skips_small_graphs_keeping_the_stream(self):
+        path = Graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
+        alone = checks.submodularity_check(min_triples=50, graphs=[path])
+        mixed = checks.submodularity_check(
+            min_triples=50, graphs=[Graph(2, [(0, 1, 1)]), path])
+        assert mixed == alone and alone.checked == 50 and not alone.notes
 
     def test_all_suites(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "all")
