@@ -1,9 +1,10 @@
 """Property-check suites runnable from the CLI and reused by the test suite.
 
 Three families: diminishing-returns sampling for the harmonic objective,
-instrumented never-undershoot checks for the farness-decrease bounds, and
-greedy/local-search quality floors against the exhaustive oracle on small
-sweeps.
+instrumented soundness checks for the pruning bounds (farness-decrease and
+harmonic start upper bounds never undershoot, singleton-farness lower
+bounds never overshoot), and greedy/local-search quality floors against
+the exhaustive oracle on small sweeps.
 """
 
 from __future__ import annotations
@@ -14,17 +15,20 @@ from dataclasses import dataclass, field
 
 from .centrality import (group_farness_raw, group_harmonic,
                          patched_distances, state_init)
-from .closeness import LevelBuckets, farness_decrease, local_search_closeness
+from .closeness import (LevelBuckets, _farness_of_singleton, farness_decrease,
+                        local_search_closeness)
 from .generators import (directed_strongly_connected, mixed_regime_graphs,
                          undirected_connected)
 from .graph import is_connected
-from .harmonic import greedy_harmonic, local_search_harmonic
+from .harmonic import (_harmonic_of_singleton, greedy_harmonic,
+                       local_search_harmonic)
 from .oracles import exhaustive_best
 from .reporting import AlgoConfig
 
 DIRECTED_FLOOR = 1 - 2 / math.e
 UNDIRECTED_FLOOR = (1 - 1 / math.e) / 2
 FLOOR_SLACK = 1e-9
+ROUNDING = 1e-12  # relative slack: bounds and values sum floats in different orders
 
 
 @dataclass
@@ -82,8 +86,12 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
                 graphs=None) -> CheckOutcome:
     """Every intermediate farness-decrease bound must dominate the exact
     decrease the completed traversal reports, and that decrease must match
-    a from-scratch recomputation (exact integers). Given graphs that are not
-    (strongly) connected or have fewer than 3 vertices are skipped."""
+    a from-scratch recomputation (exact integers). For the added vertex v,
+    every harmonic start bound must be at least v's harmonic centrality (up
+    to float rounding) and every singleton-farness lower bound at most v's
+    farness, and both completed traversals must match a recomputation.
+    Given graphs that are not (strongly) connected or have fewer than 3
+    vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
     if graphs is not None:
@@ -127,7 +135,38 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
                     out.violations.append(
                         f"decrease bound {b} < exact {res.value} for u={u} v={v} "
                         f"S={group} edges={g.edges()}")
+            _singleton_bounds(g, v, out)
     return out
+
+
+def _singleton_bounds(g, v, out):
+    """Start-scan bounds of vertex v against its exact singleton values."""
+    rec = []
+    _, value = _harmonic_of_singleton(g, v, record=rec)
+    exact = group_harmonic(g, [v]).value
+    out.checked += len(rec) + 1
+    if value != exact:
+        out.passed = False
+        out.violations.append(f"harmonic centrality {value} != oracle {exact} "
+                              f"for v={v} edges={g.edges()}")
+    for b in rec:
+        if b < exact - ROUNDING * max(1.0, exact):
+            out.passed = False
+            out.violations.append(f"harmonic start bound {b} < exact {exact} "
+                                  f"for v={v} edges={g.edges()}")
+    rec = []
+    _, total = _farness_of_singleton(g, v, record=rec)
+    exact = group_farness_raw(g, [v])
+    out.checked += len(rec) + 1
+    if total != exact:
+        out.passed = False
+        out.violations.append(f"singleton farness {total} != oracle {exact} "
+                              f"for v={v} edges={g.edges()}")
+    for b in rec:
+        if b > exact:
+            out.passed = False
+            out.violations.append(f"singleton farness bound {b} > exact {exact} "
+                                  f"for v={v} edges={g.edges()}")
 
 
 def harmonic_sweep(directed: bool, graphs_per_n: int = 24, ns=(5, 6, 7, 8, 9),

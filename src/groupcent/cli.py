@@ -179,9 +179,9 @@ def _cmd_compare(args):
             ratio = base.raw_farness / target.raw_farness
         else:
             ratio = (target.objective_value / base.objective_value
-                     if base.objective_value > 0 else float("nan"))
+                     if base.objective_value > 0 else None)
         speed = (target.wall_time_millis / base.wall_time_millis
-                 if base.wall_time_millis > 0 else float("nan"))
+                 if base.wall_time_millis > 0 else None)
         ratios.append(ratio)
         speeds.append(speed)
         print(json.dumps({
@@ -192,21 +192,22 @@ def _cmd_compare(args):
             "targetMillis": target.wall_time_millis,
             "baselineMillis": base.wall_time_millis,
             "relativeTime": speed,
-        }, separators=(",", ":")))
+        }, separators=(",", ":"), allow_nan=False))
     if len(args.graph) > 1:
         print(json.dumps({
             "aggregate": "geometric-mean",
             "graphs": len(args.graph),
             "qualityRatio": _geo_mean(ratios),
             "relativeTime": _geo_mean(speeds),
-        }, separators=(",", ":")))
+        }, separators=(",", ":"), allow_nan=False))
     return EXIT_OK
 
 
 def _geo_mean(xs):
-    """Geometric mean of the positive values; NaN when there is none."""
-    xs = [x for x in xs if x > 0]
-    return math.exp(sum(map(math.log, xs)) / len(xs)) if xs else float("nan")
+    """Geometric mean of the positive values; None (JSON null) when there
+    is none. Undefined per-graph values are None and are skipped."""
+    xs = [x for x in xs if x is not None and x > 0]
+    return math.exp(sum(map(math.log, xs)) / len(xs)) if xs else None
 
 
 def _cmd_check(args):

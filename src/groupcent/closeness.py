@@ -7,6 +7,10 @@ pruning certificates are integer upper bounds on the farness decrease a
 candidate can deliver. Pruning therefore never changes which swaps commit,
 only how much work is spent rejecting the losers.
 
+Greedy starts from the vertex of least farness, found by a degree-ordered
+scan whose traversals stop on an integer lower bound, and keeps every
+decrease (or aborted upper bound) as a lazy bound for its later rounds.
+
 For a swap (u out, v in) the evaluation base is the group without u, whose
 distances come from the nearest/second-nearest state in O(n). A pruned
 traversal from v visits only vertices strictly closer to v than to that
@@ -19,15 +23,14 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections import deque
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import floor as int_floor
 from typing import NamedTuple
 
 from .centrality import (DisconnectedRemovalError, group_farness_raw,
                          patched_distances, removal_cost, state_init)
-from .graph import Graph, UNREACHABLE, is_connected, multi_source_sssp, sssp
+from .graph import Graph, UNREACHABLE, is_connected, multi_source_sssp
 from .reporting import AlgoConfig, RunReport, graph_summary
 
 
@@ -204,34 +207,47 @@ def _decrease_weighted(g, dbase, buckets, v, stop_below, record):
     return DecreaseResult(True, dec)
 
 
-def _farness_of_singleton(g, v, stop_above=None):
-    """Raw farness of {v} with an optional integer abort threshold.
+def _farness_of_singleton(g, v, stop_above=None, record=None):
+    """Raw farness of {v} (UNREACHABLE when some vertex cannot be reached
+    from v) with an optional integer abort threshold.
 
-    The partial sum of settled distances plus (remaining count) * (current
-    radius) is a valid lower bound, so the scan can stop once it proves the
-    total exceeds ``stop_above``."""
+    Unit weights: after BFS level d, at most the frontier's fanout of the
+    unvisited vertices sit at level d+1 and the rest are at least d+2 away.
+    Weighted: every unsettled vertex is at least as far as the current
+    radius. Either lower bound lets the scan stop once it proves the total
+    exceeds ``stop_above``; ``record`` collects every lower bound."""
     n, indptr, targets = g.n, g.indptr, g.targets
     if g.unit_weights:
-        dist = [-1] * n
-        dist[v] = 0
-        q = deque([v])
-        total = 0
+        parent_arc = 1 if not g.directed else 0  # undirected: one arc leads back
+        seen = bytearray(n)
+        seen[v] = 1
+        level = [v]
+        fanout = indptr[v + 1] - indptr[v]
         visited = 1
-        while q:
-            x = q.popleft()
-            nd = dist[x] + 1
-            for j in range(indptr[x], indptr[x + 1]):
-                y = targets[j]
-                if dist[y] < 0:
-                    dist[y] = nd
-                    total += nd
-                    visited += 1
-                    q.append(y)
-            if stop_above is not None and q:
-                lower = total + (n - visited) * (dist[q[0]])
-                if lower > stop_above:
-                    return False, lower
-        return True, total
+        total = 0
+        d = 0
+        while level:
+            rem = n - visited
+            f = fanout if fanout < rem else rem
+            lower = total + f * (d + 1) + (rem - f) * (d + 2)
+            if record is not None:
+                record.append(lower)
+            if stop_above is not None and lower > stop_above:
+                return False, lower
+            d += 1
+            nxt = []
+            fanout = 0
+            for x in level:
+                for j in range(indptr[x], indptr[x + 1]):
+                    y = targets[j]
+                    if not seen[y]:
+                        seen[y] = 1
+                        nxt.append(y)
+                        fanout += indptr[y + 1] - indptr[y] - parent_arc
+            visited += len(nxt)
+            total += d * len(nxt)
+            level = nxt
+        return True, total if visited == n else UNREACHABLE
     wts = g.weights
     tentative = [UNREACHABLE] * n
     tentative[v] = 0
@@ -252,11 +268,13 @@ def _farness_of_singleton(g, v, stop_above=None):
             if not done[y] and ny < tentative[y]:
                 tentative[y] = ny
                 heappush(heap, (ny, y))
-        if stop_above is not None and heap:
+        if heap:
             lower = total + (n - visited) * d
-            if lower > stop_above:
+            if record is not None:
+                record.append(lower)
+            if stop_above is not None and lower > stop_above:
                 return False, lower
-    return True, total
+    return True, total if visited == n else UNREACHABLE
 
 
 def _require_connected(g):
@@ -287,36 +305,47 @@ def _closeness_report(g, algorithm, group, cfg, t0, stats, swap_sequence=()):
 
 def _closeness_start_vertex(g):
     """Vertex of maximum closeness (minimum total distance), ties to the
-    smallest id."""
-    best_v = 0
-    best_total = None
-    for u in range(g.n):
-        total = sum(sssp(g, u))
-        if best_total is None or total < best_total:
-            best_total = total
-            best_v = u
+    smallest id. Candidates are scanned in descending out-degree order, and
+    a traversal stops once its lower bound exceeds the best total so far."""
+    best_v, best_total = -1, None
+    for v in sorted(range(g.n), key=lambda x: (-g.out_degree(x), x)):
+        exact, total = _farness_of_singleton(g, v, best_total)
+        if exact and (best_total is None or total < best_total
+                      or (total == best_total and v < best_v)):
+            best_total, best_v = total, v
     return best_v
 
 
 def _greedy_closeness_core(g, k):
-    """Greedy selection without the report. Returns (group, stats)."""
+    """Lazy greedy selection without the report. Returns (group, stats).
+
+    ``bound[v]`` is the last decrease (or aborted upper bound) computed for
+    v; farness decrease is submodular, so it bounds every later round's
+    decrease too. A round pops candidates by (bound descending, id) and
+    ends once the top entry cannot beat the incumbent (best decrease, then
+    smallest id)."""
+    n = g.n
     group = [_closeness_start_vertex(g)]
-    stats = {"evaluated": g.n, "pruned": 0, "iterations": k}
+    bound = [UNREACHABLE] * n
+    stats = {"evaluated": n, "pruned": 0, "iterations": k}
     while len(group) < k:
         dbase = multi_source_sssp(g, group)
         buckets = LevelBuckets.from_distances(dbase)
         in_group = set(group)
+        heap = [(-bound[v], v) for v in range(n) if v not in in_group]
+        heapify(heap)
         best_dec = 0
         best_v = -1
-        for v in range(g.n):
-            if v in in_group:
-                continue
-            # abort once the bound cannot strictly beat the incumbent
-            res = farness_decrease(g, dbase, buckets, v, best_dec + 1)
+        while heap and heap[0] < (-best_dec, best_v):
+            v = heappop(heap)[1]
+            # a smaller id wins a tie, a larger one must strictly beat it
+            res = farness_decrease(g, dbase, buckets, v,
+                                   best_dec + (v > best_v))
             stats["evaluated"] += 1
+            bound[v] = res.value
             if not res.is_exact:
                 stats["pruned"] += 1
-            elif res.value > best_dec:
+            elif res.value > best_dec or (res.value == best_dec and v < best_v):
                 best_dec, best_v = res.value, v
         group.append(best_v)
     return group, stats
@@ -327,7 +356,10 @@ def greedy_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunRepo
     raw farness the most. Within a round, a candidate's traversal aborts as
     soon as its decrease bound proves it cannot strictly beat the incumbent,
     which keeps ties resolving to the smallest id exactly as an unpruned
-    argmin scan would. Bounds are never reused across rounds."""
+    argmin scan would. Rounds are lazy: every decrease or aborted bound
+    computed in an earlier round stays a valid upper bound (farness
+    decrease is submodular), so a round evaluates candidates in descending
+    bound order and stops once no remaining bound can beat the incumbent."""
     cfg = cfg or AlgoConfig(k=k)
     _require_connected(g)
     if not 1 <= k < g.n:

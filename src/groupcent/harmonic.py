@@ -1,14 +1,23 @@
 """Greedy and local-search maximizers for group-harmonic centrality.
 
+The first member is the vertex of largest harmonic centrality. It is found
+by a pruned scan in descending out-degree order: each traversal keeps an
+upper bound on the centrality it can still reach (the level-based bound of
+Bergamini et al., TKDD 2019) and aborts once that bound falls below the best
+value found so far by more than a small margin. A traversal that completes
+re-sums its value in vertex-id order, exactly as ``harmonic_centralities``
+does, so the selected vertex is the same to the last bit.
+
 Marginal gains are evaluated by a pruned traversal from the candidate that
 only visits vertices strictly closer to the candidate than to the current
 group (any vertex whose shortest path passes a non-qualifying vertex cannot
-qualify either, so pruning the expansion is exact). Every traversal runs to
-completion and returns the exact gain.
+qualify either, so pruning the expansion is exact). Every such traversal
+runs to completion and returns the exact gain.
 
 Greedy evaluates candidates lazily out of a max-priority queue of stale
 gains, which stay valid upper bounds because gains only shrink as the group
-grows. To keep the lazy run selection-identical to a plain exhaustive
+grows; the start scan's values and abort bounds seed the queue of the second
+round. To keep the lazy run selection-identical to a plain exhaustive
 greedy, a round stops only when the best remaining bound is below the
 incumbent by a small margin, so exact ties are always evaluated and resolved
 by vertex id.
@@ -50,8 +59,106 @@ def harmonic_centralities(g: Graph):
 
 def top_harmonic_vertex(g: Graph) -> int:
     """Vertex of largest harmonic centrality, the smallest id on ties."""
-    values = harmonic_centralities(g)
-    return values.index(max(values))
+    return _start_scan(g)[0]
+
+
+def _start_scan(g):
+    """Pruned scan for the top harmonic vertex. Returns (vertex, bounds):
+    ``bounds[u]`` is u's exact centrality when its traversal completed and
+    the abort bound otherwise, an upper bound either way."""
+    bounds = [0.0] * g.n
+    best, best_u = float("-inf"), -1
+    for u in sorted(range(g.n), key=lambda x: (-g.out_degree(x), x)):
+        exact, value = _harmonic_of_singleton(g, u, best - PRUNE_MARGIN)
+        bounds[u] = value
+        if exact and (value > best or (value == best and u < best_u)):
+            best, best_u = value, u
+    return best_u, bounds
+
+
+def _harmonic_of_singleton(g: Graph, u: int, stop_below=None, record=None):
+    """(exact, value): the harmonic centrality of u, or (False, bound) once
+    an upper bound on it drops below ``stop_below``. ``record`` collects
+    every intermediate bound for instrumentation."""
+    kernel = _singleton_unit if g.unit_weights else _singleton_weighted
+    exact, dist = kernel(g, u, stop_below, record)
+    if not exact:
+        return False, dist
+    total = 0.0  # the summation order of harmonic_centralities
+    for v, dv in enumerate(dist):
+        if v != u and dv != UNREACHABLE:
+            total += 1.0 / dv
+    return True, total
+
+
+def _singleton_unit(g, u, stop_below, record):
+    """(True, BFS distances from u) or (False, abort bound). After level
+    d, at most ``fanout`` unvisited vertices sit at level d+1 and the rest
+    are at least d+2 away."""
+    n, indptr, targets = g.n, g.indptr, g.targets
+    parent_arc = 1 if not g.directed else 0  # undirected: one arc leads back
+    dist = [UNREACHABLE] * n
+    dist[u] = 0
+    level = [u]
+    fanout = indptr[u + 1] - indptr[u]
+    visited = 1
+    partial = 0.0
+    d = 0
+    while level:
+        rem = n - visited
+        f = fanout if fanout < rem else rem
+        bound = partial + f / (d + 1) + (rem - f) / (d + 2)
+        if record is not None:
+            record.append(bound)
+        if stop_below is not None and bound < stop_below:
+            return False, bound
+        d += 1
+        nxt = []
+        fanout = 0
+        for x in level:
+            for j in range(indptr[x], indptr[x + 1]):
+                y = targets[j]
+                if dist[y] == UNREACHABLE:
+                    dist[y] = d
+                    nxt.append(y)
+                    fanout += indptr[y + 1] - indptr[y] - parent_arc
+        visited += len(nxt)
+        partial += len(nxt) / d
+        level = nxt
+    return True, dist
+
+
+def _singleton_weighted(g, u, stop_below, record):
+    """(True, Dijkstra distances from u) or (False, abort bound). Every
+    unsettled vertex is at least as far as the smallest key on the heap."""
+    n, indptr, targets, wts = g.n, g.indptr, g.targets, g.weights
+    dist = [UNREACHABLE] * n
+    dist[u] = 0
+    done = bytearray(n)
+    heap = [(0, u)]
+    settled = 0
+    partial = 0.0
+    while heap:
+        d, x = heappop(heap)
+        if done[x]:
+            continue
+        done[x] = 1
+        settled += 1
+        if d:
+            partial += 1.0 / d
+        for j in range(indptr[x], indptr[x + 1]):
+            y = targets[j]
+            ny = d + wts[j]
+            if ny < dist[y]:
+                dist[y] = ny
+                heappush(heap, (ny, y))
+        if heap:
+            bound = partial + (n - settled) / heap[0][0]
+            if record is not None:
+                record.append(bound)
+            if stop_below is not None and bound < stop_below:
+                return False, bound
+    return True, dist
 
 
 def pruned_marginal_gain(g: Graph, dist, u: int) -> float:
@@ -134,14 +241,12 @@ def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_
 
 
 def _greedy_core(g, k):
-    """Lazy greedy selection. Returns (group, per-vertex harmonic values,
+    """Lazy greedy selection. Returns (group, final per-vertex gain bounds,
     best gain per round, stats)."""
     n = g.n
-    values = harmonic_centralities(g)
-    start = values.index(max(values))
+    start, gain_bound = _start_scan(g)
     group = [start]
     in_group = {start}
-    gain_bound = values.copy()
     stats = {"evaluated": n, "iterations": k}
     round_gains: list[float] = []
     while len(group) < k:
@@ -162,7 +267,7 @@ def _greedy_core(g, k):
         group.append(best_u)
         in_group.add(best_u)
         round_gains.append(best_gain)
-    return group, values, round_gains, stats
+    return group, gain_bound, round_gains, stats
 
 
 def greedy_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunReport:
@@ -218,17 +323,19 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
     """Swap-based refinement of the greedy group.
 
     Scans members by ascending removal loss and candidates by descending
-    harmonic value; a swap commits as soon as the new objective clears the
-    multiplicative acceptance threshold (1 + eps / (k (n - k))), with an
-    absolute fallback when the current objective is zero. Terminates when a
-    full scan commits nothing, so the result never falls below greedy.
+    final greedy gain bound (the last gain evaluated for the vertex, or its
+    start-scan value or abort bound if no round evaluated it); a swap
+    commits as soon as the new objective clears the multiplicative
+    acceptance threshold (1 + eps / (k (n - k))), with an absolute fallback
+    when the current objective is zero. Terminates when a full scan commits
+    nothing, so the result never falls below greedy.
     """
     cfg = cfg or AlgoConfig(k=k)
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
     t0 = time.perf_counter()
     n = g.n
-    group, values, round_gains, stats = _greedy_core(g, k)
+    group, gain_bound, round_gains, stats = _greedy_core(g, k)
     stats["iterations"] = 0
     swaps: list[tuple[int, int]] = []
     if k < n:
@@ -254,7 +361,7 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
                 scan.append((gh_here - gh_without, u, d_without, gh_without))
             scan.sort(key=lambda item: (item[0], item[1]))
             candidates = sorted((x for x in range(n) if x not in state.member_set),
-                                key=lambda x: (-values[x], x))
+                                key=lambda x: (-gain_bound[x], x))
             for _, u, d_without, gh_without in scan:
                 for v in candidates:
                     stats["evaluated"] += 1

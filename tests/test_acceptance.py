@@ -11,15 +11,16 @@ from fractions import Fraction
 
 import pytest
 
+from groupcent import checks, closeness, harmonic
 from groupcent.centrality import group_farness_raw, group_harmonic
 from groupcent.checks import (DIRECTED_FLOOR, UNDIRECTED_FLOOR, bound_check,
                               closeness_sweep, harmonic_sweep,
                               submodularity_check)
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   random_graph, undirected_connected)
-from groupcent.graph import Graph
+from groupcent.graph import Graph, sssp
 from groupcent.harmonic import greedy_harmonic, plain_greedy_harmonic
-from groupcent.closeness import local_search_closeness
+from groupcent.closeness import greedy_closeness, local_search_closeness
 from groupcent.oracles import (evaluate_assignment, exhaustive_best,
                                export_ilp_harmonic)
 from groupcent.reporting import AlgoConfig
@@ -144,11 +145,30 @@ def test_criterion_06_submodularity_sampling():
                outcome.passed, detail)
 
 
-def test_criterion_07_bound_soundness():
+def test_criterion_07_bound_soundness(monkeypatch):
     outcome = bound_check(cases_per_regime=200)
-    detail = f"({outcome.checked} recorded bounds, {len(outcome.violations)} undershoots)"
-    _criterion(7, "pruning bounds never undershoot exact values", outcome.passed,
-               detail)
+    detail = (f"({outcome.checked} recorded bounds, "
+              f"{len(outcome.violations)} violations)")
+
+    # the suite covers the start-scan bounds: an unsound one must fail it
+    def undershooting(g, u, stop_below=None, record=None):
+        exact, value = harmonic._harmonic_of_singleton(g, u)
+        record.append(value - 0.5)
+        return exact, value
+
+    def overshooting(g, v, stop_above=None, record=None):
+        exact, total = closeness._farness_of_singleton(g, v)
+        record.append(total + 1)
+        return exact, total
+
+    monkeypatch.setattr(checks, "_harmonic_of_singleton", undershooting)
+    harmonic_gated = not bound_check(cases_per_regime=5).passed
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "_farness_of_singleton", overshooting)
+    farness_gated = not bound_check(cases_per_regime=5).passed
+    _criterion(7, "pruning bounds (farness decrease, harmonic start, singleton "
+               "farness) are sound and gated", outcome.passed and harmonic_gated
+               and farness_gated, detail)
 
 
 def test_criterion_08_pruning_transparency():
@@ -162,6 +182,17 @@ def test_criterion_08_pruning_transparency():
         cfg = AlgoConfig(k=k)
         if greedy_harmonic(g, k, cfg).group != plain_greedy_harmonic(g, k, cfg).group:
             greedy_ok = False
+            break
+    lazy_c_ok = True
+    rng = random.Random(802)
+    for trial in range(100):
+        weights = (1,) if trial % 2 else (1, 2)
+        n = rng.randrange(8, 31)
+        g = (directed_strongly_connected(n, rng, weights=weights) if trial % 3 == 0
+             else undirected_connected(n, rng, weights=weights))
+        k = rng.randrange(2, 6)
+        if greedy_closeness(g, k, AlgoConfig(k=k)).group != _id_order_greedy_c(g, k):
+            lazy_c_ok = False
             break
     swaps_ok = True
     done = 0
@@ -183,8 +214,21 @@ def test_criterion_08_pruning_transparency():
             break
         done += 1
     _criterion(8, "pruned and unpruned runs select identical groups and swaps",
-               greedy_ok and swaps_ok,
-               "(100 greedy graphs, 50 swap instances)")
+               greedy_ok and lazy_c_ok and swaps_ok,
+               "(100 greedy-h graphs, 100 greedy-c graphs, 50 swap instances)")
+
+
+def _id_order_greedy_c(g, k):
+    """Unpruned, non-lazy greedy-c: the sum(sssp) argmin, then in every
+    round the largest exact farness decrease, the smallest id on ties."""
+    totals = [sum(sssp(g, v)) for v in range(g.n)]
+    group = [totals.index(min(totals))]
+    while len(group) < k:
+        raw = group_farness_raw(g, group)
+        decs = [raw - group_farness_raw(g, group + [v]) if v not in group else -1
+                for v in range(g.n)]
+        group.append(decs.index(max(decs)))
+    return sorted(group)
 
 
 def test_criterion_09_ilp_self_check(tmp_path):

@@ -1,11 +1,12 @@
 import json
-import math
+import random
 import re
 import signal
 
 import pytest
 
-from groupcent import checks
+from groupcent import checks, closeness, graph, harmonic
+from groupcent.generators import undirected_connected
 from groupcent.cli import main
 from groupcent.graph import Graph
 
@@ -35,6 +36,13 @@ def single_edge(tmp_path):
     p = tmp_path / "edge.txt"
     p.write_text("0 1\n")
     return str(p)
+
+
+def strict_json(line):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+    return json.loads(line, parse_constant=reject)
 
 
 def within(seconds, fn, *args, **kwargs):
@@ -103,6 +111,24 @@ class TestSolve:
                                  "--algo", algo, "--deterministic")
             assert code == 0, (algo, err)
             assert json.loads(out)["algorithm"] == algo
+
+    def test_solve_path_runs_no_all_sources_scan(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # an O(nm) start (one SSSP per vertex) must not come back silently
+        def forbidden(*args, **kwargs):
+            raise AssertionError("all-sources scan on the solve path")
+        monkeypatch.setattr(harmonic, "harmonic_centralities", forbidden)
+        for module in (graph, harmonic, closeness):
+            monkeypatch.setattr(module, "sssp", forbidden, raising=False)
+        rng = random.Random(60)
+        g = undirected_connected(300, rng, extra=0.01)
+        p = tmp_path / "g300.txt"
+        p.write_text("".join(f"{u} {v}\n" for u, v, _ in g.edges()))
+        for algo in ("greedy-h", "ls-h", "greedy-c", "ls-c"):
+            code, out, err = run(capsys, "solve", "--graph", str(p), "--k", "5",
+                                 "--algo", algo)
+            assert code == 0, (algo, err)
+            assert len(json.loads(out)["group"]) == 5
 
     def test_serial_by_default_and_retired_options_rejected(self, capsys,
                                                             weighted_path):
@@ -195,15 +221,30 @@ class TestCompare:
         assert len(lines) == 3
         assert json.loads(lines[-1])["aggregate"] == "geometric-mean"
 
-    def test_aggregate_without_positive_ratio_is_nan(self, capsys, single_edge):
+    def test_aggregate_without_positive_ratio_is_null(self, capsys, single_edge):
         # a full group on a single edge scores 0 for both solvers
         code, out, _ = run(capsys, "compare", "--graph", single_edge, "--graph",
                            single_edge, "--k", "2", "--algo", "greedy-h",
                            "--baseline", "exact")
         assert code == 0
-        *per_graph, aggregate = map(json.loads, out.strip().splitlines())
-        assert all(math.isnan(line["qualityRatio"]) for line in per_graph)
-        assert math.isnan(aggregate["qualityRatio"])
+        *per_graph, aggregate = map(strict_json, out.strip().splitlines())
+        assert all(line["qualityRatio"] is None for line in per_graph)
+        assert aggregate["qualityRatio"] is None
+
+    @pytest.mark.parametrize("algo", ("greedy-h", "ls-h", "greedy-c", "ls-c"))
+    @pytest.mark.parametrize("baseline", ("exact", "random"))
+    def test_every_line_is_strict_json(self, capsys, single_edge, path3,
+                                       algo, baseline):
+        # harmonic k=2 fills the single edge, so its baseline scores 0
+        k = "2" if algo.endswith("-h") else "1"
+        code, out, _ = run(capsys, "compare", "--graph", single_edge, "--graph",
+                           path3, "--k", k, "--algo", algo,
+                           "--baseline", baseline)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            strict_json(line)
 
 
 class TestCheck:

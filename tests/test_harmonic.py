@@ -7,10 +7,12 @@ from groupcent.centrality import group_harmonic
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   random_graph, star_graph,
                                   undirected_connected)
-from groupcent.graph import Graph, multi_source_sssp
-from groupcent.harmonic import (greedy_harmonic, harmonic_centralities,
-                                local_search_harmonic, plain_greedy_harmonic,
-                                pruned_marginal_gain, top_harmonic_vertex)
+from groupcent.graph import Graph, UNREACHABLE, multi_source_sssp, sssp
+from groupcent.closeness import _closeness_start_vertex
+from groupcent.harmonic import (_harmonic_of_singleton, greedy_harmonic,
+                                harmonic_centralities, local_search_harmonic,
+                                plain_greedy_harmonic, pruned_marginal_gain,
+                                top_harmonic_vertex)
 from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
 
@@ -28,6 +30,70 @@ class TestTopVertex:
         values = harmonic_centralities(g)
         best = max(range(g.n), key=lambda u: (values[u], -u))
         assert top_harmonic_vertex(g) == best
+
+
+def any_graph(rng, directed, weights):
+    """Random graph that may be disconnected and may have isolated
+    vertices."""
+    n = rng.randrange(2, 25)
+    p = rng.choice((0.03, 0.1, 0.3))
+    edges = [(u, v, rng.choice(weights)) for u in range(n) for v in range(n)
+             if u != v and rng.random() < p]
+    return Graph(n, edges, directed=directed, check_isolated=False)
+
+
+def cycle(n, directed, w):
+    return Graph(n, [(i, (i + 1) % n, w) for i in range(n)], directed=directed)
+
+
+class TestPrunedStartVertices:
+    """The pruned start scans pick exactly what the all-sources scans pick:
+    the harmonic_centralities argmax and the sum(sssp) argmin, smallest id
+    on ties."""
+
+    @staticmethod
+    def reference(g):
+        values = harmonic_centralities(g)
+        totals = [sum(sssp(g, v)) for v in range(g.n)]
+        return values.index(max(values)), totals.index(min(totals))
+
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
+    def test_match_all_sources_scans(self, directed, weights):
+        rng = random.Random(33 + 2 * directed + len(weights))
+        disconnected = 0
+        for _ in range(150):
+            g = any_graph(rng, directed, weights)
+            want = self.reference(g)
+            assert (top_harmonic_vertex(g), _closeness_start_vertex(g)) == want
+            disconnected += any(d == UNREACHABLE for d in sssp(g, want[0]))
+        assert disconnected > 20
+
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("w", (1, 3))
+    def test_all_tie_cycles(self, directed, w):
+        # every vertex of a cycle has the same centrality. Farness totals
+        # are exact integers, so the closeness start is always 0; harmonic
+        # values are float sums in vertex-id order, which differ in the last
+        # bit for many cycle lengths (n=6 picks 1), so the harmonic start
+        # is 0 exactly when the floats tie, and the oracle's pick otherwise
+        for n in range(3, 16):
+            g = cycle(n, directed, w)
+            want_h, want_c = self.reference(g)
+            assert want_c == 0 and _closeness_start_vertex(g) == 0
+            assert top_harmonic_vertex(g) == want_h
+            if len(set(harmonic_centralities(g))) == 1:
+                assert want_h == 0
+
+    def test_recorded_bounds_dominate_and_values_are_bit_identical(self):
+        rng = random.Random(37)
+        for trial in range(200):
+            g = any_graph(rng, bool(trial % 2), (1,) if trial % 4 < 2 else (1, 3))
+            values = harmonic_centralities(g)
+            for u in range(g.n):
+                rec = []
+                assert _harmonic_of_singleton(g, u, record=rec) == (True, values[u])
+                assert all(b >= values[u] - 1e-12 * max(1.0, values[u]) for b in rec)
 
 
 class TestPrunedMarginalGain:
