@@ -16,7 +16,7 @@ from .graph import (EdgeListFormatError, Graph, GraphError,
                     IsolatedVertexError, UNREACHABLE, is_connected,
                     largest_component, load_edge_list, multi_source_sssp,
                     reachable_counts, sssp)
-from .harmonic import (BoundEntry, greedy_harmonic, harmonic_centralities,
+from .harmonic import (greedy_harmonic, harmonic_centralities,
                        local_search_harmonic, plain_greedy_harmonic,
                        pruned_marginal_gain, top_harmonic_vertex)
 from .oracles import (BudgetExceededError, IlpModel, InfeasibleAssignmentError,
@@ -25,7 +25,7 @@ from .oracles import (BudgetExceededError, IlpModel, InfeasibleAssignmentError,
 from .reporting import AlgoConfig, RunReport
 
 __all__ = [
-    "AlgoConfig", "BoundEntry", "BudgetExceededError",
+    "AlgoConfig", "BudgetExceededError",
     "DisconnectedFarnessError", "DisconnectedGraphError",
     "DisconnectedRemovalError", "EdgeListFormatError", "Graph", "GraphError",
     "GroupDistanceState", "IlpModel", "InfeasibleAssignmentError",

@@ -84,14 +84,15 @@ def submodularity_check(num_graphs: int = 50, min_triples: int = 1000,
 
 def bound_check(cases_per_regime: int = 200, seed: int = 2,
                 graphs=None) -> CheckOutcome:
-    """Every intermediate farness-decrease bound must dominate the exact
-    decrease the completed traversal reports, and that decrease must match
-    a from-scratch recomputation (exact integers). For the added vertex v,
-    every harmonic start bound must be at least v's harmonic centrality (up
-    to float rounding) and every singleton-farness lower bound at most v's
-    farness, and both completed traversals must match a recomputation.
-    Given graphs that are not (strongly) connected or have fewer than 3
-    vertices are skipped."""
+    """Every farness-decrease bound a traversal checks (after each BFS
+    level with unit weights, before each settled vertex otherwise) must
+    dominate the exact decrease the completed traversal reports, and that
+    decrease must match an independent recomputation (exact integers). For
+    the added vertex v, every harmonic start bound must be at least v's
+    harmonic centrality (up to float rounding) and every singleton-farness
+    lower bound at most v's farness, and both completed traversals must
+    match a recomputation. Given graphs that are not (strongly) connected
+    or have fewer than 3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
     if graphs is not None:

@@ -11,12 +11,15 @@ Greedy starts from the vertex of least farness, found by a degree-ordered
 scan whose traversals stop on an integer lower bound, and keeps every
 decrease (or aborted upper bound) as a lazy bound for its later rounds.
 
-For a swap (u out, v in) the evaluation base is the group without u, whose
-distances come from the nearest/second-nearest state in O(n). A pruned
-traversal from v visits only vertices strictly closer to v than to that
-base; after each completed level it bounds the still-achievable decrease by
-promoting at most a frontier-fanout's worth of unexplored vertices to the
-next level and parking the rest one level further.
+Every traversal is one of the closer-than-base traversals of ``graph``:
+``closer_levels`` (BFS) for unit weights, ``closer_settled`` (Dijkstra)
+otherwise. For a swap (u out, v in) the base is the group without u, whose
+distances come from the nearest/second-nearest state in O(n); for a greedy
+addition it is the group; for the start scan it is all UNREACHABLE. Unit
+weights check the bound after counting each BFS level d, promoting at most
+the level's fan-out of uncounted vertices to d+1 and parking the rest at
+d+2. Weighted traversals check it before counting each settled vertex:
+every uncounted vertex is at least that vertex's distance d away.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import NamedTuple
 
 from .centrality import (DisconnectedRemovalError, group_farness_raw,
                          patched_distances, removal_cost, state_init)
-from .graph import Graph, UNREACHABLE, is_connected, multi_source_sssp
+from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
+                    is_connected, multi_source_sssp)
 from .reporting import AlgoConfig, RunReport, graph_summary
 
 
@@ -118,163 +122,101 @@ def farness_decrease(g: Graph, dbase, buckets: LevelBuckets, v: int,
 
     Aborts (returning the current upper bound) as soon as the bound drops
     below ``stop_below``; with ``stop_below=None`` the result is exact.
-    ``record`` collects every intermediate bound for instrumentation.
+    ``record`` collects every bound checked.
+
+    Unit weights check the bound after counting each BFS level d: at most
+    the level's fan-out of the uncounted vertices with base distance d+2 or
+    more move to d+1, and every other uncounted vertex is at least d+2
+    away. Weighted graphs check it before counting each settled vertex:
+    every uncounted vertex is at least d away, so it saves at most
+    dbase - d.
     """
-    if g.unit_weights:
-        return _decrease_unit(g, dbase, buckets, v, stop_below, record)
-    return _decrease_weighted(g, dbase, buckets, v, stop_below, record)
-
-
-def _decrease_unit(g, dbase, buckets, v, stop_below, record):
-    n, indptr, targets = g.n, g.indptr, g.targets
-    undirected = not g.directed
-    seen = bytearray(n)
-    seen[v] = 1
-    level = [v]
-    dec = dbase[v]
-    near = _SuffixTracker()   # explored, queried at threshold i+2
-    far = _SuffixTracker()    # explored, queried at threshold i+3
-    near.add(dbase[v])
-    far.add(dbase[v])
-    i = 0
-    while True:
-        fanout = 0
-        for x in level:
-            fanout += indptr[x + 1] - indptr[x]
-            if undirected and i > 0:
-                fanout -= 1
-        ecnt2, _ = near.stats_ge(i + 2)
-        avail_next = buckets.count_ge(i + 2) - ecnt2
-        promoted = fanout if fanout < avail_next else avail_next
-        ecnt3, esum3 = far.stats_ge(i + 3)
-        ucnt3 = buckets.count_ge(i + 3) - ecnt3
-        usum3 = buckets.sum_ge(i + 3) - esum3
-        # every vertex promoted to the next level is worth exactly one more
-        # than its parked value, so only the promoted count matters
-        bound = dec + promoted + (usum3 - (i + 2) * ucnt3)
-        if record is not None:
-            record.append(bound)
-        if stop_below is not None and bound < stop_below:
-            return DecreaseResult(False, bound)
-        nd = i + 1
-        nxt = []
-        for x in level:
-            for j in range(indptr[x], indptr[x + 1]):
-                y = targets[j]
-                if not seen[y] and nd < dbase[y]:
-                    seen[y] = 1
-                    dec += dbase[y] - nd
-                    near.add(dbase[y])
-                    far.add(dbase[y])
-                    nxt.append(y)
-        if not nxt:
-            return DecreaseResult(True, dec)
-        level = nxt
-        i = nd
-
-
-def _decrease_weighted(g, dbase, buckets, v, stop_below, record):
-    n, indptr, targets, wts = g.n, g.indptr, g.targets, g.weights
-    tentative = [UNREACHABLE] * n
-    tentative[v] = 0
-    done = bytearray(n)
-    heap = [(0, v)]
     dec = 0
-    tracker = _SuffixTracker()
-    while heap:
-        d, x = heappop(heap)
-        if done[x]:
-            continue
-        done[x] = 1
-        dec += dbase[x] - d
-        tracker.add(dbase[x])
-        for j in range(indptr[x], indptr[x + 1]):
-            y = targets[j]
-            ny = d + wts[j]
-            if not done[y] and ny < dbase[y] and ny < tentative[y]:
-                tentative[y] = ny
-                heappush(heap, (ny, y))
-        if not heap:
-            break
-        ecnt, esum = tracker.stats_ge(d + 1)
-        ucnt = buckets.count_ge(d + 1) - ecnt
-        usum = buckets.sum_ge(d + 1) - esum
-        bound = dec + (usum - d * ucnt)
-        if record is not None:
-            record.append(bound)
-        if stop_below is not None and bound < stop_below:
-            return DecreaseResult(False, bound)
+    if g.unit_weights:
+        indptr = g.indptr
+        back = 0 if g.directed else 1  # undirected: one arc leads to the parent
+        near = _SuffixTracker()   # counted, queried at threshold d+2
+        far = _SuffixTracker()    # counted, queried at threshold d+3
+        for d, level in closer_levels(g, dbase, v):
+            fanout = 0
+            for x in level:
+                dx = dbase[x]
+                dec += dx - d
+                near.add(dx)
+                far.add(dx)
+                fanout += indptr[x + 1] - indptr[x]
+            if d:
+                fanout -= back * len(level)
+            ecnt2, _ = near.stats_ge(d + 2)
+            avail_next = buckets.count_ge(d + 2) - ecnt2
+            promoted = fanout if fanout < avail_next else avail_next
+            ecnt3, esum3 = far.stats_ge(d + 3)
+            ucnt3 = buckets.count_ge(d + 3) - ecnt3
+            usum3 = buckets.sum_ge(d + 3) - esum3
+            # every vertex promoted to the next level is worth exactly one
+            # more than its parked value, so only the promoted count matters
+            bound = dec + promoted + (usum3 - (d + 2) * ucnt3)
+            if record is not None:
+                record.append(bound)
+            if stop_below is not None and bound < stop_below:
+                return DecreaseResult(False, bound)
+    else:
+        counted = _SuffixTracker()
+        for d, x in closer_settled(g, dbase, v):
+            ecnt, esum = counted.stats_ge(d + 1)
+            ucnt = buckets.count_ge(d + 1) - ecnt
+            usum = buckets.sum_ge(d + 1) - esum
+            bound = dec + (usum - d * ucnt)
+            if record is not None:
+                record.append(bound)
+            if stop_below is not None and bound < stop_below:
+                return DecreaseResult(False, bound)
+            dec += dbase[x] - d
+            counted.add(dbase[x])
     return DecreaseResult(True, dec)
 
 
 def _farness_of_singleton(g, v, stop_above=None, record=None):
     """Raw farness of {v} (UNREACHABLE when some vertex cannot be reached
-    from v) with an optional integer abort threshold.
+    from v) with an optional integer abort threshold: (True, farness), or
+    (False, lower bound) once a lower bound exceeds ``stop_above``.
+    ``record`` collects every lower bound checked.
 
-    Unit weights: after BFS level d, at most the frontier's fanout of the
-    unvisited vertices sit at level d+1 and the rest are at least d+2 away.
-    Weighted: every unsettled vertex is at least as far as the current
-    radius. Either lower bound lets the scan stop once it proves the total
-    exceeds ``stop_above``; ``record`` collects every lower bound."""
-    n, indptr, targets = g.n, g.indptr, g.targets
+    The traversal is the closer-than-base one with an all-UNREACHABLE base.
+    Unit weights check the bound after counting each BFS level d: at most
+    the level's fan-out of the uncounted vertices sit at d+1, the rest at
+    least at d+2. Weighted graphs check it before counting each settled
+    vertex: every uncounted vertex is at least d away."""
+    n = g.n
+    nowhere = [UNREACHABLE] * n
+    counted = 0
+    total = 0
     if g.unit_weights:
-        parent_arc = 1 if not g.directed else 0  # undirected: one arc leads back
-        seen = bytearray(n)
-        seen[v] = 1
-        level = [v]
-        fanout = indptr[v + 1] - indptr[v]
-        visited = 1
-        total = 0
-        d = 0
-        while level:
-            rem = n - visited
+        indptr = g.indptr
+        back = 0 if g.directed else 1  # undirected: one arc leads to the parent
+        for d, level in closer_levels(g, nowhere, v):
+            fanout = sum([indptr[x + 1] - indptr[x] for x in level])
+            if d:
+                fanout -= back * len(level)
+            counted += len(level)
+            total += d * len(level)
+            rem = n - counted
             f = fanout if fanout < rem else rem
             lower = total + f * (d + 1) + (rem - f) * (d + 2)
             if record is not None:
                 record.append(lower)
             if stop_above is not None and lower > stop_above:
                 return False, lower
-            d += 1
-            nxt = []
-            fanout = 0
-            for x in level:
-                for j in range(indptr[x], indptr[x + 1]):
-                    y = targets[j]
-                    if not seen[y]:
-                        seen[y] = 1
-                        nxt.append(y)
-                        fanout += indptr[y + 1] - indptr[y] - parent_arc
-            visited += len(nxt)
-            total += d * len(nxt)
-            level = nxt
-        return True, total if visited == n else UNREACHABLE
-    wts = g.weights
-    tentative = [UNREACHABLE] * n
-    tentative[v] = 0
-    done = bytearray(n)
-    heap = [(0, v)]
-    total = 0
-    visited = 0
-    while heap:
-        d, x = heappop(heap)
-        if done[x]:
-            continue
-        done[x] = 1
-        visited += 1
-        total += d
-        for j in range(indptr[x], indptr[x + 1]):
-            y = targets[j]
-            ny = d + wts[j]
-            if not done[y] and ny < tentative[y]:
-                tentative[y] = ny
-                heappush(heap, (ny, y))
-        if heap:
-            lower = total + (n - visited) * d
+    else:
+        for d, _ in closer_settled(g, nowhere, v):
+            lower = total + (n - counted) * d
             if record is not None:
                 record.append(lower)
             if stop_above is not None and lower > stop_above:
                 return False, lower
-    return True, total if visited == n else UNREACHABLE
+            total += d
+            counted += 1
+    return True, total if counted == n else UNREACHABLE
 
 
 def _require_connected(g):

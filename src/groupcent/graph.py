@@ -261,6 +261,53 @@ def _shortest_paths(g, seeds):
     return dist
 
 
+def closer_levels(g: Graph, dbase, v: int):
+    """BFS from v over the vertices strictly closer to v than ``dbase``
+    says, for unit weights. Yields ``(d, level)`` for d = 0, 1, ...,
+    starting with ``(0, [v])``; a vertex that fails the test at level d
+    fails it at every later level too, so the cut is exact. Level d+1 is
+    only built once the consumer asks for it."""
+    indptr, targets = g.indptr, g.targets
+    seen = bytearray(g.n)
+    seen[v] = 1
+    level = [v]
+    d = 0
+    while level:
+        yield d, level
+        d += 1
+        nxt = []
+        for x in level:
+            for j in range(indptr[x], indptr[x + 1]):
+                y = targets[j]
+                if not seen[y] and d < dbase[y]:
+                    seen[y] = 1
+                    nxt.append(y)
+        level = nxt
+
+
+def closer_settled(g: Graph, dbase, v: int):
+    """Dijkstra from v over the vertices strictly closer to v than
+    ``dbase`` says. Yields ``(d, x)`` as each vertex is settled, in
+    nondecreasing d and before x's arcs are relaxed, starting with
+    ``(0, v)``. A heap entry is stale when its key exceeds the vertex's
+    tentative distance."""
+    indptr, targets, wts = g.indptr, g.targets, g.weights
+    tentative = [UNREACHABLE] * g.n
+    tentative[v] = 0
+    heap = [(0, v)]
+    while heap:
+        d, x = heappop(heap)
+        if d > tentative[x]:
+            continue
+        yield d, x
+        for j in range(indptr[x], indptr[x + 1]):
+            y = targets[j]
+            ny = d + wts[j]
+            if ny < dbase[y] and ny < tentative[y]:
+                tentative[y] = ny
+                heappush(heap, (ny, y))
+
+
 def connected_component_ids(g: Graph):
     """Per-vertex component id for the underlying undirected structure."""
     n = g.n

@@ -1,18 +1,21 @@
 """Greedy and local-search maximizers for group-harmonic centrality.
 
-The first member is the vertex of largest harmonic centrality. It is found
-by a pruned scan in descending out-degree order: each traversal keeps an
-upper bound on the centrality it can still reach (the level-based bound of
-Bergamini et al., TKDD 2019) and aborts once that bound falls below the best
-value found so far by more than a small margin. A traversal that completes
-re-sums its value in vertex-id order, exactly as ``harmonic_centralities``
-does, so the selected vertex is the same to the last bit.
+Every traversal is one of the closer-than-base traversals of ``graph``
+(``closer_levels`` for unit weights, ``closer_settled`` otherwise), which
+visit only vertices strictly closer to the source than the base distances
+say; this module adds what each visited vertex contributes and where to
+stop. A marginal gain runs over the group's distances without a bound and
+returns the exact gain.
 
-Marginal gains are evaluated by a pruned traversal from the candidate that
-only visits vertices strictly closer to the candidate than to the current
-group (any vertex whose shortest path passes a non-qualifying vertex cannot
-qualify either, so pruning the expansion is exact). Every such traversal
-runs to completion and returns the exact gain.
+The first member is the vertex of largest harmonic centrality, found by a
+scan in descending out-degree order over all-UNREACHABLE bases. Each
+traversal keeps an upper bound on the centrality it can still reach (the
+level-based bound of Bergamini et al., TKDD 2019), checked after counting
+each BFS level or before counting each settled vertex, and aborts once it
+falls below the best value so far by more than a small margin. A traversal
+that completes re-sums its value in vertex-id order, exactly as
+``harmonic_centralities`` does, so the selected vertex is the same to the
+last bit.
 
 Greedy evaluates candidates lazily out of a max-priority queue of stale
 gains, which stay valid upper bounds because gains only shrink as the group
@@ -26,22 +29,15 @@ by vertex id.
 from __future__ import annotations
 
 import time
-from heapq import heapify, heappop, heappush
-from typing import NamedTuple
+from heapq import heapify, heappop
 
 from .centrality import harmonic_sum, patched_distances, state_init
-from .graph import Graph, UNREACHABLE, multi_source_sssp, sssp
+from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
+                    multi_source_sssp, sssp)
 from .reporting import AlgoConfig, RunReport, graph_summary
 
 PRUNE_MARGIN = 1e-9
 ABS_IMPROVE = 1e-9  # absolute acceptance fallback when the objective is zero
-
-
-class BoundEntry(NamedTuple):
-    """Max-priority entry; heapq is a min-heap so the bound is negated.
-    Equal bounds pop in ascending vertex order."""
-    neg_bound: float
-    vertex: int
 
 
 def harmonic_centralities(g: Graph):
@@ -79,11 +75,48 @@ def _start_scan(g):
 def _harmonic_of_singleton(g: Graph, u: int, stop_below=None, record=None):
     """(exact, value): the harmonic centrality of u, or (False, bound) once
     an upper bound on it drops below ``stop_below``. ``record`` collects
-    every intermediate bound for instrumentation."""
-    kernel = _singleton_unit if g.unit_weights else _singleton_weighted
-    exact, dist = kernel(g, u, stop_below, record)
-    if not exact:
-        return False, dist
+    every bound checked.
+
+    The traversal is the closer-than-base one with an all-UNREACHABLE base.
+    Unit weights check the bound after counting each BFS level d: at most
+    the level's fan-out of the uncounted vertices sit at d+1, the rest at
+    least at d+2. Weighted graphs check it before counting each settled
+    vertex (d > 0): every uncounted vertex is at least d away."""
+    n = g.n
+    nowhere = [UNREACHABLE] * n
+    dist = [UNREACHABLE] * n
+    counted = 0
+    partial = 0.0
+    if g.unit_weights:
+        indptr = g.indptr
+        back = 0 if g.directed else 1  # undirected: one arc leads to the parent
+        for d, level in closer_levels(g, nowhere, u):
+            fanout = 0
+            for x in level:
+                dist[x] = d
+                fanout += indptr[x + 1] - indptr[x]
+            counted += len(level)
+            if d:
+                fanout -= back * len(level)
+                partial += len(level) / d
+            rem = n - counted
+            f = fanout if fanout < rem else rem
+            bound = partial + f / (d + 1) + (rem - f) / (d + 2)
+            if record is not None:
+                record.append(bound)
+            if stop_below is not None and bound < stop_below:
+                return False, bound
+    else:
+        for d, x in closer_settled(g, nowhere, u):
+            if d:
+                bound = partial + (n - counted) / d
+                if record is not None:
+                    record.append(bound)
+                if stop_below is not None and bound < stop_below:
+                    return False, bound
+                partial += 1.0 / d
+            dist[x] = d
+            counted += 1
     total = 0.0  # the summation order of harmonic_centralities
     for v, dv in enumerate(dist):
         if v != u and dv != UNREACHABLE:
@@ -91,131 +124,27 @@ def _harmonic_of_singleton(g: Graph, u: int, stop_below=None, record=None):
     return True, total
 
 
-def _singleton_unit(g, u, stop_below, record):
-    """(True, BFS distances from u) or (False, abort bound). After level
-    d, at most ``fanout`` unvisited vertices sit at level d+1 and the rest
-    are at least d+2 away."""
-    n, indptr, targets = g.n, g.indptr, g.targets
-    parent_arc = 1 if not g.directed else 0  # undirected: one arc leads back
-    dist = [UNREACHABLE] * n
-    dist[u] = 0
-    level = [u]
-    fanout = indptr[u + 1] - indptr[u]
-    visited = 1
-    partial = 0.0
-    d = 0
-    while level:
-        rem = n - visited
-        f = fanout if fanout < rem else rem
-        bound = partial + f / (d + 1) + (rem - f) / (d + 2)
-        if record is not None:
-            record.append(bound)
-        if stop_below is not None and bound < stop_below:
-            return False, bound
-        d += 1
-        nxt = []
-        fanout = 0
-        for x in level:
-            for j in range(indptr[x], indptr[x + 1]):
-                y = targets[j]
-                if dist[y] == UNREACHABLE:
-                    dist[y] = d
-                    nxt.append(y)
-                    fanout += indptr[y + 1] - indptr[y] - parent_arc
-        visited += len(nxt)
-        partial += len(nxt) / d
-        level = nxt
-    return True, dist
-
-
-def _singleton_weighted(g, u, stop_below, record):
-    """(True, Dijkstra distances from u) or (False, abort bound). Every
-    unsettled vertex is at least as far as the smallest key on the heap."""
-    n, indptr, targets, wts = g.n, g.indptr, g.targets, g.weights
-    dist = [UNREACHABLE] * n
-    dist[u] = 0
-    done = bytearray(n)
-    heap = [(0, u)]
-    settled = 0
-    partial = 0.0
-    while heap:
-        d, x = heappop(heap)
-        if done[x]:
-            continue
-        done[x] = 1
-        settled += 1
-        if d:
-            partial += 1.0 / d
-        for j in range(indptr[x], indptr[x + 1]):
-            y = targets[j]
-            ny = d + wts[j]
-            if ny < dist[y]:
-                dist[y] = ny
-                heappush(heap, (ny, y))
-        if heap:
-            bound = partial + (n - settled) / heap[0][0]
-            if record is not None:
-                record.append(bound)
-            if stop_below is not None and bound < stop_below:
-                return False, bound
-    return True, dist
-
-
 def pruned_marginal_gain(g: Graph, dist, u: int) -> float:
     """Exact marginal harmonic gain of adding u to the group whose
-    distances are ``dist``."""
-    if g.unit_weights:
-        gain = _gain_unit(g, dist, u)
-    else:
-        gain = _gain_weighted(g, dist, u)
+    distances are ``dist``; 0.0 when u is already a member. Each vertex
+    strictly closer to u than to the group trades 1/dist for 1/d, and u
+    itself loses its own 1/dist."""
     su = dist[u]
+    if not su:
+        return 0.0
+    gain = 0.0
+    if g.unit_weights:
+        for d, level in closer_levels(g, dist, u):
+            if d:
+                for y in level:
+                    dy = dist[y]
+                    gain += 1.0 / d - (0.0 if dy == UNREACHABLE else 1.0 / dy)
+    else:
+        for d, y in closer_settled(g, dist, u):
+            if d:
+                dy = dist[y]
+                gain += 1.0 / d - (0.0 if dy == UNREACHABLE else 1.0 / dy)
     return gain - (0.0 if su == UNREACHABLE else 1.0 / su)
-
-
-def _gain_unit(g, dist_to, u):
-    indptr, targets = g.indptr, g.targets
-    seen = bytearray(g.n)
-    seen[u] = 1
-    level = [u]
-    gain = 0.0
-    nd = 0
-    while level:
-        nd += 1
-        nxt = []
-        for x in level:
-            for j in range(indptr[x], indptr[x + 1]):
-                y = targets[j]
-                if not seen[y] and nd < dist_to[y]:
-                    seen[y] = 1
-                    dy = dist_to[y]
-                    gain += 1.0 / nd - (0.0 if dy == UNREACHABLE else 1.0 / dy)
-                    nxt.append(y)
-        level = nxt
-    return gain
-
-
-def _gain_weighted(g, dist_to, u):
-    indptr, targets, wts = g.indptr, g.targets, g.weights
-    tentative = [UNREACHABLE] * g.n
-    tentative[u] = 0
-    done = bytearray(g.n)
-    heap = [(0, u)]
-    gain = 0.0
-    while heap:
-        d, x = heappop(heap)
-        if done[x]:
-            continue
-        done[x] = 1
-        if x != u:
-            dx = dist_to[x]
-            gain += 1.0 / d - (0.0 if dx == UNREACHABLE else 1.0 / dx)
-        for j in range(indptr[x], indptr[x + 1]):
-            y = targets[j]
-            ny = d + wts[j]
-            if not done[y] and ny < dist_to[y] and ny < tentative[y]:
-                tentative[y] = ny
-                heappush(heap, (ny, y))
-    return gain
 
 
 def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_gains=()):
@@ -251,14 +180,14 @@ def _greedy_core(g, k):
     round_gains: list[float] = []
     while len(group) < k:
         dist = multi_source_sssp(g, group)
-        heap = [BoundEntry(-gain_bound[u], u) for u in range(n) if u not in in_group]
+        heap = [(-gain_bound[u], u) for u in range(n) if u not in in_group]
         heapify(heap)
         best_gain = float("-inf")
         best_u = -1
         while heap:
-            if best_u >= 0 and -heap[0].neg_bound <= best_gain - PRUNE_MARGIN:
+            if best_u >= 0 and -heap[0][0] <= best_gain - PRUNE_MARGIN:
                 break
-            cand = heappop(heap).vertex
+            cand = heappop(heap)[1]
             gain = pruned_marginal_gain(g, dist, cand)
             stats["evaluated"] += 1
             gain_bound[cand] = gain

@@ -4,9 +4,10 @@ from itertools import combinations
 import pytest
 
 from groupcent.graph import (EdgeListFormatError, Graph, GraphError,
-                             IsolatedVertexError, UNREACHABLE, is_connected,
-                             largest_component, load_edge_list,
-                             multi_source_sssp, reachable_counts, sssp)
+                             IsolatedVertexError, UNREACHABLE, closer_levels,
+                             closer_settled, is_connected, largest_component,
+                             load_edge_list, multi_source_sssp,
+                             reachable_counts, sssp)
 from groupcent.generators import random_graph
 
 
@@ -200,3 +201,71 @@ def test_is_connected():
     assert not is_connected(Graph(4, [(0, 1, 1), (2, 3, 1)]))
     assert is_connected(Graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)], directed=True))
     assert not is_connected(Graph(3, [(0, 1, 1), (1, 2, 1)], directed=True))
+
+
+class TestCloserTraversals:
+    """closer_levels and closer_settled visit exactly the vertices strictly
+    closer to the source than the base, each once, at its sssp distance."""
+
+    @staticmethod
+    def cases(directed, weights):
+        rng = random.Random(41 + 2 * directed + len(weights))
+        for _ in range(80):
+            n = rng.randrange(2, 20)
+            p = rng.choice((0.05, 0.15, 0.3))
+            edges = [(u, v, rng.choice(weights)) for u in range(n)
+                     for v in range(n) if u != v and rng.random() < p]
+            g = Graph(n, edges, directed=directed, check_isolated=False)
+            bases = [[UNREACHABLE] * n]
+            for _ in range(3):
+                group = rng.sample(range(n), rng.randrange(1, min(4, n) + 1))
+                bases.append(multi_source_sssp(g, group))
+            for dbase in bases:
+                yield g, dbase, rng.randrange(n)
+
+    @staticmethod
+    def settled_by_levels(g, dbase, v):
+        return [(d, x) for d, level in closer_levels(g, dbase, v) for x in level]
+
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
+    def test_yield_exactly_the_closer_vertices(self, directed, weights):
+        cut = 0
+        for g, dbase, v in self.cases(directed, weights):
+            dv = sssp(g, v)
+            want = {x for x in range(g.n) if dv[x] < dbase[x]} | {v}
+            runs = [list(closer_settled(g, dbase, v))]
+            if g.unit_weights:
+                runs.append(self.settled_by_levels(g, dbase, v))
+            for pairs in runs:
+                xs = [x for _, x in pairs]
+                assert pairs[0] == (0, v)
+                assert len(xs) == len(set(xs)) and set(xs) == want
+                assert all(d == dv[x] for d, x in pairs)
+                assert [d for d, _ in pairs] == sorted(d for d, _ in pairs)
+            cut += len(want) < sum(d != UNREACHABLE for d in dv)
+        assert cut > 50  # the base hides some reachable vertices
+
+    @pytest.mark.parametrize("directed", (False, True))
+    def test_levels_are_whole_distance_classes(self, directed):
+        for g, dbase, v in self.cases(directed, (1,)):
+            dv = sssp(g, v)
+            levels = list(closer_levels(g, dbase, v))
+            assert [d for d, _ in levels] == list(range(len(levels)))
+            for d, level in levels:
+                assert set(level) == ({x for x in range(g.n)
+                                       if dv[x] == d and d < dbase[x]}
+                                      | ({v} if d == 0 else set()))
+
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
+    def test_abandoned_generator_leaves_a_fresh_run_unchanged(self, weights):
+        for g, dbase, v in self.cases(True, weights):
+            for traversal in ((closer_levels, closer_settled) if g.unit_weights
+                              else (closer_settled,)):
+                first = list(traversal(g, dbase, v))
+                half = traversal(g, dbase, v)
+                for _ in range(len(first) // 2):
+                    next(half)
+                assert list(traversal(g, dbase, v)) == first
+                half.close()
+                assert list(traversal(g, dbase, v)) == first
