@@ -17,8 +17,8 @@ from .graph import (EdgeListFormatError, Graph, GraphError,
                     largest_component, load_edge_list, multi_source_sssp,
                     reachable_counts, sssp)
 from .harmonic import (greedy_harmonic, harmonic_centralities,
-                       local_search_harmonic, plain_greedy_harmonic,
-                       pruned_marginal_gain, top_harmonic_vertex)
+                       local_search_harmonic, pruned_marginal_gain,
+                       top_harmonic_vertex)
 from .oracles import (BudgetExceededError, IlpModel, InfeasibleAssignmentError,
                       best_random, build_harmonic_model, evaluate_assignment,
                       exhaustive_best, export_ilp_harmonic, write_lp)
@@ -37,7 +37,7 @@ __all__ = [
     "group_farness_raw", "group_harmonic", "harmonic_centralities",
     "harmonic_sum", "is_connected", "largest_component", "load_edge_list",
     "local_search_closeness", "local_search_harmonic", "multi_source_sssp",
-    "patched_distances", "plain_greedy_harmonic", "pruned_marginal_gain",
+    "patched_distances", "pruned_marginal_gain",
     "reachable_counts", "removal_cost", "sssp", "state_init",
     "top_harmonic_vertex", "write_lp",
 ]

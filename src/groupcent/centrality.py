@@ -1,4 +1,5 @@
-"""Group centrality objectives and the incremental group-distance state.
+"""Group centrality objectives, the incremental group-distance state, and
+the single-swap local search both objectives share.
 
 Group-harmonic centrality of a group S sums reciprocal distances from S to
 every outside vertex (unreachable vertices contribute zero). Group farness
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .graph import Graph, UNREACHABLE, multi_source_sssp
+from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
+                    multi_source_sssp)
 
 
 class DisconnectedFarnessError(ValueError):
@@ -170,3 +172,81 @@ def patched_distances(state: GroupDistanceState, u: int) -> list:
             out[x] = d2[x]
     return out
 
+
+def swap_rows(state: GroupDistanceState, c):
+    """``row(v)`` scores swapping candidate v for each member u: the
+    objective of S - u + v is that of S - u (0 for S = {u}) plus
+    ``common + entry.get(u, 0)``. ``c(d)`` is what an outside vertex at
+    distance d adds to the objective, with c(0) >= c(d) >= c(UNREACHABLE) = 0.
+
+    Without u, distances change only where u is nearest, to
+    ``dist_second``; so one closer-than-base traversal from v over the
+    1-Lipschitz ``dist_second`` reaches every vertex any swap of v improves.
+    A visited x at distance d adds c(d) - c(dist_nearest[x]), if positive,
+    to ``common`` and the rest of its gain against ``dist_second[x]`` to
+    the entry of its nearest member; v itself, now a member, adds
+    -c(dist_nearest[v]). Only nonzero entries are kept.
+    """
+    g = state.graph
+    rep = state.nearest_member
+    d2 = state.dist_second
+    c1 = [c(d) for d in state.dist_nearest]
+    c2 = [c(d) for d in d2]
+
+    def row(v):
+        levels = (closer_levels(g, d2, v) if g.unit_weights
+                  else ((d, (x,)) for d, x in closer_settled(g, d2, v)))
+        next(levels)  # (0, [v])
+        common = -c1[v]
+        e = c1[v] - c2[v]
+        entry = {rep[v]: e} if e else {}
+        for d, level in levels:
+            cd = c(d)
+            for x in level:
+                b = c1[x]
+                if cd > b:
+                    common += cd - b
+                    e = b - c2[x]
+                else:
+                    e = cd - c2[x]
+                if e:
+                    m = rep[x]
+                    entry[m] = entry.get(m, 0) + e
+        return common, entry
+
+    return row
+
+
+def local_search(g: Graph, group, c, plan, stats):
+    """Single-swap local search from ``group``; ``c`` as in ``swap_rows``.
+
+    Per pass, ``plan(state)`` gives the members as (u, objective without u)
+    and the candidates, both in scan order, and ``accepts(u, v, objective
+    after the swap)``. The first accepted swap in member-major order
+    commits; a pass without one ends the search. Rows are built when first
+    needed and kept for the pass: at most n - k per pass, counted in
+    ``stats["evaluated"]``, passes in ``stats["iterations"]``. Returns
+    (group, [(u, v), ...]).
+    """
+    swaps = []
+    while True:
+        stats["iterations"] += 1
+        state = state_init(g, group)
+        members, candidates, accepts = plan(state)
+        row = swap_rows(state, c)
+        rows = {}
+        for u, without in members:
+            for v in candidates:
+                r = rows.get(v)
+                if r is None:
+                    r = rows[v] = row(v)
+                    stats["evaluated"] += 1
+                if accepts(u, v, without + r[0] + r[1].get(u, 0)):
+                    break
+            else:
+                continue
+            swaps.append((u, v))
+            group = sorted(set(group) - {u} | {v})
+            break
+        else:
+            return group, swaps

@@ -3,8 +3,9 @@
 Three families: diminishing-returns sampling for the harmonic objective,
 instrumented soundness checks for the pruning bounds (farness-decrease and
 harmonic start upper bounds never undershoot, singleton-farness lower
-bounds never overshoot), and greedy/local-search quality floors against
-the exhaustive oracle on small sweeps.
+bounds never overshoot) and for the farness of local search's swap rows,
+and greedy/local-search quality floors against the exhaustive oracle on
+small sweeps.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import random
 from dataclasses import dataclass, field
 
 from .centrality import (group_farness_raw, group_harmonic,
-                         patched_distances, state_init)
-from .closeness import (LevelBuckets, _farness_of_singleton, farness_decrease,
-                        local_search_closeness)
+                         patched_distances, state_init, swap_rows)
+from .closeness import (LevelBuckets, _farness_of_singleton, _farness_term,
+                        farness_decrease, local_search_closeness)
 from .generators import (directed_strongly_connected, mixed_regime_graphs,
                          undirected_connected)
 from .graph import is_connected
@@ -87,7 +88,8 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
     """Every farness-decrease bound a traversal checks (after each BFS
     level with unit weights, before each settled vertex otherwise) must
     dominate the exact decrease the completed traversal reports, and that
-    decrease must match an independent recomputation (exact integers). For
+    decrease must match an independent recomputation (exact integers), as
+    must the farness that v's swap row gives the same swap (u, v). For
     the added vertex v, every harmonic start bound must be at least v's
     harmonic centrality (up to float rounding) and every singleton-farness
     lower bound at most v's farness, and both completed traversals must
@@ -121,14 +123,18 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
             rec = []
             res = farness_decrease(g, dbase, buckets, v, record=rec)
             without_u = [m for m in group if m != u]
-            swapped = sorted(set(without_u) | {v})
-            oracle = group_farness_raw(g, without_u) - group_farness_raw(g, swapped)
+            farness_without = group_farness_raw(g, without_u)
+            farness_swapped = group_farness_raw(g, sorted(set(without_u) | {v}))
+            oracle = farness_without - farness_swapped
+            common, entry = swap_rows(state, _farness_term)(v)
+            scored = farness_without - common - entry.get(u, 0)
             done += 1
-            out.checked += len(rec) + 1
-            if res.value != oracle:
+            out.checked += len(rec) + 2
+            if (res.value, scored) != (oracle, farness_swapped):
                 out.passed = False
                 out.violations.append(
-                    f"decrease {res.value} != oracle {oracle} for u={u} v={v} "
+                    f"decrease {res.value} (oracle {oracle}), swap row farness "
+                    f"{scored} (oracle {farness_swapped}) for u={u} v={v} "
                     f"S={group} edges={g.edges()}")
             for b in rec:
                 if b < res.value:

@@ -1,11 +1,11 @@
 """Greedy and swap-based local-search minimization of group farness.
 
 Farness is kept as the raw integer sum of distances, so every bound,
-threshold, and acceptance test below is exact arithmetic: acceptance
+threshold, and acceptance test below is exact arithmetic: swap acceptance
 compares integers against a Fraction threshold (1 - eps/Q) * raw, and the
-pruning certificates are integer upper bounds on the farness decrease a
-candidate can deliver. Pruning therefore never changes which swaps commit,
-only how much work is spent rejecting the losers.
+pruning certificates are integer bounds on the farness (decrease) a
+candidate can deliver. Pruning therefore never changes a selection, only
+how much work is spent rejecting the losers.
 
 Greedy starts from the vertex of least farness, found by a degree-ordered
 scan whose traversals stop on an integer lower bound, and keeps every
@@ -13,13 +13,14 @@ decrease (or aborted upper bound) as a lazy bound for its later rounds.
 
 Every traversal is one of the closer-than-base traversals of ``graph``:
 ``closer_levels`` (BFS) for unit weights, ``closer_settled`` (Dijkstra)
-otherwise. For a swap (u out, v in) the base is the group without u, whose
-distances come from the nearest/second-nearest state in O(n); for a greedy
-addition it is the group; for the start scan it is all UNREACHABLE. Unit
-weights check the bound after counting each BFS level d, promoting at most
-the level's fan-out of uncounted vertices to d+1 and parking the rest at
-d+2. Weighted traversals check it before counting each settled vertex:
-every uncounted vertex is at least that vertex's distance d away.
+otherwise. For a greedy addition the base is the group; for the start scan
+it is all UNREACHABLE. Unit weights check the bound after counting each
+BFS level d, promoting at most the level's fan-out of uncounted vertices to
+d+1 and parking the rest at d+2. Weighted traversals check it before
+counting each settled vertex: every uncounted vertex is at least that
+vertex's distance d away.
+
+Local search shares ``centrality.local_search`` with harmonic.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from heapq import heapify, heappop, heappush
 from math import floor as int_floor
 from typing import NamedTuple
 
-from .centrality import (DisconnectedRemovalError, group_farness_raw,
-                         patched_distances, removal_cost, state_init)
+from .centrality import group_farness_raw, local_search, removal_cost
 from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
                     is_connected, multi_source_sssp)
-from .reporting import AlgoConfig, RunReport, graph_summary
+from .reporting import AlgoConfig, RunReport, solver_report
 
 
 class DisconnectedGraphError(ValueError):
@@ -228,21 +228,8 @@ def _require_connected(g):
 def _closeness_report(g, algorithm, group, cfg, t0, stats, swap_sequence=()):
     members = sorted(group)
     raw = group_farness_raw(g, members)
-    return RunReport(
-        algorithm=algorithm,
-        group=members,
-        objective_kind="closeness",
-        objective_value=g.n / raw if raw else float("inf"),
-        raw_farness=raw,
-        iterations=stats.get("iterations", 0),
-        swaps_committed=stats.get("swaps", 0),
-        candidates_evaluated=stats.get("evaluated", 0),
-        traversals_pruned=stats.get("pruned", 0),
-        wall_time_millis=(time.perf_counter() - t0) * 1000.0,
-        config=cfg.echo(),
-        graph=graph_summary(g),
-        swap_sequence=list(swap_sequence),
-    )
+    return solver_report(g, algorithm, members, g.n / raw if raw else float("inf"),
+                         raw, cfg, t0, stats, swap_sequence)
 
 
 def _closeness_start_vertex(g):
@@ -311,8 +298,12 @@ def greedy_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunRepo
     return _closeness_report(g, "greedy-c", group, cfg, t0, stats)
 
 
-def local_search_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None,
-                           use_pruning: bool = True) -> RunReport:
+def _farness_term(d):
+    """A vertex's term of -farness, which local search maximizes."""
+    return 0 if d == UNREACHABLE else -d  # a group of no members counts 0
+
+
+def local_search_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunReport:
     """Single-swap local search started from the greedy group.
 
     Members are scanned by ascending removal cost, candidates by descending
@@ -320,79 +311,33 @@ def local_search_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None,
     graphs, where the unique neighbor always does at least as well. The
     first swap whose exact new farness clears (1 - eps/(k(n-k))) * current
     commits, both loops restart, and the search stops when a full pass
-    commits nothing."""
+    commits nothing. Swaps are scored in integers by ``swap_rows``."""
     cfg = cfg or AlgoConfig(k=k)
     _require_connected(g)
     if not 1 <= k < g.n:
         raise ValueError(f"k={k} out of range for n={g.n} (closeness needs k < n)")
     t0 = time.perf_counter()
     n = g.n
-    group, _ = _greedy_closeness_core(g, k)
-    stats = {"evaluated": 0, "pruned": 0, "iterations": 0}
-    swaps: list[SwapCandidate] = []
-    q_size = k * (n - k)
-    shrink = 1 - Fraction(str(cfg.eps)) / q_size
+    group, stats = _greedy_closeness_core(g, k)
+    stats["iterations"] = 0
+    shrink = 1 - Fraction(str(cfg.eps)) / (k * (n - k))
     exclude_deg1 = g.unit_weights and not g.directed
-    improved = True
-    while improved:
-        improved = False
-        stats["iterations"] += 1
-        state = state_init(g, group)
+    costs = []  # every member's removal cost, one dict per pass
+
+    def plan(state):
         raw = state.raw_farness
-        threshold = shrink * raw
-        members = []
-        if k == 1:
-            members.append((0, group[0]))
-        else:
-            for u in group:
-                try:
-                    members.append((removal_cost(state, u), u))
-                except DisconnectedRemovalError:
-                    continue  # unremovable member
-        members.sort()
-        candidates_all = sorted(
+        # strongly connected: with k > 1, no removal leaves a vertex uncovered
+        cost = {u: removal_cost(state, u) if k > 1 else 0 for u in state.members}
+        costs.append(cost)
+        members = [(u, -(raw + cost[u]) if k > 1 else 0)
+                   for u in sorted(cost, key=lambda u: (cost[u], u))]
+        candidates = sorted(
             (v for v in range(n) if v not in state.member_set
              and not (exclude_deg1 and g.out_degree(v) == 1)),
             key=lambda v: (-add_estimate(state, v), v))
-        for cost_u, u in members:
-            if k == 1:
-                v = _scan_singleton(g, candidates_all, threshold, stats, use_pruning)
-            else:
-                dbase = patched_distances(state, u)
-                buckets = LevelBuckets.from_distances(dbase)
-                floor = raw + cost_u - threshold if use_pruning else None
-                v = _scan_pairs(g, candidates_all, dbase, buckets, raw, cost_u,
-                                threshold, floor, stats)
-            if v is not None:
-                swaps.append(SwapCandidate(u, v, cost_u))
-                group = sorted(set(group) - {u} | {v})
-                improved = True
-                break
-    stats["swaps"] = len(swaps)
+        limit = int_floor(shrink * raw)  # the new farness is an integer
+        return members, candidates, lambda u, v, value: -value <= limit
+
+    group, pairs = local_search(g, group, _farness_term, plan, stats)
+    swaps = [SwapCandidate(u, v, cost[u]) for (u, v), cost in zip(pairs, costs)]
     return _closeness_report(g, "ls-c", group, cfg, t0, stats, swap_sequence=swaps)
-
-
-def _scan_pairs(g, candidates, dbase, buckets, raw, cost_u, threshold, floor, stats):
-    """First candidate whose swap for the member behind ``dbase`` clears
-    ``threshold``, or None."""
-    for v in candidates:
-        res = farness_decrease(g, dbase, buckets, v, floor)
-        stats["evaluated"] += 1
-        if not res.is_exact:
-            stats["pruned"] += 1
-        elif raw + cost_u - res.value <= threshold:
-            return v
-    return None
-
-
-def _scan_singleton(g, candidates, threshold, stats, use_pruning):
-    """First candidate whose singleton farness clears ``threshold``, or None."""
-    stop_above = int_floor(threshold) if use_pruning else None
-    for v in candidates:
-        exact, total = _farness_of_singleton(g, v, stop_above)
-        stats["evaluated"] += 1
-        if not exact:
-            stats["pruned"] += 1
-        elif total <= threshold:
-            return v
-    return None

@@ -5,7 +5,8 @@ Every traversal is one of the closer-than-base traversals of ``graph``
 visit only vertices strictly closer to the source than the base distances
 say; this module adds what each visited vertex contributes and where to
 stop. A marginal gain runs over the group's distances without a bound and
-returns the exact gain.
+returns the exact gain. Local search shares ``centrality.local_search``
+with closeness.
 
 The first member is the vertex of largest harmonic centrality, found by a
 scan in descending out-degree order over all-UNREACHABLE bases. Each
@@ -28,16 +29,18 @@ by vertex id.
 
 from __future__ import annotations
 
+import math
 import time
 from heapq import heapify, heappop
 
-from .centrality import harmonic_sum, patched_distances, state_init
+from .centrality import harmonic_sum, local_search, patched_distances
 from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
                     multi_source_sssp, sssp)
-from .reporting import AlgoConfig, RunReport, graph_summary
+from .reporting import AlgoConfig, RunReport, solver_report
 
 PRUNE_MARGIN = 1e-9
 ABS_IMPROVE = 1e-9  # absolute acceptance fallback when the objective is zero
+SWAP_GUARD = 1e-9  # relative distance from the threshold at which a swap score is re-checked
 
 
 def harmonic_centralities(g: Graph):
@@ -148,25 +151,11 @@ def pruned_marginal_gain(g: Graph, dist, u: int) -> float:
 
 
 def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_gains=()):
+    # no "pruned" count: every harmonic traversal runs to its exact gain
     members = sorted(group)
-    dist = multi_source_sssp(g, members)
-    value = harmonic_sum(dist, set(members))
-    return RunReport(
-        algorithm=algorithm,
-        group=members,
-        objective_kind="harmonic",
-        objective_value=value,
-        raw_farness=None,
-        iterations=stats.get("iterations", 0),
-        swaps_committed=stats.get("swaps", 0),
-        candidates_evaluated=stats.get("evaluated", 0),
-        traversals_pruned=0,  # every traversal runs to its exact gain
-        wall_time_millis=(time.perf_counter() - t0) * 1000.0,
-        config=cfg.echo(),
-        graph=graph_summary(g),
-        swap_sequence=list(swap_sequence),
-        round_gains=list(round_gains),
-    )
+    value = harmonic_sum(multi_source_sssp(g, members), set(members))
+    return solver_report(g, algorithm, members, value, None, cfg, t0, stats,
+                         swap_sequence, round_gains)
 
 
 def _greedy_core(g, k):
@@ -215,37 +204,9 @@ def greedy_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunRepor
     return _finish_report(g, "greedy-h", group, cfg, t0, stats, round_gains=round_gains)
 
 
-def plain_greedy_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunReport:
-    """Reference greedy without laziness: every candidate is evaluated in
-    every round. Used to validate that the lazy queue is
-    selection-transparent."""
-    cfg = cfg or AlgoConfig(k=k)
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range for n={g.n}")
-    t0 = time.perf_counter()
-    n = g.n
-    values = harmonic_centralities(g)
-    start = values.index(max(values))
-    group = [start]
-    in_group = {start}
-    stats = {"evaluated": n, "iterations": k}
-    round_gains = []
-    while len(group) < k:
-        dist = multi_source_sssp(g, group)
-        best_gain = float("-inf")
-        best_u = -1
-        for u in range(n):
-            if u in in_group:
-                continue
-            gain = pruned_marginal_gain(g, dist, u)
-            stats["evaluated"] += 1
-            if gain > best_gain:
-                best_gain, best_u = gain, u
-        group.append(best_u)
-        in_group.add(best_u)
-        round_gains.append(best_gain)
-    return _finish_report(g, "greedy-h-exact", group, cfg, t0, stats,
-                          round_gains=round_gains)
+def _harmonic_term(d):
+    """A vertex's term of the harmonic objective; members are infinitely close."""
+    return 1.0 / d if d else math.inf
 
 
 def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunReport:
@@ -257,7 +218,10 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
     commits as soon as the new objective clears the multiplicative
     acceptance threshold (1 + eps / (k (n - k))), with an absolute fallback
     when the current objective is zero. Terminates when a full scan commits
-    nothing, so the result never falls below greedy.
+    nothing, so the result never falls below greedy. Swaps are scored by
+    ``swap_rows``, whose floats sum in another order than one traversal per
+    pair; a score within ``SWAP_GUARD`` of the threshold is decided by that
+    pair's own ``pruned_marginal_gain``.
     """
     cfg = cfg or AlgoConfig(k=k)
     if not 1 <= k <= g.n:
@@ -267,40 +231,32 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
     group, gain_bound, round_gains, stats = _greedy_core(g, k)
     stats["iterations"] = 0
     swaps: list[tuple[int, int]] = []
+
+    def plan(state):
+        gh_here = harmonic_sum(state.dist_nearest, state.member_set)
+        # multiplicative acceptance when positive; strict absolute
+        # improvement when the objective sits at zero
+        if gh_here > 0.0:
+            threshold, strict = gh_here * (1.0 + cfg.eps / (k * (n - k))), False
+        else:
+            threshold, strict = gh_here + ABS_IMPROVE, True
+        near = SWAP_GUARD * max(1.0, abs(threshold))
+        without = {u: harmonic_sum(patched_distances(state, u), state.member_set - {u})
+                   for u in state.members}
+        members = sorted(without.items(), key=lambda m: (gh_here - m[1], m[0]))
+        candidates = sorted((x for x in range(n) if x not in state.member_set),
+                            key=lambda x: (-gain_bound[x], x))
+
+        def accepts(u, v, value):
+            if abs(value - threshold) <= near:
+                stats["evaluated"] += 1
+                value = without[u] + pruned_marginal_gain(
+                    g, patched_distances(state, u), v)
+            return value > threshold if strict else value >= threshold
+
+        return members, candidates, accepts
+
     if k < n:
-        q_size = k * (n - k)
-        improved = True
-        while improved:
-            improved = False
-            stats["iterations"] += 1
-            state = state_init(g, group)
-            gh_here = harmonic_sum(state.dist_nearest, state.member_set)
-            # multiplicative acceptance when positive; strict absolute
-            # improvement when the objective sits at zero
-            if gh_here > 0.0:
-                threshold = gh_here * (1.0 + cfg.eps / q_size)
-                accepts = lambda val: val >= threshold
-            else:
-                threshold = gh_here + ABS_IMPROVE
-                accepts = lambda val: val > threshold
-            scan = []
-            for u in group:
-                d_without = patched_distances(state, u)
-                gh_without = harmonic_sum(d_without, state.member_set - {u})
-                scan.append((gh_here - gh_without, u, d_without, gh_without))
-            scan.sort(key=lambda item: (item[0], item[1]))
-            candidates = sorted((x for x in range(n) if x not in state.member_set),
-                                key=lambda x: (-gain_bound[x], x))
-            for _, u, d_without, gh_without in scan:
-                for v in candidates:
-                    stats["evaluated"] += 1
-                    if accepts(gh_without + pruned_marginal_gain(g, d_without, v)):
-                        group = sorted(set(group) - {u} | {v})
-                        swaps.append((u, v))
-                        improved = True
-                        break
-                if improved:
-                    break
-    stats["swaps"] = len(swaps)
+        group, swaps = local_search(g, group, _harmonic_term, plan, stats)
     return _finish_report(g, "ls-h", group, cfg, t0, stats,
                           swap_sequence=swaps, round_gains=round_gains)

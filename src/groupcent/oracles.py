@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .centrality import group_farness_raw, group_harmonic
 from .graph import Graph, UNREACHABLE, is_connected, sssp
-from .reporting import AlgoConfig, RunReport, graph_summary
+from .reporting import AlgoConfig, RunReport, solver_report
 
 DEFAULT_ENUM_BUDGET = 5_000_000
 
@@ -72,13 +72,8 @@ def exhaustive_best(g: Graph, k: int, objective: str = "harmonic",
             if val > best_val:
                 best_val, best_group = val, combo
         group = list(best_group)
-        return RunReport(
-            algorithm="exact-h", group=group, objective_kind="harmonic",
-            objective_value=group_harmonic(g, group).value, raw_farness=None,
-            iterations=total, swaps_committed=0, candidates_evaluated=total,
-            traversals_pruned=0,
-            wall_time_millis=(time.perf_counter() - t0) * 1000.0,
-            config=cfg.echo(), graph=graph_summary(g))
+        return solver_report(g, "exact-h", group, group_harmonic(g, group).value,
+                             None, cfg, t0, {"iterations": total, "evaluated": total})
     best_raw = None
     for combo in combinations(range(n), k):
         rows = [dist[u] for u in combo]
@@ -91,13 +86,8 @@ def exhaustive_best(g: Graph, k: int, objective: str = "harmonic",
             best_raw, best_group = raw, combo
     group = list(best_group)
     raw = group_farness_raw(g, group)
-    return RunReport(
-        algorithm="exact-c", group=group, objective_kind="closeness",
-        objective_value=g.n / raw, raw_farness=raw,
-        iterations=total, swaps_committed=0, candidates_evaluated=total,
-        traversals_pruned=0,
-        wall_time_millis=(time.perf_counter() - t0) * 1000.0,
-        config=cfg.echo(), graph=graph_summary(g))
+    return solver_report(g, "exact-c", group, g.n / raw, raw, cfg, t0,
+                         {"iterations": total, "evaluated": total})
 
 
 def best_random(g: Graph, k: int, trials: int = 100, seed: int = 0,
@@ -134,13 +124,8 @@ def best_random(g: Graph, k: int, trials: int = 100, seed: int = 0,
     else:
         raw = group_farness_raw(g, best_group)
         value = g.n / raw
-    return RunReport(
-        algorithm=algo, group=best_group, objective_kind=objective,
-        objective_value=value, raw_farness=raw,
-        iterations=trials, swaps_committed=0, candidates_evaluated=trials,
-        traversals_pruned=0,
-        wall_time_millis=(time.perf_counter() - t0) * 1000.0,
-        config=cfg.echo(), graph=graph_summary(g))
+    return solver_report(g, algo, best_group, value, raw, cfg, t0,
+                         {"iterations": trials, "evaluated": trials})
 
 
 @dataclass

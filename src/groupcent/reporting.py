@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 from .graph import Graph
@@ -82,6 +83,29 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
+
+
+def solver_report(g: Graph, algorithm: str, group, value, raw, cfg: AlgoConfig,
+                  t0: float, stats: dict, swap_sequence=(), round_gains=()) -> RunReport:
+    """Report of a run started at ``t0``. ``raw`` is the raw farness of a
+    closeness run and None for a harmonic one; ``stats`` holds the counters
+    iterations, evaluated and pruned, each 0 when absent."""
+    return RunReport(
+        algorithm=algorithm,
+        group=group,
+        objective_kind="harmonic" if raw is None else "closeness",
+        objective_value=value,
+        raw_farness=raw,
+        iterations=stats.get("iterations", 0),
+        swaps_committed=len(swap_sequence),
+        candidates_evaluated=stats.get("evaluated", 0),
+        traversals_pruned=stats.get("pruned", 0),
+        wall_time_millis=(time.perf_counter() - t0) * 1000.0,
+        config=cfg.echo(),
+        graph=graph_summary(g),
+        swap_sequence=list(swap_sequence),
+        round_gains=list(round_gains),
+    )
 
 
 CSV_COLUMNS = [

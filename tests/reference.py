@@ -1,0 +1,112 @@
+"""Reference implementations that the solvers are compared against.
+
+``plain_greedy_harmonic`` is greedy-h without laziness or pruning. The
+per-pair local searches are the scan loops the solvers ran before swap
+rows: one exact traversal per (member u, candidate v) pair over the
+distances of the group without u, with the same member order, candidate
+order and acceptance test. They return (sorted group, swap sequence) for
+comparison with ``local_search_closeness`` and ``local_search_harmonic``.
+"""
+
+from fractions import Fraction
+
+from groupcent.centrality import (group_farness_raw, harmonic_sum,
+                                  patched_distances, removal_cost, state_init)
+from groupcent.closeness import (LevelBuckets, _greedy_closeness_core,
+                                 add_estimate, farness_decrease)
+from groupcent.graph import multi_source_sssp
+from groupcent.harmonic import (ABS_IMPROVE, _greedy_core,
+                                harmonic_centralities, pruned_marginal_gain)
+
+
+def plain_greedy_harmonic(g, k):
+    """The harmonic_centralities argmax, then in every round the candidate
+    of largest exact gain, the smallest id on ties. Returns the sorted
+    group."""
+    values = harmonic_centralities(g)
+    group = [values.index(max(values))]
+    while len(group) < k:
+        dist = multi_source_sssp(g, group)
+        gains = [float("-inf") if u in group else pruned_marginal_gain(g, dist, u)
+                 for u in range(g.n)]
+        group.append(gains.index(max(gains)))
+    return sorted(group)
+
+
+def per_pair_closeness(g, k, eps):
+    n = g.n
+    group, _ = _greedy_closeness_core(g, k)
+    shrink = 1 - Fraction(str(eps)) / (k * (n - k))
+    exclude_deg1 = g.unit_weights and not g.directed
+    swaps = []
+    while True:
+        state = state_init(g, group)
+        raw = state.raw_farness
+        threshold = shrink * raw
+        if k == 1:
+            members = [(0, group[0])]
+        else:
+            members = sorted((removal_cost(state, u), u) for u in group)
+        candidates = sorted(
+            (v for v in range(n) if v not in state.member_set
+             and not (exclude_deg1 and g.out_degree(v) == 1)),
+            key=lambda v: (-add_estimate(state, v), v))
+        committed = None
+        for cost_u, u in members:
+            if k > 1:
+                dbase = patched_distances(state, u)
+                buckets = LevelBuckets.from_distances(dbase)
+            for v in candidates:
+                if k == 1:
+                    new_raw = group_farness_raw(g, [v])
+                else:
+                    res = farness_decrease(g, dbase, buckets, v)
+                    assert res.is_exact
+                    new_raw = raw + cost_u - res.value
+                if new_raw <= threshold:
+                    committed = (u, v, cost_u)
+                    break
+            if committed:
+                break
+        if committed is None:
+            return sorted(group), swaps
+        swaps.append(committed)
+        group = sorted(set(group) - {committed[0]} | {committed[1]})
+
+
+def per_pair_harmonic(g, k, eps):
+    n = g.n
+    group, gain_bound, _, _ = _greedy_core(g, k)
+    swaps = []
+    if k == n:
+        return sorted(group), swaps
+    q_size = k * (n - k)
+    while True:
+        state = state_init(g, group)
+        gh_here = harmonic_sum(state.dist_nearest, state.member_set)
+        if gh_here > 0.0:
+            threshold = gh_here * (1.0 + eps / q_size)
+            accepts = lambda val: val >= threshold
+        else:
+            threshold = gh_here + ABS_IMPROVE
+            accepts = lambda val: val > threshold
+        scan = []
+        for u in group:
+            d_without = patched_distances(state, u)
+            gh_without = harmonic_sum(d_without, state.member_set - {u})
+            scan.append((gh_here - gh_without, u, d_without, gh_without))
+        scan.sort(key=lambda item: (item[0], item[1]))
+        candidates = sorted((x for x in range(n) if x not in state.member_set),
+                            key=lambda x: (-gain_bound[x], x))
+        committed = None
+        for _, u, d_without, gh_without in scan:
+            for v in candidates:
+                if accepts(gh_without + pruned_marginal_gain(g, d_without, v)):
+                    committed = (u, v)
+                    break
+            if committed:
+                break
+        if committed is None:
+            return sorted(group), swaps
+        swaps.append(committed)
+        group = sorted(set(group) - {committed[0]} | {committed[1]})

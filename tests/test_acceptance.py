@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupcent import checks, closeness, harmonic
+from groupcent import centrality, checks, closeness, harmonic
 from groupcent.centrality import group_farness_raw, group_harmonic
 from groupcent.checks import (DIRECTED_FLOOR, UNDIRECTED_FLOOR, bound_check,
                               closeness_sweep, harmonic_sweep,
@@ -19,11 +19,13 @@ from groupcent.checks import (DIRECTED_FLOOR, UNDIRECTED_FLOOR, bound_check,
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   random_graph, undirected_connected)
 from groupcent.graph import Graph, sssp
-from groupcent.harmonic import greedy_harmonic, plain_greedy_harmonic
+from groupcent.harmonic import greedy_harmonic, local_search_harmonic
 from groupcent.closeness import greedy_closeness, local_search_closeness
 from groupcent.oracles import (evaluate_assignment, exhaustive_best,
                                export_ilp_harmonic)
 from groupcent.reporting import AlgoConfig
+from reference import (per_pair_closeness, per_pair_harmonic,
+                       plain_greedy_harmonic)
 
 FLOOR_SLACK = 1e-9
 
@@ -161,14 +163,26 @@ def test_criterion_07_bound_soundness(monkeypatch):
         record.append(total + 1)
         return exact, total
 
+    # and the swap rows: a row off by one must fail it
+    def off_by_one(state, c):
+        row = centrality.swap_rows(state, c)
+
+        def corrupted(v):
+            common, entry = row(v)
+            return common + 1, entry
+        return corrupted
+
     monkeypatch.setattr(checks, "_harmonic_of_singleton", undershooting)
     harmonic_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
     monkeypatch.setattr(checks, "_farness_of_singleton", overshooting)
     farness_gated = not bound_check(cases_per_regime=5).passed
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "swap_rows", off_by_one)
+    rows_gated = not bound_check(cases_per_regime=5).passed
     _criterion(7, "pruning bounds (farness decrease, harmonic start, singleton "
-               "farness) are sound and gated", outcome.passed and harmonic_gated
-               and farness_gated, detail)
+               "farness) and swap rows are sound and gated", outcome.passed
+               and harmonic_gated and farness_gated and rows_gated, detail)
 
 
 def test_criterion_08_pruning_transparency():
@@ -180,7 +194,7 @@ def test_criterion_08_pruning_transparency():
                          directed=bool(trial % 3 == 0), weights=weights)
         k = rng.randrange(2, 6)
         cfg = AlgoConfig(k=k)
-        if greedy_harmonic(g, k, cfg).group != plain_greedy_harmonic(g, k, cfg).group:
+        if greedy_harmonic(g, k, cfg).group != plain_greedy_harmonic(g, k):
             greedy_ok = False
             break
     lazy_c_ok = True
@@ -207,15 +221,28 @@ def test_criterion_08_pruning_transparency():
         if k >= g.n:
             continue
         cfg = AlgoConfig(k=k)
-        pruned = local_search_closeness(g, k, cfg, use_pruning=True)
-        plain = local_search_closeness(g, k, cfg, use_pruning=False)
-        if pruned.swap_sequence != plain.swap_sequence or pruned.group != plain.group:
+        rows = local_search_closeness(g, k, cfg)
+        group, swaps = per_pair_closeness(g, k, cfg.eps)
+        if rows.swap_sequence != swaps or rows.group != group:
             swaps_ok = False
             break
         done += 1
-    _criterion(8, "pruned and unpruned runs select identical groups and swaps",
-               greedy_ok and lazy_c_ok and swaps_ok,
-               "(100 greedy-h graphs, 100 greedy-c graphs, 50 swap instances)")
+    rng = random.Random(803)
+    for trial in range(50):
+        weights = (1,) if trial % 2 else (1, 2)
+        g = random_graph(rng.randrange(8, 16), rng, directed=bool(trial % 3 == 0),
+                         weights=weights)
+        k = rng.randrange(1, 4)
+        cfg = AlgoConfig(k=k)
+        rows = local_search_harmonic(g, k, cfg)
+        group, swaps = per_pair_harmonic(g, k, cfg.eps)
+        if rows.swap_sequence != swaps or rows.group != group:
+            swaps_ok = False
+            break
+    _criterion(8, "pruned greedy selects what unpruned greedy selects, and swap "
+               "rows commit the swaps of per-pair scans", greedy_ok and lazy_c_ok
+               and swaps_ok, "(100 greedy-h graphs, 100 greedy-c graphs, "
+               "50 ls-c and 50 ls-h swap instances)")
 
 
 def _id_order_greedy_c(g, k):

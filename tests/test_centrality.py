@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from groupcent import centrality, closeness, harmonic
 from groupcent.centrality import (DisconnectedFarnessError,
                                   DisconnectedRemovalError, group_farness_raw,
                                   group_harmonic, harmonic_sum,
                                   patched_distances, removal_cost,
-                                  state_init)
+                                  state_init, swap_rows)
+from groupcent.closeness import _farness_term
+from groupcent.harmonic import _harmonic_term
 from groupcent.generators import (path_graph, random_graph, star_graph,
                                   undirected_connected)
 from groupcent.graph import Graph, UNREACHABLE, sssp
+from groupcent.reporting import AlgoConfig
 from groupcent.generators import directed_strongly_connected
 
 
@@ -219,6 +223,124 @@ class TestSwap:
                 reduced = [m for m in group if m != u]
                 from groupcent.graph import multi_source_sssp
                 assert patched_distances(st, u) == multi_source_sssp(g, reduced)
+
+
+def sparse_graph(rng, directed, weights, connected):
+    """Random graph on 4 to 13 vertices; unless ``connected``, it may be
+    disconnected and have isolated vertices."""
+    n = rng.randrange(4, 14)
+    if connected:
+        return (directed_strongly_connected(n, rng, weights=weights) if directed
+                else undirected_connected(n, rng, weights=weights))
+    p = rng.choice((0.1, 0.2, 0.35))
+    edges = [(u, v, rng.choice(weights)) for u in range(n) for v in range(n)
+             if u != v and rng.random() < p]
+    return Graph(n, edges, directed=directed, check_isolated=False)
+
+
+class TestSwapRows:
+    """Every (u, v) value a swap row gives equals the objective of the
+    swapped group: exactly for farness, to rounding for harmonic."""
+
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 3)))
+    def test_farness_rows_match_oracle(self, directed, weights):
+        rng = random.Random(60 + 2 * directed + len(weights))
+        singletons = 0
+        for _ in range(40):
+            g = sparse_graph(rng, directed, weights, connected=True)
+            k = rng.randrange(1, min(4, g.n - 1) + 1)
+            group = sorted(rng.sample(range(g.n), k))
+            row = swap_rows(state_init(g, group), _farness_term)
+            singletons += k == 1
+            for v in range(g.n):
+                if v in group:
+                    continue
+                common, entry = row(v)
+                assert set(entry) <= set(group) and 0 not in entry.values()
+                for u in group:
+                    rest = [m for m in group if m != u]
+                    without = -group_farness_raw(g, rest) if rest else 0
+                    assert (without + common + entry.get(u, 0)
+                            == -group_farness_raw(g, rest + [v]))
+        assert singletons
+
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 3)))
+    def test_harmonic_rows_match_oracle(self, directed, weights):
+        rng = random.Random(70 + 2 * directed + len(weights))
+        uncovered = orphaning = 0
+        for trial in range(60):
+            g = sparse_graph(rng, directed, weights, connected=trial % 4 == 0)
+            k = rng.randrange(1, min(4, g.n - 1) + 1)
+            group = sorted(rng.sample(range(g.n), k))
+            st = state_init(g, group)
+            row = swap_rows(st, _harmonic_term)
+            uncovered += -1 in st.nearest_member
+            orphaning += k > 1 and any(st.nearest_member[x] != x
+                                       and st.dist_second[x] == UNREACHABLE
+                                       and st.dist_nearest[x] != UNREACHABLE
+                                       for x in range(g.n))
+            for v in range(g.n):
+                if v in group:
+                    continue
+                common, entry = row(v)
+                for u in group:
+                    rest = [m for m in group if m != u]
+                    without = group_harmonic(g, rest).value if rest else 0.0
+                    got = without + common + entry.get(u, 0)
+                    want = group_harmonic(g, rest + [v]).value
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert uncovered and orphaning
+
+    @pytest.mark.parametrize("algo", ("closeness", "harmonic"))
+    def test_a_pass_builds_each_row_at_most_once(self, algo, monkeypatch):
+        # every pass builds at most one row per non-member, and the reports
+        # count greedy's evaluations plus every row (plus, for harmonic,
+        # every per-pair re-check near the threshold)
+        per_pass = []
+
+        def counting(state, c):
+            built = []
+            per_pass.append((len(state.members), built))
+            row = swap_rows(state, c)
+            return lambda v: built.append(v) or row(v)
+
+        gains = []
+        real_gain = harmonic.pruned_marginal_gain
+
+        def counting_gain(*args):
+            gains.append(1)
+            return real_gain(*args)
+
+        monkeypatch.setattr(centrality, "swap_rows", counting)
+        monkeypatch.setattr(harmonic, "pruned_marginal_gain", counting_gain)
+        rng = random.Random(80)
+        multi_pass = 0
+        for trial in range(30):
+            make = directed_strongly_connected if trial % 2 else undirected_connected
+            g = make(rng.randrange(15, 40), rng, extra=0.05,
+                     weights=(1,) if trial % 4 < 2 else (1, 2))
+            k = rng.randrange(1, 5)
+            cfg = AlgoConfig(k=k, eps=1e-6)
+            module = closeness if algo == "closeness" else harmonic
+            before = len(gains)
+            greedy = getattr(module, f"greedy_{algo}")(g, k, cfg)
+            mid = len(gains)
+            ls = getattr(module, f"local_search_{algo}")(g, k, cfg)
+            rechecks = (len(gains) - mid) - (mid - before)
+            passes, per_pass[:] = per_pass[:], []
+            assert len(passes) == ls.iterations
+            multi_pass += ls.iterations > 1
+            rows = 0
+            for size, built in passes:
+                assert size == k
+                assert len(set(built)) == len(built) <= g.n - k
+                rows += len(built)
+            assert ls.traversals_pruned == greedy.traversals_pruned
+            assert ls.candidates_evaluated == (greedy.candidates_evaluated
+                                               + rows + rechecks)
+        assert multi_pass
 
 
 class TestSubmodularitySample:

@@ -15,6 +15,7 @@ from groupcent.generators import (directed_strongly_connected, path_graph,
 from groupcent.graph import Graph
 from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
+from reference import per_pair_closeness
 
 
 def _vertices_ge(buckets, t):
@@ -204,8 +205,11 @@ class TestLocalSearchCloseness:
                 ls = local_search_closeness(g, k, AlgoConfig(k=k, eps=0.001))
                 assert ls.raw_farness <= 5 * opt
 
-    def test_pruned_and_unpruned_commit_identical_sequences(self):
+    def test_matches_per_pair_reference(self):
+        # one row per candidate commits exactly the swaps that one exact
+        # farness_decrease per (member, candidate) pair commits
         rng = random.Random(48)
+        singletons = swapped = 0
         for trial in range(25):
             directed = bool(trial % 3 == 0)
             weights = (1,) if trial % 2 else (1, 2)
@@ -215,10 +219,13 @@ class TestLocalSearchCloseness:
             k = rng.randrange(1, 4)
             if k >= g.n:
                 continue
-            a = local_search_closeness(g, k, AlgoConfig(k=k), use_pruning=True)
-            b = local_search_closeness(g, k, AlgoConfig(k=k), use_pruning=False)
-            assert a.swap_sequence == b.swap_sequence
-            assert a.group == b.group
+            r = local_search_closeness(g, k, AlgoConfig(k=k))
+            group, swaps = per_pair_closeness(g, k, AlgoConfig(k=k).eps)
+            assert r.swap_sequence == swaps
+            assert r.group == group
+            singletons += k == 1
+            swapped += bool(swaps)
+        assert singletons and swapped
 
     def test_terminal_state_admits_no_acceptable_swap(self):
         # at termination no swap clears the shrink threshold; on undirected

@@ -11,10 +11,10 @@ from groupcent.graph import Graph, UNREACHABLE, multi_source_sssp, sssp
 from groupcent.closeness import _closeness_start_vertex
 from groupcent.harmonic import (_harmonic_of_singleton, greedy_harmonic,
                                 harmonic_centralities, local_search_harmonic,
-                                plain_greedy_harmonic, pruned_marginal_gain,
-                                top_harmonic_vertex)
+                                pruned_marginal_gain, top_harmonic_vertex)
 from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
+from reference import per_pair_harmonic, plain_greedy_harmonic
 
 
 class TestTopVertex:
@@ -147,8 +147,7 @@ class TestGreedy:
                              weights=weights)
             k = rng.randrange(2, 6)
             lazy = greedy_harmonic(g, k, AlgoConfig(k=k))
-            plain = plain_greedy_harmonic(g, k, AlgoConfig(k=k))
-            assert lazy.group == plain.group
+            assert lazy.group == plain_greedy_harmonic(g, k)
             assert lazy.traversals_pruned == 0
 
     def test_weight_scaling_keeps_selection(self):
@@ -217,6 +216,26 @@ class TestLocalSearch:
         r = local_search_harmonic(g, 3, AlgoConfig(k=3))
         assert r.group == [0, 1, 2]
         assert r.swaps_committed == 0
+
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
+    def test_matches_per_pair_reference(self, directed, weights):
+        # one row per candidate commits exactly the swaps that one exact
+        # pruned_marginal_gain per (member, candidate) pair commits, on
+        # graphs that may be disconnected
+        rng = random.Random(34 + 2 * directed + len(weights))
+        singletons = swapped = disconnected = 0
+        for _ in range(60):
+            g = any_graph(rng, directed, weights)
+            k = rng.randrange(1, min(5, g.n) + 1)
+            r = local_search_harmonic(g, k, AlgoConfig(k=k))
+            group, swaps = per_pair_harmonic(g, k, AlgoConfig(k=k).eps)
+            assert r.swap_sequence == swaps
+            assert r.group == group
+            singletons += k == 1
+            swapped += bool(swaps)
+            disconnected += UNREACHABLE in multi_source_sssp(g, r.group)
+        assert singletons and swapped and disconnected
 
     def test_terminal_state_admits_no_acceptable_swap(self):
         # when the scan stops, every (u, v) swap must sit below the
