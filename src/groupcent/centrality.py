@@ -1,5 +1,6 @@
 """Group centrality objectives, the incremental group-distance state, and
-the single-swap local search both objectives share.
+the start scan, lazy greedy and single-swap local search both objectives
+share, each parameterized by what one vertex at distance d adds.
 
 Group-harmonic centrality of a group S sums reciprocal distances from S to
 every outside vertex (unreachable vertices contribute zero). Group farness
@@ -10,8 +11,9 @@ acceptance thresholds can be compared in exact arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
                     multi_source_sssp)
@@ -250,3 +252,118 @@ def local_search(g: Graph, group, c, plan, stats):
             break
         else:
             return group, swaps
+
+
+def singleton_value(g: Graph, u: int, c, stop_below=None, record=None):
+    """(exact, value): the objective of the group {u}, the sum of c(d) over
+    the other vertices at distance d from u, or (False, bound) once an
+    upper bound on it drops below ``stop_below``. ``record`` collects every
+    bound checked. ``c`` is nonincreasing, as in ``swap_rows``, but
+    c(UNREACHABLE) may be -inf, which ranks a vertex that misses some
+    vertex below every vertex that reaches all.
+
+    The traversal is the closer-than-base one with an all-UNREACHABLE base,
+    and the bounds are the level bounds of Bergamini et al. (TKDD 2019).
+    Unit weights check the bound after counting each BFS level d: at most
+    the level's fan-out of the uncounted vertices sit at d+1, the rest at
+    least at d+2. Weighted graphs check it before counting each settled
+    vertex (d > 0): every uncounted vertex is at least d away. ``c`` is
+    called once per distance, and a completed traversal sums the terms in
+    vertex-id order, as ``harmonic.harmonic_centralities`` does."""
+    n = g.n
+    nowhere = [UNREACHABLE] * n
+    term = [c(UNREACHABLE)] * n
+    counted = 0
+    partial = 0
+    if g.unit_weights:
+        indptr = g.indptr
+        back = 0 if g.directed else 1  # undirected: one arc leads to the parent
+        cd, c1, c2 = 0, c(1), c(2)  # u's own term, then c(d), c(d+1), c(d+2)
+        for d, level in closer_levels(g, nowhere, u):
+            fanout = 0
+            if d:
+                cd, c1, c2 = c1, c2, c(d + 2)
+                fanout -= back * len(level)
+            for x in level:
+                term[x] = cd
+                fanout += indptr[x + 1] - indptr[x]
+            counted += len(level)
+            partial += len(level) * cd
+            rem = n - counted
+            f = fanout if fanout < rem else rem
+            bound = partial + f * c1 + (rem - f) * c2
+            if record is not None:
+                record.append(bound)
+            if stop_below is not None and bound < stop_below:
+                return False, bound
+    else:
+        last, cd = 0, 0  # u's own term
+        for d, x in closer_settled(g, nowhere, u):
+            if d:
+                if d != last:
+                    last, cd = d, c(d)
+                bound = partial + (n - counted) * cd
+                if record is not None:
+                    record.append(bound)
+                if stop_below is not None and bound < stop_below:
+                    return False, bound
+                partial += cd
+            term[x] = cd
+            counted += 1
+    value = 0
+    for t in term:
+        value += t
+    return True, value
+
+
+def best_singleton(g: Graph, c, margin):
+    """(vertex, bounds): the vertex of largest ``singleton_value``, the
+    smallest id on ties, and per vertex its value if its traversal
+    completed or its abort bound otherwise, an upper bound either way.
+    Vertices are scanned in descending out-degree order, and a traversal
+    aborts once its bound is below the best value so far by more than
+    ``margin``."""
+    bounds = [None] * g.n
+    best, best_u = -math.inf, g.n
+    for u in sorted(range(g.n), key=lambda x: (-g.out_degree(x), x)):
+        exact, value = singleton_value(g, u, c, best - margin)
+        bounds[u] = value
+        if exact and (value > best or (value == best and u < best_u)):
+            best, best_u = value, u
+    return best_u, bounds
+
+
+def lazy_greedy(g: Graph, k: int, start: int, bound, kernel, stats, margin):
+    """Greedy from the group {start} up to k members, with the lazy queue of
+    Leskovec et al. (KDD 2007). Returns (group, best value per round).
+
+    Each round, ``kernel(dist)`` gives ``evaluate(v, best, best_v)`` over
+    the group's distances: (True, v's marginal value), or (False, an upper
+    bound on it) once v cannot beat the incumbent (the best value, then the
+    smallest id). ``bound[v]`` is an upper bound on v's marginal value and
+    keeps the last value computed for v; marginal values only shrink as the
+    group grows, so it stays one. A round pops candidates by (bound
+    descending, id) and ends once the top one is below the incumbent by
+    more than ``margin``. Evaluations count in ``stats["evaluated"]``,
+    aborts in ``stats["pruned"]``."""
+    group = [start]
+    members = {start}
+    gains = []
+    while len(group) < k:
+        evaluate = kernel(multi_source_sssp(g, group))
+        heap = [(-bound[v], v) for v in range(g.n) if v not in members]
+        heapify(heap)
+        best, best_v = -math.inf, g.n
+        while heap and heap[0] < (margin - best, best_v):
+            v = heappop(heap)[1]
+            exact, value = evaluate(v, best, best_v)
+            stats["evaluated"] += 1
+            bound[v] = value
+            if not exact:
+                stats["pruned"] += 1
+            elif value > best or (value == best and v < best_v):
+                best, best_v = value, v
+        group.append(best_v)
+        members.add(best_v)
+        gains.append(best)
+    return group, gains

@@ -2,27 +2,26 @@
 
 Three families: diminishing-returns sampling for the harmonic objective,
 instrumented soundness checks for the pruning bounds (farness-decrease and
-harmonic start upper bounds never undershoot, singleton-farness lower
-bounds never overshoot) and for the farness of local search's swap rows,
-and greedy/local-search quality floors against the exhaustive oracle on
-small sweeps.
+start-scan upper bounds never undershoot) and for the farness of local
+search's swap rows, and greedy/local-search quality floors against the
+exhaustive oracle on small sweeps.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
-from .centrality import (group_farness_raw, group_harmonic,
-                         patched_distances, state_init, swap_rows)
-from .closeness import (LevelBuckets, _farness_of_singleton, _farness_term,
-                        farness_decrease, local_search_closeness)
+from .centrality import (group_farness_raw, group_harmonic, patched_distances,
+                         singleton_value, state_init, swap_rows)
+from .closeness import (LevelBuckets, _farness_term, farness_decrease,
+                        local_search_closeness)
 from .generators import (directed_strongly_connected, mixed_regime_graphs,
                          undirected_connected)
 from .graph import is_connected
-from .harmonic import (_harmonic_of_singleton, greedy_harmonic,
-                       local_search_harmonic)
+from .harmonic import _harmonic_term, greedy_harmonic, local_search_harmonic
 from .oracles import exhaustive_best
 from .reporting import AlgoConfig
 
@@ -90,11 +89,10 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
     dominate the exact decrease the completed traversal reports, and that
     decrease must match an independent recomputation (exact integers), as
     must the farness that v's swap row gives the same swap (u, v). For
-    the added vertex v, every harmonic start bound must be at least v's
-    harmonic centrality (up to float rounding) and every singleton-farness
-    lower bound at most v's farness, and both completed traversals must
-    match a recomputation. Given graphs that are not (strongly) connected
-    or have fewer than 3 vertices are skipped."""
+    the added vertex v, every start-scan bound of either objective must be
+    at least v's singleton value (up to float rounding), and both completed
+    traversals must match a recomputation. Given graphs that are not
+    (strongly) connected or have fewer than 3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
     if graphs is not None:
@@ -147,33 +145,23 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
 
 
 def _singleton_bounds(g, v, out):
-    """Start-scan bounds of vertex v against its exact singleton values."""
-    rec = []
-    _, value = _harmonic_of_singleton(g, v, record=rec)
-    exact = group_harmonic(g, [v]).value
-    out.checked += len(rec) + 1
-    if value != exact:
-        out.passed = False
-        out.violations.append(f"harmonic centrality {value} != oracle {exact} "
-                              f"for v={v} edges={g.edges()}")
-    for b in rec:
-        if b < exact - ROUNDING * max(1.0, exact):
+    """Start-scan bounds of vertex v against its exact singleton values:
+    harmonic centrality, and farness as the objective -farness."""
+    for name, c, exact in (
+            ("harmonic", _harmonic_term, group_harmonic(g, [v]).value),
+            ("-farness", operator.neg, -group_farness_raw(g, [v]))):
+        rec = []
+        _, value = singleton_value(g, v, c, record=rec)
+        out.checked += len(rec) + 1
+        if value != exact:
             out.passed = False
-            out.violations.append(f"harmonic start bound {b} < exact {exact} "
+            out.violations.append(f"singleton {name} {value} != oracle {exact} "
                                   f"for v={v} edges={g.edges()}")
-    rec = []
-    _, total = _farness_of_singleton(g, v, record=rec)
-    exact = group_farness_raw(g, [v])
-    out.checked += len(rec) + 1
-    if total != exact:
-        out.passed = False
-        out.violations.append(f"singleton farness {total} != oracle {exact} "
-                              f"for v={v} edges={g.edges()}")
-    for b in rec:
-        if b > exact:
-            out.passed = False
-            out.violations.append(f"singleton farness bound {b} > exact {exact} "
-                                  f"for v={v} edges={g.edges()}")
+        for b in rec:
+            if b < exact - ROUNDING * max(1.0, abs(exact)):
+                out.passed = False
+                out.violations.append(f"singleton {name} bound {b} < exact "
+                                      f"{exact} for v={v} edges={g.edges()}")
 
 
 def harmonic_sweep(directed: bool, graphs_per_n: int = 24, ns=(5, 6, 7, 8, 9),

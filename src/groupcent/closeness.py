@@ -1,26 +1,13 @@
 """Greedy and swap-based local-search minimization of group farness.
 
-Farness is kept as the raw integer sum of distances, so every bound,
-threshold, and acceptance test below is exact arithmetic: swap acceptance
-compares integers against a Fraction threshold (1 - eps/Q) * raw, and the
-pruning certificates are integer bounds on the farness (decrease) a
-candidate can deliver. Pruning therefore never changes a selection, only
-how much work is spent rejecting the losers.
-
-Greedy starts from the vertex of least farness, found by a degree-ordered
-scan whose traversals stop on an integer lower bound, and keeps every
-decrease (or aborted upper bound) as a lazy bound for its later rounds.
-
-Every traversal is one of the closer-than-base traversals of ``graph``:
-``closer_levels`` (BFS) for unit weights, ``closer_settled`` (Dijkstra)
-otherwise. For a greedy addition the base is the group; for the start scan
-it is all UNREACHABLE. Unit weights check the bound after counting each
-BFS level d, promoting at most the level's fan-out of uncounted vertices to
-d+1 and parking the rest at d+2. Weighted traversals check it before
-counting each settled vertex: every uncounted vertex is at least that
-vertex's distance d away.
-
-Local search shares ``centrality.local_search`` with harmonic.
+The start scan, lazy greedy and local search are the shared ones of
+``centrality``; what a vertex at distance d adds is -d. Farness is kept as
+the raw integer sum of distances, so every bound, threshold and acceptance
+test is exact arithmetic, and pruning never changes a selection, only how
+much work is spent rejecting the losers. This module adds the farness
+decrease of a greedy addition, whose traversal over the group's distances
+stops on an integer upper bound, and the Fraction swap threshold
+(1 - eps/Q) * raw.
 """
 
 from __future__ import annotations
@@ -28,13 +15,15 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import floor as int_floor
+from operator import neg
 from typing import NamedTuple
 
-from .centrality import group_farness_raw, local_search, removal_cost
+from .centrality import (best_singleton, group_farness_raw, lazy_greedy,
+                         local_search, removal_cost)
 from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
-                    is_connected, multi_source_sssp)
+                    is_connected)
 from .reporting import AlgoConfig, RunReport, solver_report
 
 
@@ -176,49 +165,6 @@ def farness_decrease(g: Graph, dbase, buckets: LevelBuckets, v: int,
     return DecreaseResult(True, dec)
 
 
-def _farness_of_singleton(g, v, stop_above=None, record=None):
-    """Raw farness of {v} (UNREACHABLE when some vertex cannot be reached
-    from v) with an optional integer abort threshold: (True, farness), or
-    (False, lower bound) once a lower bound exceeds ``stop_above``.
-    ``record`` collects every lower bound checked.
-
-    The traversal is the closer-than-base one with an all-UNREACHABLE base.
-    Unit weights check the bound after counting each BFS level d: at most
-    the level's fan-out of the uncounted vertices sit at d+1, the rest at
-    least at d+2. Weighted graphs check it before counting each settled
-    vertex: every uncounted vertex is at least d away."""
-    n = g.n
-    nowhere = [UNREACHABLE] * n
-    counted = 0
-    total = 0
-    if g.unit_weights:
-        indptr = g.indptr
-        back = 0 if g.directed else 1  # undirected: one arc leads to the parent
-        for d, level in closer_levels(g, nowhere, v):
-            fanout = sum([indptr[x + 1] - indptr[x] for x in level])
-            if d:
-                fanout -= back * len(level)
-            counted += len(level)
-            total += d * len(level)
-            rem = n - counted
-            f = fanout if fanout < rem else rem
-            lower = total + f * (d + 1) + (rem - f) * (d + 2)
-            if record is not None:
-                record.append(lower)
-            if stop_above is not None and lower > stop_above:
-                return False, lower
-    else:
-        for d, _ in closer_settled(g, nowhere, v):
-            lower = total + (n - counted) * d
-            if record is not None:
-                record.append(lower)
-            if stop_above is not None and lower > stop_above:
-                return False, lower
-            total += d
-            counted += 1
-    return True, total if counted == n else UNREACHABLE
-
-
 def _require_connected(g):
     if not is_connected(g):
         raise DisconnectedGraphError(
@@ -233,50 +179,25 @@ def _closeness_report(g, algorithm, group, cfg, t0, stats, swap_sequence=()):
 
 
 def _closeness_start_vertex(g):
-    """Vertex of maximum closeness (minimum total distance), ties to the
-    smallest id. Candidates are scanned in descending out-degree order, and
-    a traversal stops once its lower bound exceeds the best total so far."""
-    best_v, best_total = -1, None
-    for v in sorted(range(g.n), key=lambda x: (-g.out_degree(x), x)):
-        exact, total = _farness_of_singleton(g, v, best_total)
-        if exact and (best_total is None or total < best_total
-                      or (total == best_total and v < best_v)):
-            best_total, best_v = total, v
-    return best_v
+    """Vertex of least farness, the smallest id on ties."""
+    return best_singleton(g, neg, 0)[0]
 
 
 def _greedy_closeness_core(g, k):
     """Lazy greedy selection without the report. Returns (group, stats).
 
-    ``bound[v]`` is the last decrease (or aborted upper bound) computed for
-    v; farness decrease is submodular, so it bounds every later round's
-    decrease too. A round pops candidates by (bound descending, id) and
-    ends once the top entry cannot beat the incumbent (best decrease, then
-    smallest id)."""
-    n = g.n
-    group = [_closeness_start_vertex(g)]
-    bound = [UNREACHABLE] * n
-    stats = {"evaluated": n, "pruned": 0, "iterations": k}
-    while len(group) < k:
-        dbase = multi_source_sssp(g, group)
+    Decreases are exact integers, so the queue needs no margin: a
+    candidate's traversal aborts once it cannot beat the incumbent, which a
+    smaller id wins at a tie and a larger one must strictly beat."""
+    stats = {"evaluated": g.n, "pruned": 0, "iterations": k}
+
+    def kernel(dbase):
         buckets = LevelBuckets.from_distances(dbase)
-        in_group = set(group)
-        heap = [(-bound[v], v) for v in range(n) if v not in in_group]
-        heapify(heap)
-        best_dec = 0
-        best_v = -1
-        while heap and heap[0] < (-best_dec, best_v):
-            v = heappop(heap)[1]
-            # a smaller id wins a tie, a larger one must strictly beat it
-            res = farness_decrease(g, dbase, buckets, v,
-                                   best_dec + (v > best_v))
-            stats["evaluated"] += 1
-            bound[v] = res.value
-            if not res.is_exact:
-                stats["pruned"] += 1
-            elif res.value > best_dec or (res.value == best_dec and v < best_v):
-                best_dec, best_v = res.value, v
-        group.append(best_v)
+        return lambda v, best, best_v: farness_decrease(
+            g, dbase, buckets, v, best + (v > best_v))
+
+    group, _ = lazy_greedy(g, k, _closeness_start_vertex(g),
+                           [UNREACHABLE] * g.n, kernel, stats, 0)
     return group, stats
 
 

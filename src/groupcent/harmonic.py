@@ -1,39 +1,22 @@
 """Greedy and local-search maximizers for group-harmonic centrality.
 
-Every traversal is one of the closer-than-base traversals of ``graph``
-(``closer_levels`` for unit weights, ``closer_settled`` otherwise), which
-visit only vertices strictly closer to the source than the base distances
-say; this module adds what each visited vertex contributes and where to
-stop. A marginal gain runs over the group's distances without a bound and
-returns the exact gain. Local search shares ``centrality.local_search``
-with closeness.
-
-The first member is the vertex of largest harmonic centrality, found by a
-scan in descending out-degree order over all-UNREACHABLE bases. Each
-traversal keeps an upper bound on the centrality it can still reach (the
-level-based bound of Bergamini et al., TKDD 2019), checked after counting
-each BFS level or before counting each settled vertex, and aborts once it
-falls below the best value so far by more than a small margin. A traversal
-that completes re-sums its value in vertex-id order, exactly as
-``harmonic_centralities`` does, so the selected vertex is the same to the
-last bit.
-
-Greedy evaluates candidates lazily out of a max-priority queue of stale
-gains, which stay valid upper bounds because gains only shrink as the group
-grows; the start scan's values and abort bounds seed the queue of the second
-round. To keep the lazy run selection-identical to a plain exhaustive
-greedy, a round stops only when the best remaining bound is below the
-incumbent by a small margin, so exact ties are always evaluated and resolved
-by vertex id.
+The start scan, lazy greedy and local search are the shared ones of
+``centrality``, run with ``_harmonic_term``: a vertex at distance d adds
+1/d. This module adds the exact marginal gain, which runs over the
+closer-than-base traversal of ``graph`` without a bound, and the float
+margins. The start scan and lazy rounds only stop once a bound is below the
+incumbent by ``PRUNE_MARGIN``, so exact ties are always evaluated and go to
+the smallest id, as in a plain exhaustive greedy; the start scan's values
+and abort bounds seed the second round's queue.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from heapq import heapify, heappop
 
-from .centrality import harmonic_sum, local_search, patched_distances
+from .centrality import (best_singleton, harmonic_sum, lazy_greedy,
+                         local_search, patched_distances)
 from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
                     multi_source_sssp, sssp)
 from .reporting import AlgoConfig, RunReport, solver_report
@@ -58,73 +41,7 @@ def harmonic_centralities(g: Graph):
 
 def top_harmonic_vertex(g: Graph) -> int:
     """Vertex of largest harmonic centrality, the smallest id on ties."""
-    return _start_scan(g)[0]
-
-
-def _start_scan(g):
-    """Pruned scan for the top harmonic vertex. Returns (vertex, bounds):
-    ``bounds[u]`` is u's exact centrality when its traversal completed and
-    the abort bound otherwise, an upper bound either way."""
-    bounds = [0.0] * g.n
-    best, best_u = float("-inf"), -1
-    for u in sorted(range(g.n), key=lambda x: (-g.out_degree(x), x)):
-        exact, value = _harmonic_of_singleton(g, u, best - PRUNE_MARGIN)
-        bounds[u] = value
-        if exact and (value > best or (value == best and u < best_u)):
-            best, best_u = value, u
-    return best_u, bounds
-
-
-def _harmonic_of_singleton(g: Graph, u: int, stop_below=None, record=None):
-    """(exact, value): the harmonic centrality of u, or (False, bound) once
-    an upper bound on it drops below ``stop_below``. ``record`` collects
-    every bound checked.
-
-    The traversal is the closer-than-base one with an all-UNREACHABLE base.
-    Unit weights check the bound after counting each BFS level d: at most
-    the level's fan-out of the uncounted vertices sit at d+1, the rest at
-    least at d+2. Weighted graphs check it before counting each settled
-    vertex (d > 0): every uncounted vertex is at least d away."""
-    n = g.n
-    nowhere = [UNREACHABLE] * n
-    dist = [UNREACHABLE] * n
-    counted = 0
-    partial = 0.0
-    if g.unit_weights:
-        indptr = g.indptr
-        back = 0 if g.directed else 1  # undirected: one arc leads to the parent
-        for d, level in closer_levels(g, nowhere, u):
-            fanout = 0
-            for x in level:
-                dist[x] = d
-                fanout += indptr[x + 1] - indptr[x]
-            counted += len(level)
-            if d:
-                fanout -= back * len(level)
-                partial += len(level) / d
-            rem = n - counted
-            f = fanout if fanout < rem else rem
-            bound = partial + f / (d + 1) + (rem - f) / (d + 2)
-            if record is not None:
-                record.append(bound)
-            if stop_below is not None and bound < stop_below:
-                return False, bound
-    else:
-        for d, x in closer_settled(g, nowhere, u):
-            if d:
-                bound = partial + (n - counted) / d
-                if record is not None:
-                    record.append(bound)
-                if stop_below is not None and bound < stop_below:
-                    return False, bound
-                partial += 1.0 / d
-            dist[x] = d
-            counted += 1
-    total = 0.0  # the summation order of harmonic_centralities
-    for v, dv in enumerate(dist):
-        if v != u and dv != UNREACHABLE:
-            total += 1.0 / dv
-    return True, total
+    return best_singleton(g, _harmonic_term, PRUNE_MARGIN)[0]
 
 
 def pruned_marginal_gain(g: Graph, dist, u: int) -> float:
@@ -151,7 +68,6 @@ def pruned_marginal_gain(g: Graph, dist, u: int) -> float:
 
 
 def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_gains=()):
-    # no "pruned" count: every harmonic traversal runs to its exact gain
     members = sorted(group)
     value = harmonic_sum(multi_source_sssp(g, members), set(members))
     return solver_report(g, algorithm, members, value, None, cfg, t0, stats,
@@ -161,30 +77,14 @@ def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_
 def _greedy_core(g, k):
     """Lazy greedy selection. Returns (group, final per-vertex gain bounds,
     best gain per round, stats)."""
-    n = g.n
-    start, gain_bound = _start_scan(g)
-    group = [start]
-    in_group = {start}
-    stats = {"evaluated": n, "iterations": k}
-    round_gains: list[float] = []
-    while len(group) < k:
-        dist = multi_source_sssp(g, group)
-        heap = [(-gain_bound[u], u) for u in range(n) if u not in in_group]
-        heapify(heap)
-        best_gain = float("-inf")
-        best_u = -1
-        while heap:
-            if best_u >= 0 and -heap[0][0] <= best_gain - PRUNE_MARGIN:
-                break
-            cand = heappop(heap)[1]
-            gain = pruned_marginal_gain(g, dist, cand)
-            stats["evaluated"] += 1
-            gain_bound[cand] = gain
-            if gain > best_gain or (gain == best_gain and cand < best_u):
-                best_gain, best_u = gain, cand
-        group.append(best_u)
-        in_group.add(best_u)
-        round_gains.append(best_gain)
+    start, gain_bound = best_singleton(g, _harmonic_term, PRUNE_MARGIN)
+    stats = {"evaluated": g.n, "pruned": 0, "iterations": k}  # gains never abort
+
+    def kernel(dist):
+        return lambda v, best, best_v: (True, pruned_marginal_gain(g, dist, v))
+
+    group, round_gains = lazy_greedy(g, k, start, gain_bound, kernel, stats,
+                                     PRUNE_MARGIN)
     return group, gain_bound, round_gains, stats
 
 

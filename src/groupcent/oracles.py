@@ -49,7 +49,7 @@ def exhaustive_best(g: Graph, k: int, objective: str = "harmonic",
         raise BudgetExceededError(total, budget)
     if objective == "closeness":
         if k >= g.n:
-            raise ValueError("closeness needs k < n")
+            raise ValueError(f"k={k} out of range for n={g.n} (closeness needs k < n)")
         if not is_connected(g):
             raise ValueError("closeness oracle requires a (strongly) connected graph")
     cfg = cfg or AlgoConfig(k=k)
@@ -102,7 +102,7 @@ def best_random(g: Graph, k: int, trials: int = 100, seed: int = 0,
         raise ValueError("trials must be >= 1")
     if objective == "closeness":
         if k >= g.n:
-            raise ValueError("closeness needs k < n")
+            raise ValueError(f"k={k} out of range for n={g.n} (closeness needs k < n)")
         if not is_connected(g):
             raise ValueError("closeness baseline requires a (strongly) connected graph")
     cfg = cfg or AlgoConfig(k=k, trials=trials, seed=seed)

@@ -1,11 +1,12 @@
 """Reference implementations that the solvers are compared against.
 
-``plain_greedy_harmonic`` is greedy-h without laziness or pruning. The
-per-pair local searches are the scan loops the solvers ran before swap
-rows: one exact traversal per (member u, candidate v) pair over the
-distances of the group without u, with the same member order, candidate
-order and acceptance test. They return (sorted group, swap sequence) for
-comparison with ``local_search_closeness`` and ``local_search_harmonic``.
+``plain_greedy_harmonic`` and ``plain_greedy_closeness`` are greedy-h and
+greedy-c without laziness or pruning. The per-pair local searches are the
+scan loops the solvers ran before swap rows: one exact traversal per
+(member u, candidate v) pair over the distances of the group without u,
+with the same member order, candidate order and acceptance test. They
+return (sorted group, swap sequence) for comparison with
+``local_search_closeness`` and ``local_search_harmonic``.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from groupcent.centrality import (group_farness_raw, harmonic_sum,
                                   patched_distances, removal_cost, state_init)
 from groupcent.closeness import (LevelBuckets, _greedy_closeness_core,
                                  add_estimate, farness_decrease)
-from groupcent.graph import multi_source_sssp
+from groupcent.graph import multi_source_sssp, sssp
 from groupcent.harmonic import (ABS_IMPROVE, _greedy_core,
                                 harmonic_centralities, pruned_marginal_gain)
 
@@ -30,6 +31,20 @@ def plain_greedy_harmonic(g, k):
         gains = [float("-inf") if u in group else pruned_marginal_gain(g, dist, u)
                  for u in range(g.n)]
         group.append(gains.index(max(gains)))
+    return sorted(group)
+
+
+def plain_greedy_closeness(g, k):
+    """The sum(sssp) argmin, then in every round the candidate of largest
+    exact farness decrease, the smallest id on ties. Returns the sorted
+    group."""
+    totals = [sum(sssp(g, v)) for v in range(g.n)]
+    group = [totals.index(min(totals))]
+    while len(group) < k:
+        raw = group_farness_raw(g, group)
+        decs = [raw - group_farness_raw(g, group + [v]) if v not in group else -1
+                for v in range(g.n)]
+        group.append(decs.index(max(decs)))
     return sorted(group)
 
 

@@ -5,27 +5,28 @@ PASS/FAIL lines and the reported desk-scale quality statistics.
 """
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from groupcent import centrality, checks, closeness, harmonic
+from groupcent import centrality, checks, harmonic
 from groupcent.centrality import group_farness_raw, group_harmonic
 from groupcent.checks import (DIRECTED_FLOOR, UNDIRECTED_FLOOR, bound_check,
                               closeness_sweep, harmonic_sweep,
                               submodularity_check)
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   random_graph, undirected_connected)
-from groupcent.graph import Graph, sssp
+from groupcent.graph import Graph
 from groupcent.harmonic import greedy_harmonic, local_search_harmonic
 from groupcent.closeness import greedy_closeness, local_search_closeness
 from groupcent.oracles import (evaluate_assignment, exhaustive_best,
                                export_ilp_harmonic)
 from groupcent.reporting import AlgoConfig
 from reference import (per_pair_closeness, per_pair_harmonic,
-                       plain_greedy_harmonic)
+                       plain_greedy_closeness, plain_greedy_harmonic)
 
 FLOOR_SLACK = 1e-9
 
@@ -152,16 +153,16 @@ def test_criterion_07_bound_soundness(monkeypatch):
     detail = (f"({outcome.checked} recorded bounds, "
               f"{len(outcome.violations)} violations)")
 
-    # the suite covers the start-scan bounds: an unsound one must fail it
-    def undershooting(g, u, stop_below=None, record=None):
-        exact, value = harmonic._harmonic_of_singleton(g, u)
-        record.append(value - 0.5)
-        return exact, value
-
-    def overshooting(g, v, stop_above=None, record=None):
-        exact, total = closeness._farness_of_singleton(g, v)
-        record.append(total + 1)
-        return exact, total
+    # the suite covers the start-scan bounds of either objective: an unsound
+    # one must fail it (a farness lower bound one too high is an upper
+    # bound on -farness one too low)
+    def undershooting(objective, slack):
+        def kernel(g, u, c, stop_below=None, record=None):
+            exact, value = centrality.singleton_value(g, u, c)
+            if c is objective:
+                record.append(value - slack)
+            return exact, value
+        return kernel
 
     # and the swap rows: a row off by one must fail it
     def off_by_one(state, c):
@@ -172,10 +173,11 @@ def test_criterion_07_bound_soundness(monkeypatch):
             return common + 1, entry
         return corrupted
 
-    monkeypatch.setattr(checks, "_harmonic_of_singleton", undershooting)
+    monkeypatch.setattr(checks, "singleton_value",
+                        undershooting(harmonic._harmonic_term, 0.5))
     harmonic_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
-    monkeypatch.setattr(checks, "_farness_of_singleton", overshooting)
+    monkeypatch.setattr(checks, "singleton_value", undershooting(operator.neg, 1))
     farness_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
     monkeypatch.setattr(checks, "swap_rows", off_by_one)
@@ -205,7 +207,7 @@ def test_criterion_08_pruning_transparency():
         g = (directed_strongly_connected(n, rng, weights=weights) if trial % 3 == 0
              else undirected_connected(n, rng, weights=weights))
         k = rng.randrange(2, 6)
-        if greedy_closeness(g, k, AlgoConfig(k=k)).group != _id_order_greedy_c(g, k):
+        if greedy_closeness(g, k, AlgoConfig(k=k)).group != plain_greedy_closeness(g, k):
             lazy_c_ok = False
             break
     swaps_ok = True
@@ -243,19 +245,6 @@ def test_criterion_08_pruning_transparency():
                "rows commit the swaps of per-pair scans", greedy_ok and lazy_c_ok
                and swaps_ok, "(100 greedy-h graphs, 100 greedy-c graphs, "
                "50 ls-c and 50 ls-h swap instances)")
-
-
-def _id_order_greedy_c(g, k):
-    """Unpruned, non-lazy greedy-c: the sum(sssp) argmin, then in every
-    round the largest exact farness decrease, the smallest id on ties."""
-    totals = [sum(sssp(g, v)) for v in range(g.n)]
-    group = [totals.index(min(totals))]
-    while len(group) < k:
-        raw = group_farness_raw(g, group)
-        decs = [raw - group_farness_raw(g, group + [v]) if v not in group else -1
-                for v in range(g.n)]
-        group.append(decs.index(max(decs)))
-    return sorted(group)
 
 
 def test_criterion_09_ilp_self_check(tmp_path):

@@ -150,11 +150,17 @@ class TestExitCodes:
                            "--algo", "nonsense")
         assert code == 1
 
-    def test_k_out_of_range(self, capsys, path3):
-        code, _, err = run(capsys, "solve", "--graph", path3, "--k", "9",
-                           "--algo", "greedy-h")
+    @pytest.mark.parametrize("algo, k", (("greedy-h", "4"), ("greedy-c", "3")),
+                             ids=("greedy-h", "greedy-c"))
+    @pytest.mark.parametrize("command", (["solve"], ["compare", "--baseline", "exact"]),
+                             ids=("solve", "compare"))
+    def test_k_out_of_range(self, capsys, path3, command, algo, k):
+        # the smallest k out of range on the 3-vertex path: harmonic allows
+        # k = n, closeness needs k < n
+        code, out, err = run(capsys, *command, "--graph", path3, "--k", k,
+                             "--algo", algo)
         assert code == 1
-        assert "out of range" in err
+        assert "out of range" in err and not out
 
     def test_closeness_on_disconnected_without_scc(self, capsys, disconnected):
         code, _, err = run(capsys, "solve", "--graph", disconnected, "--k", "1",

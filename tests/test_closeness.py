@@ -15,7 +15,7 @@ from groupcent.generators import (directed_strongly_connected, path_graph,
 from groupcent.graph import Graph
 from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
-from reference import per_pair_closeness
+from reference import per_pair_closeness, plain_greedy_closeness
 
 
 def _vertices_ge(buckets, t):
@@ -61,18 +61,7 @@ class TestGreedyCloseness:
                                      weights=(1,) if trial % 2 else (1, 2))
             k = 3
             report = greedy_closeness(g, k, AlgoConfig(k=k))
-            # reference: enumerate greedily without any pruning
-            ref = [min(range(g.n), key=lambda v: (group_farness_raw(g, [v]), v))]
-            while len(ref) < k:
-                best = None
-                for v in range(g.n):
-                    if v in ref:
-                        continue
-                    raw = group_farness_raw(g, sorted(ref + [v]))
-                    if best is None or raw < best[0]:
-                        best = (raw, v)
-                ref.append(best[1])
-            assert report.group == sorted(ref)
+            assert report.group == plain_greedy_closeness(g, k)
 
     def test_disconnected_rejected(self):
         g = Graph(4, [(0, 1, 1), (2, 3, 1)])

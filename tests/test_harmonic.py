@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from groupcent.centrality import group_harmonic
+from groupcent.centrality import group_harmonic, singleton_value
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   random_graph, star_graph,
                                   undirected_connected)
 from groupcent.graph import Graph, UNREACHABLE, multi_source_sssp, sssp
 from groupcent.closeness import _closeness_start_vertex
-from groupcent.harmonic import (_harmonic_of_singleton, greedy_harmonic,
+from groupcent.harmonic import (_harmonic_term, greedy_harmonic,
                                 harmonic_centralities, local_search_harmonic,
                                 pruned_marginal_gain, top_harmonic_vertex)
 from groupcent.oracles import exhaustive_best
@@ -92,7 +92,7 @@ class TestPrunedStartVertices:
             values = harmonic_centralities(g)
             for u in range(g.n):
                 rec = []
-                assert _harmonic_of_singleton(g, u, record=rec) == (True, values[u])
+                assert singleton_value(g, u, _harmonic_term, record=rec) == (True, values[u])
                 assert all(b >= values[u] - 1e-12 * max(1.0, values[u]) for b in rec)
 
 
@@ -186,6 +186,26 @@ class TestLocalSearch:
         r = local_search_harmonic(star_graph(6), 1, AlgoConfig(k=1))
         assert r.group == [0]
         assert r.swaps_committed == 0
+
+    def test_members_with_equal_removal_loss_scan_in_id_order(self):
+        # found by a seeded search: greedy picks {0, 1, 3}, dropping any one
+        # of them changes the objective by exactly the same amount, and
+        # members 0 and 1 both have acceptable swaps, so only the id
+        # tie-break of the member order makes 0's swap commit first
+        g = Graph(8, [(0, 1, 1), (0, 3, 1), (0, 7, 1), (1, 2, 1), (1, 4, 1),
+                      (2, 7, 1), (3, 4, 1), (3, 5, 1), (4, 6, 1), (6, 7, 1)])
+        cfg = AlgoConfig(k=3)
+        group = greedy_harmonic(g, 3, cfg).group
+        assert group == [0, 1, 3]
+        value = group_harmonic(g, group).value
+        threshold = value * (1 + cfg.eps / (3 * 5))
+        without = [group_harmonic(g, [m for m in group if m != u]).value for u in group]
+        assert without[0] == without[1] == without[2]
+        for u in (0, 1):
+            assert any(group_harmonic(g, sorted({v} | set(group) - {u})).value >= threshold
+                       for v in range(g.n) if v not in group)
+        r = local_search_harmonic(g, 3, cfg)
+        assert r.swap_sequence == [(0, 6)] and r.group == [1, 3, 6]
 
     def test_never_below_greedy(self):
         rng = random.Random(28)
