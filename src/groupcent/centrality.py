@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
-                    multi_source_sssp)
+                    multi_source_sssp, reachable_counts)
 
 
 class DisconnectedFarnessError(ValueError):
@@ -254,27 +254,32 @@ def local_search(g: Graph, group, c, plan, stats):
             return group, swaps
 
 
-def singleton_value(g: Graph, u: int, c, stop_below=None, record=None):
+def singleton_value(g: Graph, u: int, c, reach, stop_below=None, record=None):
     """(exact, value): the objective of the group {u}, the sum of c(d) over
     the other vertices at distance d from u, or (False, bound) once an
     upper bound on it drops below ``stop_below``. ``record`` collects every
     bound checked. ``c`` is nonincreasing, as in ``swap_rows``, but
     c(UNREACHABLE) may be -inf, which ranks a vertex that misses some
-    vertex below every vertex that reaches all.
+    vertex below every vertex that reaches all. ``reach`` is at least the
+    number of vertices u reaches, u included (``graph.reachable_counts``).
 
     The traversal is the closer-than-base one with an all-UNREACHABLE base,
-    and the bounds are the level bounds of Bergamini et al. (TKDD 2019).
-    Unit weights check the bound after counting each BFS level d: at most
-    the level's fan-out of the uncounted vertices sit at d+1, the rest at
-    least at d+2. Weighted graphs check it before counting each settled
-    vertex (d > 0): every uncounted vertex is at least d away. ``c`` is
-    called once per distance, and a completed traversal sums the terms in
-    vertex-id order, as ``harmonic.harmonic_centralities`` does."""
+    and the bounds are the level bounds of Bergamini et al. (TKDD 2019):
+    the n - reach vertices u cannot reach add c(UNREACHABLE) each, and only
+    the reach - counted uncounted ones can add more. Unit weights check the
+    bound after counting each BFS level d: at most the level's fan-out of
+    those sit at d+1, the rest at least at d+2. Weighted graphs check it
+    before counting each settled vertex (d > 0): all of them are at least d
+    away. ``c`` is called once per distance, and a completed traversal
+    sums the terms in vertex-id order, as
+    ``harmonic.harmonic_centralities`` does."""
     n = g.n
     nowhere = [UNREACHABLE] * n
-    term = [c(UNREACHABLE)] * n
+    unreached = c(UNREACHABLE)
+    term = [unreached] * n
     counted = 0
-    partial = 0
+    # what the vertices u misses add; at reach == n, 0 * -inf would be NaN
+    partial = 0 if reach == n else (n - reach) * unreached
     if g.unit_weights:
         indptr = g.indptr
         back = 0 if g.directed else 1  # undirected: one arc leads to the parent
@@ -289,7 +294,7 @@ def singleton_value(g: Graph, u: int, c, stop_below=None, record=None):
                 fanout += indptr[x + 1] - indptr[x]
             counted += len(level)
             partial += len(level) * cd
-            rem = n - counted
+            rem = reach - counted
             f = fanout if fanout < rem else rem
             bound = partial + f * c1 + (rem - f) * c2
             if record is not None:
@@ -302,7 +307,7 @@ def singleton_value(g: Graph, u: int, c, stop_below=None, record=None):
             if d:
                 if d != last:
                     last, cd = d, c(d)
-                bound = partial + (n - counted) * cd
+                bound = partial + (reach - counted) * cd
                 if record is not None:
                     record.append(bound)
                 if stop_below is not None and bound < stop_below:
@@ -323,10 +328,11 @@ def best_singleton(g: Graph, c, margin):
     Vertices are scanned in descending out-degree order, and a traversal
     aborts once its bound is below the best value so far by more than
     ``margin``."""
+    reach = reachable_counts(g)
     bounds = [None] * g.n
     best, best_u = -math.inf, g.n
     for u in sorted(range(g.n), key=lambda x: (-g.out_degree(x), x)):
-        exact, value = singleton_value(g, u, c, best - margin)
+        exact, value = singleton_value(g, u, c, reach[u], best - margin)
         bounds[u] = value
         if exact and (value > best or (value == best and u < best_u)):
             best, best_u = value, u

@@ -18,9 +18,9 @@ from .centrality import (group_farness_raw, group_harmonic, patched_distances,
                          singleton_value, state_init, swap_rows)
 from .closeness import (LevelBuckets, _farness_term, farness_decrease,
                         local_search_closeness)
-from .generators import (directed_strongly_connected, mixed_regime_graphs,
-                         undirected_connected)
-from .graph import is_connected
+from .generators import (directed_strongly_connected, layered_dag,
+                         mixed_regime_graphs, undirected_connected)
+from .graph import is_connected, reachable_counts, sssp
 from .harmonic import _harmonic_term, greedy_harmonic, local_search_harmonic
 from .oracles import exhaustive_best
 from .reporting import AlgoConfig
@@ -91,10 +91,12 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
     must the farness that v's swap row gives the same swap (u, v). For
     the added vertex v, every start-scan bound of either objective must be
     at least v's singleton value (up to float rounding), and both completed
-    traversals must match a recomputation. Given graphs that are not
+    traversals must match a recomputation; so must those of a vertex of a
+    generated DAG, where no vertex reaches all. Given graphs that are not
     (strongly) connected or have fewer than 3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
+    dag_rng = random.Random(seed + 1)
     if graphs is not None:
         graphs = [g for g in graphs if g.n >= 3 and is_connected(g)]
         if not graphs:
@@ -141,24 +143,30 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
                         f"decrease bound {b} < exact {res.value} for u={u} v={v} "
                         f"S={group} edges={g.edges()}")
             _singleton_bounds(g, v, out)
+            if graphs is None:
+                dag = layered_dag(dag_rng, dag_rng.randrange(2, 5),
+                                  dag_rng.randrange(2, 5), weights=weights)
+                _singleton_bounds(dag, dag_rng.randrange(dag.n), out)
     return out
 
 
 def _singleton_bounds(g, v, out):
-    """Start-scan bounds of vertex v against its exact singleton values:
-    harmonic centrality, and farness as the objective -farness."""
+    """Start-scan bounds of vertex v, given its reach count, against its
+    exact singleton values: harmonic centrality, and farness as the
+    objective -farness (-inf when v misses a vertex). A NaN bound fails."""
+    reach = reachable_counts(g)[v]
     for name, c, exact in (
             ("harmonic", _harmonic_term, group_harmonic(g, [v]).value),
-            ("-farness", operator.neg, -group_farness_raw(g, [v]))):
+            ("-farness", operator.neg, -sum(sssp(g, v)))):
         rec = []
-        _, value = singleton_value(g, v, c, record=rec)
+        _, value = singleton_value(g, v, c, reach, record=rec)
         out.checked += len(rec) + 1
         if value != exact:
             out.passed = False
             out.violations.append(f"singleton {name} {value} != oracle {exact} "
                                   f"for v={v} edges={g.edges()}")
         for b in rec:
-            if b < exact - ROUNDING * max(1.0, abs(exact)):
+            if not b >= exact - ROUNDING * max(1.0, abs(exact)):
                 out.passed = False
                 out.violations.append(f"singleton {name} bound {b} < exact "
                                       f"{exact} for v={v} edges={g.edges()}")

@@ -20,6 +20,9 @@ from collections import deque
 from heapq import heappop, heappush
 
 UNREACHABLE = math.inf
+# reachable_counts keeps exact vertex bitsets while components x vertices
+# stays within this many bits (8 MB); past it the counts are upper bounds
+REACH_MASK_BITS = 1 << 26
 
 
 class GraphError(ValueError):
@@ -434,23 +437,27 @@ def largest_component(g: Graph) -> Graph:
 
 
 def reachable_counts(g: Graph):
-    """r(u): number of vertices reachable from u, u included.
+    """r(u): number of vertices reachable from u, u included, or an upper
+    bound on it no larger than n; the start scan bounds the vertices u
+    misses with it.
 
-    Undirected graphs use component sizes. Directed graphs compute exact
-    reachable-set sizes on the strongly-connected condensation with bitset
-    unions, which is quadratic in the component count. No solver calls it.
+    Undirected graphs use component sizes. Directed graphs walk the
+    strongly-connected condensation in reverse topological order. While
+    components x vertices stays within ``REACH_MASK_BITS``, each component
+    ORs its successors' bitsets, one bit per vertex, into its own and
+    counts its bits, so counts are exact. Past it, r(C) = min(n, |C| + sum
+    of r over C's successors), which is linear in the graph size and exact
+    where no component is reachable from C along two paths, as on a
+    directed path.
     """
     n = g.n
-    if not g.directed:
-        comp, cid = connected_component_ids(g)
-        sizes = [0] * cid
-        for v in range(n):
-            sizes[comp[v]] += 1
-        return [sizes[comp[v]] for v in range(n)]
-    comp, cid = strongly_connected_components(g)
+    comp, cid = (strongly_connected_components(g) if g.directed
+                 else connected_component_ids(g))
     sizes = [0] * cid
     for v in range(n):
         sizes[comp[v]] += 1
+    if not g.directed:
+        return [sizes[comp[v]] for v in range(n)]
     succ: list[set[int]] = [set() for _ in range(cid)]
     indptr, targets = g.indptr, g.targets
     for u in range(n):
@@ -459,18 +466,19 @@ def reachable_counts(g: Graph):
             cv = comp[targets[i]]
             if cv != cu:
                 succ[cu].add(cv)
-    masks = [0] * cid
-    counts = [0] * cid
-    for c in range(cid):  # successors always have smaller ids
-        m = 1 << c
-        for d in succ[c]:
-            m |= masks[d]
-        masks[c] = m
-        total = 0
-        mm = m
-        while mm:
-            lsb = mm & -mm
-            total += sizes[lsb.bit_length() - 1]
-            mm ^= lsb
-        counts[c] = total
+    counts = []
+    if cid * n <= REACH_MASK_BITS:
+        # component c owns the bits [low, low + |c|); successors have
+        # smaller ids, so their bits all lie below
+        masks, low = [], 0
+        for c in range(cid):
+            m = ((1 << sizes[c]) - 1) << low
+            low += sizes[c]
+            for d in succ[c]:
+                m |= masks[d]
+            masks.append(m)
+            counts.append(m.bit_count())
+    else:
+        for c in range(cid):
+            counts.append(min(n, sizes[c] + sum(counts[d] for d in succ[c])))
     return [counts[comp[v]] for v in range(n)]

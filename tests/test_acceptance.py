@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL lines and the reported desk-scale quality statistics.
 """
 
-import math
 import operator
 import random
 import time
@@ -12,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupcent import centrality, checks, harmonic
+from groupcent import centrality, checks, graph, harmonic
 from groupcent.centrality import group_farness_raw, group_harmonic
 from groupcent.checks import (DIRECTED_FLOOR, UNDIRECTED_FLOOR, bound_check,
                               closeness_sweep, harmonic_sweep,
@@ -157,8 +156,8 @@ def test_criterion_07_bound_soundness(monkeypatch):
     # one must fail it (a farness lower bound one too high is an upper
     # bound on -farness one too low)
     def undershooting(objective, slack):
-        def kernel(g, u, c, stop_below=None, record=None):
-            exact, value = centrality.singleton_value(g, u, c)
+        def kernel(g, u, c, reach, stop_below=None, record=None):
+            exact, value = centrality.singleton_value(g, u, c, reach)
             if c is objective:
                 record.append(value - slack)
             return exact, value
@@ -173,6 +172,10 @@ def test_criterion_07_bound_soundness(monkeypatch):
             return common + 1, entry
         return corrupted
 
+    # and the reach counts those start-scan bounds rest on
+    def understated(g):
+        return [r - 1 for r in graph.reachable_counts(g)]
+
     monkeypatch.setattr(checks, "singleton_value",
                         undershooting(harmonic._harmonic_term, 0.5))
     harmonic_gated = not bound_check(cases_per_regime=5).passed
@@ -182,9 +185,13 @@ def test_criterion_07_bound_soundness(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(checks, "swap_rows", off_by_one)
     rows_gated = not bound_check(cases_per_regime=5).passed
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "reachable_counts", understated)
+    reach_gated = not bound_check(cases_per_regime=5).passed
     _criterion(7, "pruning bounds (farness decrease, harmonic start, singleton "
-               "farness) and swap rows are sound and gated", outcome.passed
-               and harmonic_gated and farness_gated and rows_gated, detail)
+               "farness, reach counts) and swap rows are sound and gated",
+               outcome.passed and harmonic_gated and farness_gated
+               and rows_gated and reach_gated, detail)
 
 
 def test_criterion_08_pruning_transparency():

@@ -10,8 +10,7 @@ from groupcent.closeness import (DisconnectedGraphError, LevelBuckets,
                                  add_estimate, farness_decrease,
                                  greedy_closeness, local_search_closeness)
 from groupcent.generators import (directed_strongly_connected, path_graph,
-                                  random_graph, star_graph,
-                                  undirected_connected)
+                                  star_graph, undirected_connected)
 from groupcent.graph import Graph
 from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig

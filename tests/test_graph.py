@@ -3,12 +3,14 @@ from itertools import combinations
 
 import pytest
 
+from groupcent import graph
 from groupcent.graph import (EdgeListFormatError, Graph, GraphError,
                              IsolatedVertexError, UNREACHABLE, closer_levels,
                              closer_settled, is_connected, largest_component,
                              load_edge_list, multi_source_sssp,
                              reachable_counts, sssp)
 from groupcent.generators import random_graph
+from test_cli import within
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -194,6 +196,32 @@ class TestReachableCounts:
         edges += [(i, rng.randrange(n), 1) for i in range(n)]
         g = Graph(n, edges, directed=True)
         assert reachable_counts(g) == self._dfs_counts(g)
+
+    def test_sum_bound_past_the_mask_cap(self, monkeypatch):
+        # too many components x vertices for bitsets: the counts become
+        # upper bounds, |C| + the successors' counts capped at n
+        monkeypatch.setattr(graph, "REACH_MASK_BITS", 0)
+        rng = random.Random(7)
+        loose = 0
+        for _ in range(60):
+            n = rng.randrange(4, 30)
+            edges = [(rng.randrange(n), rng.randrange(n), 1) for _ in range(2 * n)]
+            edges += [(i, i + 1, 1) for i in range(0, n - 1, 3)]
+            g = Graph(n, edges, directed=True, check_isolated=False)
+            exact = self._dfs_counts(g)
+            counts = reachable_counts(g)
+            assert all(e <= r <= n for e, r in zip(exact, counts))
+            loose += counts != exact
+        assert loose > 10
+        path = Graph(50, [(i, i + 1, 1) for i in range(49)], directed=True)
+        assert reachable_counts(path) == list(range(50, 0, -1))
+
+    @pytest.mark.parametrize("n", (8_000, 20_000))  # bitsets at the cap, then the sum
+    def test_long_directed_paths_return_promptly(self, n):
+        g = Graph(n, [(i, i + 1, 1) for i in range(n - 1)], directed=True)
+        assert within(10, reachable_counts, g) == list(range(n, 0, -1))
+        g = Graph(n, [(i, (i + 1) % n, 1) for i in range(n)], directed=True)
+        assert within(10, reachable_counts, g) == [n] * n
 
 
 def test_is_connected():

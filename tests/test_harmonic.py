@@ -1,14 +1,18 @@
 import math
+import operator
 import random
 
 import pytest
 
-from groupcent.centrality import group_harmonic, singleton_value
+from groupcent import centrality
+from groupcent.centrality import best_singleton, group_harmonic, singleton_value
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   random_graph, star_graph,
                                   undirected_connected)
-from groupcent.graph import Graph, UNREACHABLE, multi_source_sssp, sssp
-from groupcent.closeness import _closeness_start_vertex
+from groupcent.graph import (Graph, UNREACHABLE, multi_source_sssp,
+                            reachable_counts, sssp)
+from groupcent.closeness import (DisconnectedGraphError, _closeness_start_vertex,
+                                 greedy_closeness, local_search_closeness)
 from groupcent.harmonic import (_harmonic_term, greedy_harmonic,
                                 harmonic_centralities, local_search_harmonic,
                                 pruned_marginal_gain, top_harmonic_vertex)
@@ -90,10 +94,68 @@ class TestPrunedStartVertices:
         for trial in range(200):
             g = any_graph(rng, bool(trial % 2), (1,) if trial % 4 < 2 else (1, 3))
             values = harmonic_centralities(g)
+            reach = reachable_counts(g)
             for u in range(g.n):
                 rec = []
-                assert singleton_value(g, u, _harmonic_term, record=rec) == (True, values[u])
+                assert singleton_value(g, u, _harmonic_term, reach[u],
+                                       record=rec) == (True, values[u])
                 assert all(b >= values[u] - 1e-12 * max(1.0, values[u]) for b in rec)
+
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
+    def test_no_start_bound_is_nan(self, directed, weights):
+        # the vertices u misses add (n - reach) * c(UNREACHABLE): -inf for
+        # closeness when it misses some, so its first bound is -inf, and
+        # never 0 * -inf when it does not
+        rng = random.Random(41 + 2 * directed + len(weights))
+        missed = reached = 0
+        for _ in range(100):
+            g = any_graph(rng, directed, weights)
+            reach = reachable_counts(g)
+            for c in (_harmonic_term, operator.neg):
+                for u in range(g.n):
+                    rec = []
+                    rec.append(singleton_value(g, u, c, reach[u], record=rec)[1])
+                    assert not any(map(math.isnan, rec))
+                    if c is operator.neg and reach[u] < g.n:
+                        assert rec[0] == -math.inf
+                assert not any(map(math.isnan, best_singleton(g, c, 0)[1]))
+            missed += sum(r < g.n for r in reach)
+            reached += sum(r == g.n for r in reach)
+        assert missed > 100 and reached > 100
+
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
+    def test_reach_counts_never_change_a_selection(self, monkeypatch, directed,
+                                                   weights):
+        # reach counts only tighten start bounds: with every count at n,
+        # each solver (or its refusal of a disconnected graph) is the same
+        rng = random.Random(45 + 2 * directed + len(weights))
+        solvers = (greedy_harmonic, local_search_harmonic, greedy_closeness,
+                   local_search_closeness)
+
+        def outcomes(g, k):
+            out = [top_harmonic_vertex(g), _closeness_start_vertex(g)]
+            for solve in solvers:
+                try:
+                    r = solve(g, k, AlgoConfig(k=k))
+                except DisconnectedGraphError:
+                    out.append(None)
+                else:
+                    out.append((r.group, r.objective_value, r.raw_farness))
+            return out
+
+        cases = []
+        for _ in range(60):
+            g = any_graph(rng, directed, weights)
+            if g.n > 2:
+                cases.append((g, rng.randrange(1, min(5, g.n - 1))))
+        real = [outcomes(g, k) for g, k in cases]
+        monkeypatch.setattr(centrality, "reachable_counts", lambda g: [g.n] * g.n)
+        assert [outcomes(g, k) for g, k in cases] == real
+        reach = [reachable_counts(g) for g, _ in cases]
+        assert sum(min(r) < g.n for r, (g, _) in zip(reach, cases)) > 30
+        assert sum(o[-1] is not None for o in real) > 5  # closeness solved too
 
 
 class TestPrunedMarginalGain:

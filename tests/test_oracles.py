@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from groupcent.centrality import group_farness_raw, group_harmonic
+from groupcent.centrality import group_harmonic
 from groupcent.generators import path_graph, random_graph, undirected_connected
 from groupcent.graph import Graph
 from groupcent.oracles import (BudgetExceededError, InfeasibleAssignmentError,
