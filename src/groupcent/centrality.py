@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
-                    multi_source_sssp, reachable_counts)
+                    multi_source_sssp)
 
 
 class DisconnectedFarnessError(ValueError):
@@ -100,7 +100,7 @@ def state_init(g: Graph, group) -> GroupDistanceState:
     """
     members = sorted(set(group))
     _validate_group(g, members)
-    n, indptr, targets, wts = g.n, g.indptr, g.targets, g.weights
+    n, arcs = g.n, g.arcs
     nearest = [UNREACHABLE] * n
     rep = [-1] * n
     second = [UNREACHABLE] * n
@@ -114,10 +114,9 @@ def state_init(g: Graph, group) -> GroupDistanceState:
             nearest[x] = d
         else:
             second[x] = d
-        for i in range(indptr[x], indptr[x + 1]):
-            y = targets[i]
+        for y, w in arcs[x]:
             if second[y] == UNREACHABLE and rep[y] != r:
-                heappush(heap, (d + wts[i], r, y))
+                heappush(heap, (d + w, r, y))
     member_set = frozenset(members)
     raw: int | None = 0
     for x in range(n):
@@ -281,7 +280,7 @@ def singleton_value(g: Graph, u: int, c, reach, stop_below=None, record=None):
     # what the vertices u misses add; at reach == n, 0 * -inf would be NaN
     partial = 0 if reach == n else (n - reach) * unreached
     if g.unit_weights:
-        indptr = g.indptr
+        adj = g.adj
         back = 0 if g.directed else 1  # undirected: one arc leads to the parent
         cd, c1, c2 = 0, c(1), c(2)  # u's own term, then c(d), c(d+1), c(d+2)
         for d, level in closer_levels(g, nowhere, u):
@@ -291,7 +290,7 @@ def singleton_value(g: Graph, u: int, c, reach, stop_below=None, record=None):
                 fanout -= back * len(level)
             for x in level:
                 term[x] = cd
-                fanout += indptr[x + 1] - indptr[x]
+                fanout += len(adj[x])
             counted += len(level)
             partial += len(level) * cd
             rem = reach - counted
@@ -321,14 +320,14 @@ def singleton_value(g: Graph, u: int, c, reach, stop_below=None, record=None):
     return True, value
 
 
-def best_singleton(g: Graph, c, margin):
+def best_singleton(g: Graph, c, reach, margin):
     """(vertex, bounds): the vertex of largest ``singleton_value``, the
     smallest id on ties, and per vertex its value if its traversal
     completed or its abort bound otherwise, an upper bound either way.
+    ``reach[u]`` bounds the vertices u reaches, as in ``singleton_value``.
     Vertices are scanned in descending out-degree order, and a traversal
     aborts once its bound is below the best value so far by more than
     ``margin``."""
-    reach = reachable_counts(g)
     bounds = [None] * g.n
     best, best_u = -math.inf, g.n
     for u in sorted(range(g.n), key=lambda x: (-g.out_degree(x), x)):

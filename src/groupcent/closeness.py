@@ -116,32 +116,42 @@ def farness_decrease(g: Graph, dbase, buckets: LevelBuckets, v: int,
     Unit weights check the bound after counting each BFS level d: at most
     the level's fan-out of the uncounted vertices with base distance d+2 or
     more move to d+1, and every other uncounted vertex is at least d+2
-    away. Weighted graphs check it before counting each settled vertex:
-    every uncounted vertex is at least d away, so it saves at most
-    dbase - d.
+    away. The counted vertices are kept as counts per base distance: past
+    level 0, a vertex at level d' has base distance d'+1 or more, so once
+    level d is counted, those at d+1 or less are final and the rest are
+    the running totals minus them. Weighted graphs check it before counting each
+    settled vertex: every uncounted vertex is at least d away, so it saves
+    at most dbase - d.
     """
     dec = 0
     if g.unit_weights:
-        indptr = g.indptr
+        adj = g.adj
         back = 0 if g.directed else 1  # undirected: one arc leads to the parent
-        near = _SuffixTracker()   # counted, queried at threshold d+2
-        far = _SuffixTracker()    # counted, queried at threshold d+3
+        at = {}           # counted vertices per base distance
+        cnt = total = 0   # all counted: count, sum of base distances
+        lcnt = lsum = 0   # counted at base distance d+1 or less
         for d, level in closer_levels(g, dbase, v):
             fanout = 0
             for x in level:
                 dx = dbase[x]
                 dec += dx - d
-                near.add(dx)
-                far.add(dx)
-                fanout += indptr[x + 1] - indptr[x]
+                at[dx] = at.get(dx, 0) + 1
+                total += dx
+                fanout += len(adj[x])
+            cnt += len(level)
             if d:
                 fanout -= back * len(level)
-            ecnt2, _ = near.stats_ge(d + 2)
+            else:
+                lcnt = at.get(0, 0)  # v itself, when it is a member
+            m = at.get(d + 1, 0)
+            lcnt += m
+            lsum += (d + 1) * m
+            ecnt2 = cnt - lcnt
             avail_next = buckets.count_ge(d + 2) - ecnt2
             promoted = fanout if fanout < avail_next else avail_next
-            ecnt3, esum3 = far.stats_ge(d + 3)
-            ucnt3 = buckets.count_ge(d + 3) - ecnt3
-            usum3 = buckets.sum_ge(d + 3) - esum3
+            m = at.get(d + 2, 0)
+            ucnt3 = buckets.count_ge(d + 3) - (ecnt2 - m)
+            usum3 = buckets.sum_ge(d + 3) - (total - lsum - (d + 2) * m)
             # every vertex promoted to the next level is worth exactly one
             # more than its parked value, so only the promoted count matters
             bound = dec + promoted + (usum3 - (d + 2) * ucnt3)
@@ -178,9 +188,10 @@ def _closeness_report(g, algorithm, group, cfg, t0, stats, swap_sequence=()):
                          raw, cfg, t0, stats, swap_sequence)
 
 
-def _closeness_start_vertex(g):
-    """Vertex of least farness, the smallest id on ties."""
-    return best_singleton(g, neg, 0)[0]
+def _closeness_start_vertex(g, reach):
+    """Vertex of least farness, the smallest id on ties; ``reach`` as in
+    ``best_singleton``."""
+    return best_singleton(g, neg, reach, 0)[0]
 
 
 def _greedy_closeness_core(g, k):
@@ -196,7 +207,8 @@ def _greedy_closeness_core(g, k):
         return lambda v, best, best_v: farness_decrease(
             g, dbase, buckets, v, best + (v > best_v))
 
-    group, _ = lazy_greedy(g, k, _closeness_start_vertex(g),
+    # the solvers only run on (strongly) connected graphs: all reach all
+    group, _ = lazy_greedy(g, k, _closeness_start_vertex(g, [g.n] * g.n),
                            [UNREACHABLE] * g.n, kernel, stats, 0)
     return group, stats
 

@@ -40,18 +40,19 @@ class IsolatedVertexError(GraphError):
 
 
 class Graph:
-    """Immutable weighted graph in compressed adjacency form.
+    """Immutable weighted graph as per-vertex adjacency lists.
 
-    Undirected graphs store each edge in both adjacency lists with equal
-    weight; directed graphs additionally keep a reverse-adjacency view.
-    Duplicate edges are collapsed keeping the minimum weight and self-loops
-    are dropped, so distances are always well defined.
+    ``adj[u]`` holds u's out-neighbours in ascending id order and
+    ``arcs[u]`` the same arcs as ``(target, weight)`` pairs; ``radj[u]``
+    holds u's in-neighbours, and is ``adj`` itself when the graph is
+    undirected, where each edge sits in both endpoints' lists with equal
+    weight. Duplicate edges are collapsed keeping the minimum weight and
+    self-loops are dropped, so distances are always well defined.
     """
 
     __slots__ = (
-        "n", "directed", "indptr", "targets", "weights",
-        "rindptr", "rtargets", "rweights",
-        "min_weight", "max_weight", "unit_weights", "_edges",
+        "n", "directed", "adj", "arcs", "radj", "num_edges",
+        "min_weight", "max_weight", "unit_weights",
     )
 
     def __init__(self, n: int, edges, directed: bool = False, check_isolated: bool = True):
@@ -69,10 +70,10 @@ class Graph:
             old = dedup.get(key)
             if old is None or w < old:
                 dedup[key] = w
-        canonical = sorted((u, v, w) for (u, v), w in dedup.items())
+        keys = sorted(dedup)  # the canonical edge order
         if check_isolated:
             touched = set()
-            for u, v, _ in canonical:
+            for u, v in keys:
                 touched.add(u)
                 touched.add(v)
             if len(touched) != n:
@@ -81,20 +82,32 @@ class Graph:
 
         self.n = n
         self.directed = directed
-        self._edges = canonical
-        self.indptr, self.targets, self.weights = _build_csr(n, canonical, directed, reverse=False)
-        if directed:
-            self.rindptr, self.rtargets, self.rweights = _build_csr(n, canonical, directed, reverse=True)
-        else:
-            self.rindptr, self.rtargets, self.rweights = self.indptr, self.targets, self.weights
-        ws = [w for _, _, w in canonical]
+        self.num_edges = len(keys)
+        # canonical order appends every list in ascending target order: an
+        # undirected u gets its smaller neighbours (edges (x, u), x < u)
+        # before its larger ones (edges (u, y)). Equal (target, weight)
+        # pairs share one tuple, which on unit weights is one per target.
+        adj = [[] for _ in range(n)]
+        arcs = [[] for _ in range(n)]
+        radj = [[] for _ in range(n)] if directed else adj
+        pairs = {}
+        for key in keys:
+            u, v = key
+            w = dedup[key]
+            adj[u].append(v)
+            a = v, w
+            arcs[u].append(pairs.setdefault(a, a))
+            if directed:
+                radj[v].append(u)
+            else:
+                adj[v].append(u)
+                a = u, w
+                arcs[v].append(pairs.setdefault(a, a))
+        self.adj, self.arcs, self.radj = adj, arcs, radj
+        ws = dedup.values()
         self.min_weight = min(ws) if ws else 1
         self.max_weight = max(ws) if ws else 1
         self.unit_weights = self.max_weight == 1
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._edges)
 
     @property
     def lambda_ratio(self) -> float:
@@ -102,56 +115,23 @@ class Graph:
         return self.min_weight / self.max_weight
 
     def out_degree(self, u: int) -> int:
-        return self.indptr[u + 1] - self.indptr[u]
+        return len(self.adj[u])
 
     def neighbors(self, u: int):
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        return list(zip(self.targets[lo:hi], self.weights[lo:hi]))
+        return list(self.arcs[u])
 
     def edges(self):
-        """Canonical edge triples (u, v, w); one per undirected edge."""
-        return list(self._edges)
+        """Canonical edge triples (u, v, w), sorted; one per undirected
+        edge, as (smaller id, larger id, w)."""
+        return [(u, v, w) for u in range(self.n) for v, w in self.arcs[u]
+                if self.directed or u < v]
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(f"{int(self.directed)}\n{self.n}\n".encode())
-        for u, v, w in self._edges:
+        for u, v, w in self.edges():
             h.update(f"{u} {v} {w}\n".encode())
         return h.hexdigest()[:16]
-
-
-def _build_csr(n, edges, directed, reverse):
-    deg = [0] * n
-    for u, v, _ in edges:
-        if reverse:
-            u, v = v, u
-        deg[u] += 1
-        if not directed:
-            deg[v] += 1
-    indptr = [0] * (n + 1)
-    for i in range(n):
-        indptr[i + 1] = indptr[i] + deg[i]
-    targets = [0] * indptr[n]
-    weights = [0] * indptr[n]
-    cursor = indptr[:-1].copy()
-    for u, v, w in edges:
-        if reverse:
-            u, v = v, u
-        targets[cursor[u]] = v
-        weights[cursor[u]] = w
-        cursor[u] += 1
-        if not directed:
-            targets[cursor[v]] = u
-            weights[cursor[v]] = w
-            cursor[v] += 1
-    # sort each adjacency slice by target id for deterministic traversal order
-    for u in range(n):
-        lo, hi = indptr[u], indptr[u + 1]
-        if hi - lo > 1:
-            order = sorted(zip(targets[lo:hi], weights[lo:hi]))
-            targets[lo:hi] = [t for t, _ in order]
-            weights[lo:hi] = [w for _, w in order]
-    return indptr, targets, weights
 
 
 def load_edge_list(path, directed: bool = False, weighted: bool = False,
@@ -230,22 +210,22 @@ def multi_source_sssp(g: Graph, sources):
 
 
 def _shortest_paths(g, seeds):
-    n, indptr, targets = g.n, g.indptr, g.targets
+    n = g.n
     dist = [UNREACHABLE] * n
     if g.unit_weights:
+        adj = g.adj
         q = deque(seeds)
         for s in seeds:
             dist[s] = 0
         while q:
             u = q.popleft()
             nd = dist[u] + 1
-            for i in range(indptr[u], indptr[u + 1]):
-                v = targets[i]
+            for v in adj[u]:
                 if nd < dist[v]:
                     dist[v] = nd
                     q.append(v)
         return dist
-    wts = g.weights
+    arcs = g.arcs
     heap = [(0, s) for s in seeds]
     for s in seeds:
         dist[s] = 0
@@ -255,9 +235,8 @@ def _shortest_paths(g, seeds):
         if done[u]:
             continue
         done[u] = 1
-        for i in range(indptr[u], indptr[u + 1]):
-            v = targets[i]
-            nd = d + wts[i]
+        for v, w in arcs[u]:
+            nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 heappush(heap, (nd, v))
@@ -270,7 +249,7 @@ def closer_levels(g: Graph, dbase, v: int):
     starting with ``(0, [v])``; a vertex that fails the test at level d
     fails it at every later level too, so the cut is exact. Level d+1 is
     only built once the consumer asks for it."""
-    indptr, targets = g.indptr, g.targets
+    adj = g.adj
     seen = bytearray(g.n)
     seen[v] = 1
     level = [v]
@@ -280,8 +259,7 @@ def closer_levels(g: Graph, dbase, v: int):
         d += 1
         nxt = []
         for x in level:
-            for j in range(indptr[x], indptr[x + 1]):
-                y = targets[j]
+            for y in adj[x]:
                 if not seen[y] and d < dbase[y]:
                     seen[y] = 1
                     nxt.append(y)
@@ -294,7 +272,7 @@ def closer_settled(g: Graph, dbase, v: int):
     nondecreasing d and before x's arcs are relaxed, starting with
     ``(0, v)``. A heap entry is stale when its key exceeds the vertex's
     tentative distance."""
-    indptr, targets, wts = g.indptr, g.targets, g.weights
+    arcs = g.arcs
     tentative = [UNREACHABLE] * g.n
     tentative[v] = 0
     heap = [(0, v)]
@@ -303,9 +281,8 @@ def closer_settled(g: Graph, dbase, v: int):
         if d > tentative[x]:
             continue
         yield d, x
-        for j in range(indptr[x], indptr[x + 1]):
-            y = targets[j]
-            ny = d + wts[j]
+        for y, w in arcs[x]:
+            ny = d + w
             if ny < dbase[y] and ny < tentative[y]:
                 tentative[y] = ny
                 heappush(heap, (ny, y))
@@ -314,6 +291,7 @@ def closer_settled(g: Graph, dbase, v: int):
 def connected_component_ids(g: Graph):
     """Per-vertex component id for the underlying undirected structure."""
     n = g.n
+    sides = (g.adj, g.radj) if g.directed else (g.adj,)
     comp = [-1] * n
     cid = 0
     for root in range(n):
@@ -323,27 +301,20 @@ def connected_component_ids(g: Graph):
         q = deque([root])
         while q:
             u = q.popleft()
-            for v, _ in _all_touching(g, u):
-                if comp[v] == -1:
-                    comp[v] = cid
-                    q.append(v)
+            for side in sides:
+                for v in side[u]:
+                    if comp[v] == -1:
+                        comp[v] = cid
+                        q.append(v)
         cid += 1
     return comp, cid
-
-
-def _all_touching(g, u):
-    yield from zip(g.targets[g.indptr[u]:g.indptr[u + 1]],
-                   g.weights[g.indptr[u]:g.indptr[u + 1]])
-    if g.directed:
-        yield from zip(g.rtargets[g.rindptr[u]:g.rindptr[u + 1]],
-                       g.rweights[g.rindptr[u]:g.rindptr[u + 1]])
 
 
 def strongly_connected_components(g: Graph):
     """Iterative Tarjan. Returns (comp ids, count); components are numbered
     in emission order, which is reverse topological order of the condensation
     (every arc leaving a component points at a lower-numbered one)."""
-    n, indptr, targets = g.n, g.indptr, g.targets
+    n, adj = g.n, g.adj
     index = [-1] * n
     low = [0] * n
     on_stack = bytearray(n)
@@ -354,39 +325,36 @@ def strongly_connected_components(g: Graph):
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, None)]
         while work:
-            u, off = work[-1]
-            if off == 0:
+            u, rest = work[-1]
+            if rest is None:  # first visit; rest resumes u's arcs after a child
                 index[u] = low[u] = counter
                 counter += 1
                 stack.append(u)
                 on_stack[u] = 1
-            descended = False
-            for i in range(indptr[u] + off, indptr[u + 1]):
-                v = targets[i]
+                rest = iter(adj[u])
+                work[-1] = (u, rest)
+            for v in rest:
                 if index[v] == -1:
-                    work[-1] = (u, i - indptr[u] + 1)
-                    work.append((v, 0))
-                    descended = True
+                    work.append((v, None))
                     break
                 if on_stack[v] and index[v] < low[u]:
                     low[u] = index[v]
-            if descended:
-                continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                if low[u] < low[p]:
-                    low[p] = low[u]
-            if low[u] == index[u]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp[w] = cid
-                    if w == u:
-                        break
-                cid += 1
+            else:
+                work.pop()
+                if work:
+                    p = work[-1][0]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                if low[u] == index[u]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp[w] = cid
+                        if w == u:
+                            break
+                    cid += 1
     return comp, cid
 
 
@@ -395,24 +363,23 @@ def is_connected(g: Graph) -> bool:
     if g.n == 1:
         return True
 
-    def covers_all(indptr, targets):
+    def covers_all(adj):
         seen = bytearray(g.n)
         seen[0] = 1
         stack = [0]
         count = 1
         while stack:
             u = stack.pop()
-            for i in range(indptr[u], indptr[u + 1]):
-                v = targets[i]
+            for v in adj[u]:
                 if not seen[v]:
                     seen[v] = 1
                     count += 1
                     stack.append(v)
         return count == g.n
 
-    if not covers_all(g.indptr, g.targets):
+    if not covers_all(g.adj):
         return False
-    return not g.directed or covers_all(g.rindptr, g.rtargets)
+    return not g.directed or covers_all(g.radj)
 
 
 def largest_component(g: Graph) -> Graph:
@@ -431,7 +398,7 @@ def largest_component(g: Graph) -> Graph:
     best = min(groups, key=lambda vs: (-len(vs), vs[0]))
     keep = set(best)
     remap = {old: new for new, old in enumerate(sorted(best))}
-    edges = [(remap[u], remap[v], w) for u, v, w in g._edges
+    edges = [(remap[u], remap[v], w) for u, v, w in g.edges()
              if u in keep and v in keep]
     return Graph(len(best), edges, directed=g.directed, check_isolated=False)
 
@@ -459,11 +426,11 @@ def reachable_counts(g: Graph):
     if not g.directed:
         return [sizes[comp[v]] for v in range(n)]
     succ: list[set[int]] = [set() for _ in range(cid)]
-    indptr, targets = g.indptr, g.targets
+    adj = g.adj
     for u in range(n):
         cu = comp[u]
-        for i in range(indptr[u], indptr[u + 1]):
-            cv = comp[targets[i]]
+        for v in adj[u]:
+            cv = comp[v]
             if cv != cu:
                 succ[cu].add(cv)
     counts = []

@@ -18,7 +18,7 @@ import time
 from .centrality import (best_singleton, harmonic_sum, lazy_greedy,
                          local_search, patched_distances)
 from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
-                    multi_source_sssp, sssp)
+                    multi_source_sssp, reachable_counts, sssp)
 from .reporting import AlgoConfig, RunReport, solver_report
 
 PRUNE_MARGIN = 1e-9
@@ -41,7 +41,7 @@ def harmonic_centralities(g: Graph):
 
 def top_harmonic_vertex(g: Graph) -> int:
     """Vertex of largest harmonic centrality, the smallest id on ties."""
-    return best_singleton(g, _harmonic_term, PRUNE_MARGIN)[0]
+    return best_singleton(g, _harmonic_term, reachable_counts(g), PRUNE_MARGIN)[0]
 
 
 def pruned_marginal_gain(g: Graph, dist, u: int) -> float:
@@ -77,7 +77,8 @@ def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_
 def _greedy_core(g, k):
     """Lazy greedy selection. Returns (group, final per-vertex gain bounds,
     best gain per round, stats)."""
-    start, gain_bound = best_singleton(g, _harmonic_term, PRUNE_MARGIN)
+    start, gain_bound = best_singleton(g, _harmonic_term, reachable_counts(g),
+                                       PRUNE_MARGIN)
     stats = {"evaluated": g.n, "pruned": 0, "iterations": k}  # gains never abort
 
     def kernel(dist):

@@ -7,15 +7,18 @@ scan loops the solvers ran before swap rows: one exact traversal per
 with the same member order, candidate order and acceptance test. They
 return (sorted group, swap sequence) for comparison with
 ``local_search_closeness`` and ``local_search_harmonic``.
+``heap_farness_decrease`` is the unit-weight farness decrease with the
+suffix heaps it kept before its bound counted vertices per base distance.
 """
 
 from fractions import Fraction
 
 from groupcent.centrality import (group_farness_raw, harmonic_sum,
                                   patched_distances, removal_cost, state_init)
-from groupcent.closeness import (LevelBuckets, _greedy_closeness_core,
+from groupcent.closeness import (DecreaseResult, LevelBuckets,
+                                 _SuffixTracker, _greedy_closeness_core,
                                  add_estimate, farness_decrease)
-from groupcent.graph import multi_source_sssp, sssp
+from groupcent.graph import closer_levels, multi_source_sssp, sssp
 from groupcent.harmonic import (ABS_IMPROVE, _greedy_core,
                                 harmonic_centralities, pruned_marginal_gain)
 
@@ -46,6 +49,38 @@ def plain_greedy_closeness(g, k):
                 for v in range(g.n)]
         group.append(decs.index(max(decs)))
     return sorted(group)
+
+
+def heap_farness_decrease(g, dbase, buckets, v, stop_below=None, record=None):
+    """``farness_decrease`` on a unit-weight graph, with the counted
+    vertices' base distances in two heaps queried at thresholds d+2 and
+    d+3."""
+    assert g.unit_weights
+    dec = 0
+    back = 0 if g.directed else 1
+    near = _SuffixTracker()
+    far = _SuffixTracker()
+    for d, level in closer_levels(g, dbase, v):
+        fanout = 0
+        for x in level:
+            dx = dbase[x]
+            dec += dx - d
+            near.add(dx)
+            far.add(dx)
+            fanout += g.out_degree(x)
+        if d:
+            fanout -= back * len(level)
+        ecnt2, _ = near.stats_ge(d + 2)
+        promoted = min(fanout, buckets.count_ge(d + 2) - ecnt2)
+        ecnt3, esum3 = far.stats_ge(d + 3)
+        ucnt3 = buckets.count_ge(d + 3) - ecnt3
+        usum3 = buckets.sum_ge(d + 3) - esum3
+        bound = dec + promoted + (usum3 - (d + 2) * ucnt3)
+        if record is not None:
+            record.append(bound)
+        if stop_below is not None and bound < stop_below:
+            return DecreaseResult(False, bound)
+    return DecreaseResult(True, dec)
 
 
 def per_pair_closeness(g, k, eps):

@@ -11,10 +11,11 @@ from groupcent.closeness import (DisconnectedGraphError, LevelBuckets,
                                  greedy_closeness, local_search_closeness)
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   star_graph, undirected_connected)
-from groupcent.graph import Graph
+from groupcent.graph import Graph, multi_source_sssp
 from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
-from reference import per_pair_closeness, plain_greedy_closeness
+from reference import (heap_farness_decrease, per_pair_closeness,
+                       plain_greedy_closeness)
 
 
 def _vertices_ge(buckets, t):
@@ -122,6 +123,36 @@ class TestFarnessDecreaseBounds:
                     pruned += 1
                     assert res.value >= decs[v]
         assert pruned > 20
+
+    @pytest.mark.parametrize("directed", (False, True))
+    def test_unit_bounds_match_heap_reference(self, directed):
+        # counting per base distance records the same bounds, aborts at the
+        # same one and returns the same result as the suffix heaps did
+        rng = random.Random(44 + directed)
+        aborted = deep = 0
+        for trial in range(40):
+            n = rng.randrange(8, 40)
+            extra = rng.choice((0.02, 0.06, 0.15)) / (1 + directed)
+            g = (directed_strongly_connected(n, rng, extra=extra) if directed
+                 else undirected_connected(n, rng, extra=extra))
+            group = rng.sample(range(n), rng.randrange(2, 5))
+            if trial % 2:
+                dbase = multi_source_sssp(g, group)
+            else:  # the base of a swap that removes one member
+                dbase = patched_distances(state_init(g, group), group[0])
+            buckets = LevelBuckets.from_distances(dbase)
+            decs = [heap_farness_decrease(g, dbase, buckets, v).value
+                    for v in range(n)]
+            for v in range(n):  # members too, whose base distance is 0
+                for stop in (None, decs[v], decs[v] + 1, max(decs) + 1,
+                             rng.randrange(max(decs) + 2)):
+                    got, want = [], []
+                    res = farness_decrease(g, dbase, buckets, v, stop, got)
+                    assert (res, got) == (heap_farness_decrease(
+                        g, dbase, buckets, v, stop, want), want)
+                    aborted += not res.is_exact
+                    deep += len(got) > 3
+        assert aborted > 1000 and deep > 250
 
 
 class TestLevelBuckets:
@@ -265,7 +296,7 @@ class TestDegreeOneExclusion:
                     for v in range(g.n):
                         if v in group or g.out_degree(v) != 1:
                             continue
-                        w = g.targets[g.indptr[v]]
+                        w = g.adj[v][0]
                         for u in group:
                             swapped_v = sorted(set(group) - {u} | {v})
                             raw_v = group_farness_raw(g, swapped_v)

@@ -1,0 +1,83 @@
+"""Solver reports pinned on small seeded graphs, one per regime.
+
+The values were produced before the graph moved from compressed arrays to
+per-vertex adjacency lists. Kernels that visit vertices in another order,
+or check another bound, move a work counter here even when the group and
+the objective value stay the same.
+"""
+
+import random
+
+import pytest
+
+from groupcent import (greedy_closeness, greedy_harmonic,
+                       local_search_closeness, local_search_harmonic)
+from groupcent.generators import random_graph
+
+# name: (directed, weights, n, p, graph hash)
+REGIMES = {
+    "undirected-unit": (False, (1,), 60, 0.05, "9adc4117ea41c36e"),
+    "undirected-weighted": (False, (1, 2, 3), 120, 0.025, "931591dcc7600039"),
+    "directed-unit": (True, (1,), 100, 0.025, "8eb2a14b0b635971"),
+    "directed-weighted": (True, (1, 2, 3), 80, 0.04, "c981499b23300589"),
+}
+SOLVERS = {"greedy-h": greedy_harmonic, "ls-h": local_search_harmonic,
+           "greedy-c": greedy_closeness, "ls-c": local_search_closeness}
+
+# (regime, k, algorithm): (group, objectiveValue, rawFarness,
+#  candidatesEvaluated, traversalsPruned, iterations, swapsCommitted);
+# every closeness run aborts traversals, and two local searches swap
+GOLDEN = {
+    ('undirected-unit', 3, 'greedy-h'): ([1, 6, 44], 41.5, None, 134, 0, 3, 0),
+    ('undirected-unit', 3, 'ls-h'): ([1, 6, 44], 41.5, None, 191, 0, 1, 0),
+    ('undirected-unit', 3, 'greedy-c'): ([1, 34, 44], 0.6741573033707865, 89, 173, 105, 3, 0),
+    ('undirected-unit', 3, 'ls-c'): ([1, 34, 44], 0.6741573033707865, 89, 229, 105, 1, 0),
+    ('undirected-unit', 5, 'greedy-h'): ([1, 6, 23, 25, 44], 46.0, None, 173, 0, 5, 0),
+    ('undirected-unit', 5, 'ls-h'): ([1, 6, 23, 25, 44], 46.0, None, 228, 0, 1, 0),
+    ('undirected-unit', 5, 'greedy-c'): ([1, 6, 31, 34, 44], 0.8108108108108109, 74, 263, 190, 5, 0),
+    ('undirected-unit', 5, 'ls-c'): ([1, 6, 31, 34, 44], 0.8108108108108109, 74, 317, 190, 1, 0),
+    ('undirected-weighted', 3, 'greedy-h'): ([7, 37, 84], 44.069047619047645, None, 255, 0, 3, 0),
+    ('undirected-weighted', 3, 'ls-h'): ([7, 37, 84], 44.069047619047645, None, 372, 0, 1, 0),
+    ('undirected-weighted', 3, 'greedy-c'): ([7, 28, 37], 0.3053435114503817, 393, 332, 152, 3, 0),
+    ('undirected-weighted', 3, 'ls-c'): ([7, 28, 37], 0.3053435114503817, 393, 449, 152, 1, 0),
+    ('undirected-weighted', 5, 'greedy-h'): ([7, 11, 37, 44, 84], 51.05952380952386, None, 264, 0, 5, 0),
+    ('undirected-weighted', 5, 'ls-h'): ([11, 12, 23, 37, 84], 51.77619047619049, None, 609, 0, 3, 2),
+    ('undirected-weighted', 5, 'greedy-c'): ([7, 28, 37, 44, 98], 0.3582089552238806, 335, 374, 164, 5, 0),
+    ('undirected-weighted', 5, 'ls-c'): ([7, 28, 37, 44, 98], 0.3582089552238806, 335, 489, 164, 1, 0),
+    ('directed-unit', 3, 'greedy-h'): ([1, 17, 55], 51.75000000000004, None, 217, 0, 3, 0),
+    ('directed-unit', 3, 'ls-h'): ([1, 17, 55], 51.75000000000004, None, 314, 0, 1, 0),
+    ('directed-unit', 3, 'greedy-c'): ([1, 17, 55], 0.4716981132075472, 212, 294, 182, 3, 0),
+    ('directed-unit', 3, 'ls-c'): ([1, 17, 55], 0.4716981132075472, 212, 391, 182, 1, 0),
+    ('directed-unit', 5, 'greedy-h'): ([1, 17, 55, 75, 80], 59.000000000000036, None, 268, 0, 5, 0),
+    ('directed-unit', 5, 'ls-h'): ([1, 17, 55, 75, 80], 59.000000000000036, None, 363, 0, 1, 0),
+    ('directed-unit', 5, 'greedy-c'): ([1, 17, 19, 55, 75], 0.5555555555555556, 180, 411, 285, 5, 0),
+    ('directed-unit', 5, 'ls-c'): ([1, 17, 19, 55, 75], 0.5555555555555556, 180, 506, 285, 1, 0),
+    ('directed-weighted', 3, 'greedy-h'): ([28, 32, 76], 34.027380952380945, None, 170, 0, 3, 0),
+    ('directed-weighted', 3, 'ls-h'): ([28, 32, 76], 34.027380952380945, None, 247, 0, 1, 0),
+    ('directed-weighted', 3, 'greedy-c'): ([2, 28, 32], 0.3333333333333333, 240, 221, 98, 3, 0),
+    ('directed-weighted', 3, 'ls-c'): ([28, 32, 76], 0.3418803418803419, 234, 339, 98, 3, 2),
+    ('directed-weighted', 5, 'greedy-h'): ([7, 28, 32, 74, 76], 39.20833333333333, None, 203, 0, 5, 0),
+    ('directed-weighted', 5, 'ls-h'): ([7, 28, 32, 74, 76], 39.20833333333333, None, 278, 0, 1, 0),
+    ('directed-weighted', 5, 'greedy-c'): ([1, 2, 28, 32, 74], 0.4, 200, 280, 113, 5, 0),
+    ('directed-weighted', 5, 'ls-c'): ([1, 2, 28, 32, 74], 0.4, 200, 355, 113, 1, 0),
+}
+
+
+def regime_graph(name):
+    directed, weights, n, p, _ = REGIMES[name]
+    seed = 900 + list(REGIMES).index(name)
+    return random_graph(n, random.Random(seed), directed=directed, p=p,
+                        weights=weights)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_reports_match_golden(regime):
+    g = regime_graph(regime)
+    assert g.content_hash() == REGIMES[regime][4]
+    for k in (3, 5):
+        for algo, solve in SOLVERS.items():
+            r = solve(g, k)
+            got = (r.group, r.objective_value, r.raw_farness,
+                   r.candidates_evaluated, r.traversals_pruned, r.iterations,
+                   r.swaps_committed)
+            assert got == GOLDEN[regime, k, algo], (regime, k, algo)

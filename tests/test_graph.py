@@ -74,6 +74,51 @@ class TestLoader:
             load_edge_list(write(tmp_path, "0 1\n-2 1\n"))
 
 
+class TestLayout:
+    # duplicates in both directions, a self-loop and an edge given twice
+    EDGES = [(4, 0, 3), (0, 1, 2), (1, 0, 1), (2, 2, 5), (3, 1, 4), (2, 4, 1),
+             (5, 3, 2), (1, 5, 7), (5, 1, 6), (0, 3, 1)]
+
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
+    def test_adjacency_lists_match_edges(self, directed, weights):
+        rng = random.Random(5 + 2 * directed + len(weights))
+        for _ in range(30):
+            g = random_graph(rng.randrange(2, 25), rng, directed=directed,
+                             p=rng.choice((0.05, 0.2, 0.5)), weights=weights)
+            arcs = sorted((u, v, w) for u, v, w in g.edges())
+            if not directed:
+                arcs = sorted(arcs + [(v, u, w) for u, v, w in arcs])
+            assert sorted((u, v, w) for u in range(g.n)
+                          for v, w in g.neighbors(u)) == arcs
+            for u in range(g.n):
+                assert g.adj[u] == sorted(set(g.adj[u]))
+                assert g.adj[u] == [v for v, _ in g.neighbors(u)]
+                assert g.arcs[u] == g.neighbors(u)
+                assert g.out_degree(u) == len(g.adj[u])
+            transpose = [[] for _ in range(g.n)]
+            for u in range(g.n):
+                for v in g.adj[u]:
+                    transpose[v].append(u)
+            assert g.radj == transpose
+            assert g.num_edges == len(g.edges())
+
+    def test_weak_components_follow_both_arc_directions(self):
+        g = Graph(6, [(0, 1, 1), (2, 1, 1), (4, 3, 1), (5, 4, 1)], directed=True)
+        assert graph.connected_component_ids(g) == ([0, 0, 0, 1, 1, 1], 2)
+
+    def test_hash_and_edges_pinned(self):
+        g = Graph(6, self.EDGES)
+        assert g.content_hash() == "727c3d17cd21a305"
+        assert g.edges() == [(0, 1, 1), (0, 3, 1), (0, 4, 3), (1, 3, 4),
+                             (1, 5, 6), (2, 4, 1), (3, 5, 2)]
+        g = Graph(6, self.EDGES, directed=True)
+        assert g.content_hash() == "e81c7d32c013934a"
+        assert g.edges() == [(0, 1, 2), (0, 3, 1), (1, 0, 1), (1, 5, 7),
+                             (2, 4, 1), (3, 1, 4), (4, 0, 3), (5, 1, 6),
+                             (5, 3, 2)]
+
+
 class TestLargestComponent:
     def test_two_triangles_tie_to_smallest_id(self):
         edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)]

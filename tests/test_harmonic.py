@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from groupcent import centrality
+from groupcent import harmonic
 from groupcent.centrality import best_singleton, group_harmonic, singleton_value
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   random_graph, star_graph,
@@ -69,7 +69,8 @@ class TestPrunedStartVertices:
         for _ in range(150):
             g = any_graph(rng, directed, weights)
             want = self.reference(g)
-            assert (top_harmonic_vertex(g), _closeness_start_vertex(g)) == want
+            assert (top_harmonic_vertex(g),
+                    _closeness_start_vertex(g, reachable_counts(g))) == want
             disconnected += any(d == UNREACHABLE for d in sssp(g, want[0]))
         assert disconnected > 20
 
@@ -84,7 +85,7 @@ class TestPrunedStartVertices:
         for n in range(3, 16):
             g = cycle(n, directed, w)
             want_h, want_c = self.reference(g)
-            assert want_c == 0 and _closeness_start_vertex(g) == 0
+            assert want_c == 0 and _closeness_start_vertex(g, [n] * n) == 0
             assert top_harmonic_vertex(g) == want_h
             if len(set(harmonic_centralities(g))) == 1:
                 assert want_h == 0
@@ -119,7 +120,7 @@ class TestPrunedStartVertices:
                     assert not any(map(math.isnan, rec))
                     if c is operator.neg and reach[u] < g.n:
                         assert rec[0] == -math.inf
-                assert not any(map(math.isnan, best_singleton(g, c, 0)[1]))
+                assert not any(map(math.isnan, best_singleton(g, c, reach, 0)[1]))
             missed += sum(r < g.n for r in reach)
             reached += sum(r == g.n for r in reach)
         assert missed > 100 and reached > 100
@@ -129,13 +130,16 @@ class TestPrunedStartVertices:
     def test_reach_counts_never_change_a_selection(self, monkeypatch, directed,
                                                    weights):
         # reach counts only tighten start bounds: with every count at n,
-        # each solver (or its refusal of a disconnected graph) is the same
+        # each solver (or its refusal of a disconnected graph) is the same.
+        # The closeness solvers take every count at n already; the closeness
+        # start scan here takes the counts the harmonic solvers use
         rng = random.Random(45 + 2 * directed + len(weights))
         solvers = (greedy_harmonic, local_search_harmonic, greedy_closeness,
                    local_search_closeness)
 
         def outcomes(g, k):
-            out = [top_harmonic_vertex(g), _closeness_start_vertex(g)]
+            out = [top_harmonic_vertex(g),
+                   _closeness_start_vertex(g, harmonic.reachable_counts(g))]
             for solve in solvers:
                 try:
                     r = solve(g, k, AlgoConfig(k=k))
@@ -151,7 +155,7 @@ class TestPrunedStartVertices:
             if g.n > 2:
                 cases.append((g, rng.randrange(1, min(5, g.n - 1))))
         real = [outcomes(g, k) for g, k in cases]
-        monkeypatch.setattr(centrality, "reachable_counts", lambda g: [g.n] * g.n)
+        monkeypatch.setattr(harmonic, "reachable_counts", lambda g: [g.n] * g.n)
         assert [outcomes(g, k) for g, k in cases] == real
         reach = [reachable_counts(g) for g, _ in cases]
         assert sum(min(r) < g.n for r, (g, _) in zip(reach, cases)) > 30
