@@ -1,6 +1,7 @@
 """Group centrality objectives, the incremental group-distance state, and
-the start scan, lazy greedy and single-swap local search both objectives
-share, each parameterized by what one vertex at distance d adds.
+the start scan, exact marginal value, lazy greedy and single-swap local
+search both objectives share, each parameterized by what one vertex at
+distance d adds.
 
 Group-harmonic centrality of a group S sums reciprocal distances from S to
 every outside vertex (unreachable vertices contribute zero). Group farness
@@ -251,6 +252,35 @@ def local_search(g: Graph, group, c, plan, stats):
             break
         else:
             return group, swaps
+
+
+def marginal_value(g: Graph, dist, v: int, c):
+    """Exact change in the objective when v joins the group whose distances
+    are ``dist``; 0 when v is already a member. ``c`` is what a vertex at
+    distance d adds, as in ``swap_rows``. One closer-than-base traversal
+    from v: each vertex x it reaches past v trades c(dist[x]) for c(d),
+    and v itself, now a member, loses c(dist[v]). ``c`` is called once per
+    distance d, and the terms are summed in traversal order."""
+    own = dist[v]
+    if not own:
+        return 0
+    value = 0
+    if g.unit_weights:
+        levels = closer_levels(g, dist, v)
+        next(levels)  # (0, [v])
+        for d, level in levels:
+            cd = c(d)
+            for x in level:
+                value += cd - c(dist[x])
+    else:
+        settled = closer_settled(g, dist, v)
+        next(settled)  # (0, v)
+        last = 0
+        for d, x in settled:
+            if d != last:
+                last, cd = d, c(d)
+            value += cd - c(dist[x])
+    return value - c(own)
 
 
 def singleton_value(g: Graph, u: int, c, reach, stop_below=None, record=None):

@@ -85,10 +85,10 @@ def submodularity_check(num_graphs: int = 50, min_triples: int = 1000,
 def bound_check(cases_per_regime: int = 200, seed: int = 2,
                 graphs=None) -> CheckOutcome:
     """Every farness-decrease bound a traversal checks (after each BFS
-    level with unit weights, before each settled vertex otherwise) must
-    dominate the exact decrease the completed traversal reports, and that
-    decrease must match an independent recomputation (exact integers), as
-    must the farness that v's swap row gives the same swap (u, v). For
+    level; only unit weights have one) must dominate the exact decrease the
+    completed traversal reports. That decrease must match an independent
+    recomputation (exact integers) in both weight regimes, as must the
+    farness that v's swap row gives the same swap (u, v). For
     the added vertex v, every start-scan bound of either objective must be
     at least v's singleton value (up to float rounding), and both completed
     traversals must match a recomputation; so must those of a vertex of a

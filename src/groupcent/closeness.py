@@ -5,8 +5,9 @@ The start scan, lazy greedy and local search are the shared ones of
 the raw integer sum of distances, so every bound, threshold and acceptance
 test is exact arithmetic, and pruning never changes a selection, only how
 much work is spent rejecting the losers. This module adds the farness
-decrease of a greedy addition, whose traversal over the group's distances
-stops on an integer upper bound, and the Fraction swap threshold
+decrease of a greedy addition, whose BFS over the group's distances stops
+on an integer upper bound on unit weights and which on weighted graphs is
+the shared exact ``marginal_value``, and the Fraction swap threshold
 (1 - eps/Q) * raw.
 """
 
@@ -15,15 +16,13 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import floor as int_floor
 from operator import neg
 from typing import NamedTuple
 
 from .centrality import (best_singleton, group_farness_raw, lazy_greedy,
-                         local_search, removal_cost)
-from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
-                    is_connected)
+                         local_search, marginal_value, removal_cost)
+from .graph import Graph, UNREACHABLE, closer_levels, is_connected
 from .reporting import AlgoConfig, RunReport, solver_report
 
 
@@ -75,29 +74,6 @@ class LevelBuckets:
         return self._suffix_sum[bisect_left(self._dists, t)]
 
 
-class _SuffixTracker:
-    """Count/sum of recorded values at or above a nondecreasing threshold."""
-
-    __slots__ = ("_heap", "cnt", "total")
-
-    def __init__(self):
-        self._heap = []
-        self.cnt = 0
-        self.total = 0
-
-    def add(self, value):
-        heappush(self._heap, value)
-        self.cnt += 1
-        self.total += value
-
-    def stats_ge(self, t):
-        h = self._heap
-        while h and h[0] < t:
-            self.cnt -= 1
-            self.total -= heappop(h)
-        return self.cnt, self.total
-
-
 def add_estimate(state, v: int) -> float:
     """Scan priority for candidate v: far and high-fanout first.
 
@@ -109,69 +85,57 @@ def farness_decrease(g: Graph, dbase, buckets: LevelBuckets, v: int,
                      stop_below=None, record=None) -> DecreaseResult:
     """Raw-farness decrease from adding v to the group behind ``dbase``.
 
-    Aborts (returning the current upper bound) as soon as the bound drops
-    below ``stop_below``; with ``stop_below=None`` the result is exact.
-    ``record`` collects every bound checked.
+    On unit weights the traversal aborts (returning the current upper
+    bound) as soon as the bound drops below ``stop_below``; with
+    ``stop_below=None`` the result is exact. ``record`` collects every
+    bound checked. The bound is checked after counting each BFS level d: at
+    most the level's fan-out of the uncounted vertices with base distance
+    d+2 or more move to d+1, and every other uncounted vertex is at least
+    d+2 away. The counted vertices are kept as counts per base distance:
+    past level 0, a vertex at level d' has base distance d'+1 or more, so
+    once level d is counted, those at d+1 or less are final and the rest
+    are the running totals minus them.
 
-    Unit weights check the bound after counting each BFS level d: at most
-    the level's fan-out of the uncounted vertices with base distance d+2 or
-    more move to d+1, and every other uncounted vertex is at least d+2
-    away. The counted vertices are kept as counts per base distance: past
-    level 0, a vertex at level d' has base distance d'+1 or more, so once
-    level d is counted, those at d+1 or less are final and the rest are
-    the running totals minus them. Weighted graphs check it before counting each
-    settled vertex: every uncounted vertex is at least d away, so it saves
-    at most dbase - d.
+    Weighted graphs return the exact decrease and check no bound: a
+    settle-by-settle bound cost more than the evaluations it saved.
     """
+    if not g.unit_weights:
+        return DecreaseResult(True, marginal_value(g, dbase, v, neg))
     dec = 0
-    if g.unit_weights:
-        adj = g.adj
-        back = 0 if g.directed else 1  # undirected: one arc leads to the parent
-        at = {}           # counted vertices per base distance
-        cnt = total = 0   # all counted: count, sum of base distances
-        lcnt = lsum = 0   # counted at base distance d+1 or less
-        for d, level in closer_levels(g, dbase, v):
-            fanout = 0
-            for x in level:
-                dx = dbase[x]
-                dec += dx - d
-                at[dx] = at.get(dx, 0) + 1
-                total += dx
-                fanout += len(adj[x])
-            cnt += len(level)
-            if d:
-                fanout -= back * len(level)
-            else:
-                lcnt = at.get(0, 0)  # v itself, when it is a member
-            m = at.get(d + 1, 0)
-            lcnt += m
-            lsum += (d + 1) * m
-            ecnt2 = cnt - lcnt
-            avail_next = buckets.count_ge(d + 2) - ecnt2
-            promoted = fanout if fanout < avail_next else avail_next
-            m = at.get(d + 2, 0)
-            ucnt3 = buckets.count_ge(d + 3) - (ecnt2 - m)
-            usum3 = buckets.sum_ge(d + 3) - (total - lsum - (d + 2) * m)
-            # every vertex promoted to the next level is worth exactly one
-            # more than its parked value, so only the promoted count matters
-            bound = dec + promoted + (usum3 - (d + 2) * ucnt3)
-            if record is not None:
-                record.append(bound)
-            if stop_below is not None and bound < stop_below:
-                return DecreaseResult(False, bound)
-    else:
-        counted = _SuffixTracker()
-        for d, x in closer_settled(g, dbase, v):
-            ecnt, esum = counted.stats_ge(d + 1)
-            ucnt = buckets.count_ge(d + 1) - ecnt
-            usum = buckets.sum_ge(d + 1) - esum
-            bound = dec + (usum - d * ucnt)
-            if record is not None:
-                record.append(bound)
-            if stop_below is not None and bound < stop_below:
-                return DecreaseResult(False, bound)
-            dec += dbase[x] - d
-            counted.add(dbase[x])
+    adj = g.adj
+    back = 0 if g.directed else 1  # undirected: one arc leads to the parent
+    at = {}           # counted vertices per base distance
+    cnt = total = 0   # all counted: count, sum of base distances
+    lcnt = lsum = 0   # counted at base distance d+1 or less
+    for d, level in closer_levels(g, dbase, v):
+        fanout = 0
+        for x in level:
+            dx = dbase[x]
+            dec += dx - d
+            at[dx] = at.get(dx, 0) + 1
+            total += dx
+            fanout += len(adj[x])
+        cnt += len(level)
+        if d:
+            fanout -= back * len(level)
+        else:
+            lcnt = at.get(0, 0)  # v itself, when it is a member
+        m = at.get(d + 1, 0)
+        lcnt += m
+        lsum += (d + 1) * m
+        ecnt2 = cnt - lcnt
+        avail_next = buckets.count_ge(d + 2) - ecnt2
+        promoted = fanout if fanout < avail_next else avail_next
+        m = at.get(d + 2, 0)
+        ucnt3 = buckets.count_ge(d + 3) - (ecnt2 - m)
+        usum3 = buckets.sum_ge(d + 3) - (total - lsum - (d + 2) * m)
+        # every vertex promoted to the next level is worth exactly one
+        # more than its parked value, so only the promoted count matters
+        bound = dec + promoted + (usum3 - (d + 2) * ucnt3)
+        if record is not None:
+            record.append(bound)
+        if stop_below is not None and bound < stop_below:
+            return DecreaseResult(False, bound)
     return DecreaseResult(True, dec)
 
 

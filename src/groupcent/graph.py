@@ -43,15 +43,14 @@ class Graph:
     """Immutable weighted graph as per-vertex adjacency lists.
 
     ``adj[u]`` holds u's out-neighbours in ascending id order and
-    ``arcs[u]`` the same arcs as ``(target, weight)`` pairs; ``radj[u]``
-    holds u's in-neighbours, and is ``adj`` itself when the graph is
-    undirected, where each edge sits in both endpoints' lists with equal
-    weight. Duplicate edges are collapsed keeping the minimum weight and
-    self-loops are dropped, so distances are always well defined.
+    ``arcs[u]`` the same arcs as ``(target, weight)`` pairs. An undirected
+    edge sits in both endpoints' lists with equal weight. Duplicate edges
+    are collapsed keeping the minimum weight and self-loops are dropped, so
+    distances are always well defined.
     """
 
     __slots__ = (
-        "n", "directed", "adj", "arcs", "radj", "num_edges",
+        "n", "directed", "adj", "arcs", "num_edges",
         "min_weight", "max_weight", "unit_weights",
     )
 
@@ -89,7 +88,6 @@ class Graph:
         # pairs share one tuple, which on unit weights is one per target.
         adj = [[] for _ in range(n)]
         arcs = [[] for _ in range(n)]
-        radj = [[] for _ in range(n)] if directed else adj
         pairs = {}
         for key in keys:
             u, v = key
@@ -97,13 +95,11 @@ class Graph:
             adj[u].append(v)
             a = v, w
             arcs[u].append(pairs.setdefault(a, a))
-            if directed:
-                radj[v].append(u)
-            else:
+            if not directed:
                 adj[v].append(u)
                 a = u, w
                 arcs[v].append(pairs.setdefault(a, a))
-        self.adj, self.arcs, self.radj = adj, arcs, radj
+        self.adj, self.arcs = adj, arcs
         ws = dedup.values()
         self.min_weight = min(ws) if ws else 1
         self.max_weight = max(ws) if ws else 1
@@ -289,9 +285,10 @@ def closer_settled(g: Graph, dbase, v: int):
 
 
 def connected_component_ids(g: Graph):
-    """Per-vertex component id for the underlying undirected structure."""
-    n = g.n
-    sides = (g.adj, g.radj) if g.directed else (g.adj,)
+    """Per-vertex component id of an undirected graph."""
+    if g.directed:
+        raise ValueError("connected_component_ids needs an undirected graph")
+    n, adj = g.n, g.adj
     comp = [-1] * n
     cid = 0
     for root in range(n):
@@ -301,11 +298,10 @@ def connected_component_ids(g: Graph):
         q = deque([root])
         while q:
             u = q.popleft()
-            for side in sides:
-                for v in side[u]:
-                    if comp[v] == -1:
-                        comp[v] = cid
-                        q.append(v)
+            for v in adj[u]:
+                if comp[v] == -1:
+                    comp[v] = cid
+                    q.append(v)
         cid += 1
     return comp, cid
 
@@ -359,27 +355,24 @@ def strongly_connected_components(g: Graph):
 
 
 def is_connected(g: Graph) -> bool:
-    """Connected (undirected) or strongly connected (directed)."""
-    if g.n == 1:
-        return True
-
-    def covers_all(adj):
-        seen = bytearray(g.n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count == g.n
-
-    if not covers_all(g.adj):
+    """Connected (undirected) or strongly connected (directed). A search
+    from vertex 0 must reach every vertex; a directed graph that passes
+    must also be one strongly connected component."""
+    adj = g.adj
+    seen = bytearray(g.n)
+    seen[0] = 1
+    stack = [0]
+    count = 1
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = 1
+                count += 1
+                stack.append(v)
+    if count < g.n:
         return False
-    return not g.directed or covers_all(g.radj)
+    return not g.directed or strongly_connected_components(g)[1] == 1
 
 
 def largest_component(g: Graph) -> Graph:

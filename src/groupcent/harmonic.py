@@ -1,13 +1,13 @@
 """Greedy and local-search maximizers for group-harmonic centrality.
 
-The start scan, lazy greedy and local search are the shared ones of
-``centrality``, run with ``_harmonic_term``: a vertex at distance d adds
-1/d. This module adds the exact marginal gain, which runs over the
-closer-than-base traversal of ``graph`` without a bound, and the float
-margins. The start scan and lazy rounds only stop once a bound is below the
-incumbent by ``PRUNE_MARGIN``, so exact ties are always evaluated and go to
-the smallest id, as in a plain exhaustive greedy; the start scan's values
-and abort bounds seed the second round's queue.
+The start scan, exact marginal gain, lazy greedy and local search are the
+shared ones of ``centrality``, run with ``_harmonic_term``: a vertex at
+distance d adds 1/d. Gains run without a bound, so they never abort. This
+module adds the float margins. The start scan and lazy rounds only stop
+once a bound is below the incumbent by ``PRUNE_MARGIN``, so exact ties are
+always evaluated and go to the smallest id, as in a plain exhaustive
+greedy; the start scan's values and abort bounds seed the second round's
+queue.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import math
 import time
 
 from .centrality import (best_singleton, harmonic_sum, lazy_greedy,
-                         local_search, patched_distances)
-from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
-                    multi_source_sssp, reachable_counts, sssp)
+                         local_search, marginal_value, patched_distances)
+from .graph import (Graph, UNREACHABLE, multi_source_sssp, reachable_counts,
+                    sssp)
 from .reporting import AlgoConfig, RunReport, solver_report
 
 PRUNE_MARGIN = 1e-9
@@ -46,25 +46,8 @@ def top_harmonic_vertex(g: Graph) -> int:
 
 def pruned_marginal_gain(g: Graph, dist, u: int) -> float:
     """Exact marginal harmonic gain of adding u to the group whose
-    distances are ``dist``; 0.0 when u is already a member. Each vertex
-    strictly closer to u than to the group trades 1/dist for 1/d, and u
-    itself loses its own 1/dist."""
-    su = dist[u]
-    if not su:
-        return 0.0
-    gain = 0.0
-    if g.unit_weights:
-        for d, level in closer_levels(g, dist, u):
-            if d:
-                for y in level:
-                    dy = dist[y]
-                    gain += 1.0 / d - (0.0 if dy == UNREACHABLE else 1.0 / dy)
-    else:
-        for d, y in closer_settled(g, dist, u):
-            if d:
-                dy = dist[y]
-                gain += 1.0 / d - (0.0 if dy == UNREACHABLE else 1.0 / dy)
-    return gain - (0.0 if su == UNREACHABLE else 1.0 / su)
+    distances are ``dist``; 0 when u is already a member."""
+    return marginal_value(g, dist, u, _harmonic_term)
 
 
 def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_gains=()):

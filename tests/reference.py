@@ -12,12 +12,13 @@ suffix heaps it kept before its bound counted vertices per base distance.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from groupcent.centrality import (group_farness_raw, harmonic_sum,
                                   patched_distances, removal_cost, state_init)
 from groupcent.closeness import (DecreaseResult, LevelBuckets,
-                                 _SuffixTracker, _greedy_closeness_core,
-                                 add_estimate, farness_decrease)
+                                 _greedy_closeness_core, add_estimate,
+                                 farness_decrease)
 from groupcent.graph import closer_levels, multi_source_sssp, sssp
 from groupcent.harmonic import (ABS_IMPROVE, _greedy_core,
                                 harmonic_centralities, pruned_marginal_gain)
@@ -49,6 +50,29 @@ def plain_greedy_closeness(g, k):
                 for v in range(g.n)]
         group.append(decs.index(max(decs)))
     return sorted(group)
+
+
+class _SuffixTracker:
+    """Count/sum of recorded values at or above a nondecreasing threshold."""
+
+    __slots__ = ("_heap", "cnt", "total")
+
+    def __init__(self):
+        self._heap = []
+        self.cnt = 0
+        self.total = 0
+
+    def add(self, value):
+        heappush(self._heap, value)
+        self.cnt += 1
+        self.total += value
+
+    def stats_ge(self, t):
+        h = self._heap
+        while h and h[0] < t:
+            self.cnt -= 1
+            self.total -= heappop(h)
+        return self.cnt, self.total
 
 
 def heap_farness_decrease(g, dbase, buckets, v, stop_below=None, record=None):

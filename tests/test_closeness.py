@@ -101,6 +101,12 @@ class TestFarnessDecreaseBounds:
             assert res.value == oracle
             for bound in rec:
                 assert bound >= res.value
+            if not g.unit_weights:
+                # weighted decreases are exact: no bound is checked, so a
+                # threshold above the decrease aborts nothing
+                assert rec == []
+                assert farness_decrease(g, dbase, buckets, v,
+                                        stop_below=res.value + 1) == (True, oracle)
 
     def test_aborts_below_threshold_with_valid_bound(self):
         rng = random.Random(43)

@@ -96,16 +96,12 @@ class TestLayout:
                 assert g.adj[u] == [v for v, _ in g.neighbors(u)]
                 assert g.arcs[u] == g.neighbors(u)
                 assert g.out_degree(u) == len(g.adj[u])
-            transpose = [[] for _ in range(g.n)]
-            for u in range(g.n):
-                for v in g.adj[u]:
-                    transpose[v].append(u)
-            assert g.radj == transpose
             assert g.num_edges == len(g.edges())
 
-    def test_weak_components_follow_both_arc_directions(self):
-        g = Graph(6, [(0, 1, 1), (2, 1, 1), (4, 3, 1), (5, 4, 1)], directed=True)
-        assert graph.connected_component_ids(g) == ([0, 0, 0, 1, 1, 1], 2)
+    def test_component_ids_need_an_undirected_graph(self):
+        g = Graph(3, [(0, 1, 1), (2, 1, 1)], directed=True)
+        with pytest.raises(ValueError, match="undirected"):
+            graph.connected_component_ids(g)
 
     def test_hash_and_edges_pinned(self):
         g = Graph(6, self.EDGES)
@@ -274,6 +270,12 @@ def test_is_connected():
     assert not is_connected(Graph(4, [(0, 1, 1), (2, 3, 1)]))
     assert is_connected(Graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)], directed=True))
     assert not is_connected(Graph(3, [(0, 1, 1), (1, 2, 1)], directed=True))
+    # vertex 0 is reached by every vertex but reaches none
+    assert not is_connected(Graph(3, [(1, 0, 1), (2, 0, 1), (1, 2, 1), (2, 1, 1)],
+                                  directed=True))
+    # vertex 0 reaches every vertex but none reaches it
+    assert not is_connected(Graph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 1, 1)],
+                                  directed=True))
 
 
 class TestCloserTraversals:
