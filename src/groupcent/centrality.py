@@ -1,5 +1,5 @@
 """Group centrality objectives, the incremental group-distance state, and
-the start scan, exact marginal value, lazy greedy and single-swap local
+the start scan, bounded marginal value, lazy greedy and single-swap local
 search both objectives share, each parameterized by what one vertex at
 distance d adds.
 
@@ -13,8 +13,10 @@ acceptance thresholds can be compared in exact arithmetic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
                     multi_source_sssp)
@@ -254,25 +256,58 @@ def local_search(g: Graph, group, c, plan, stats):
             return group, swaps
 
 
-def marginal_value(g: Graph, dist, v: int, c):
-    """Exact change in the objective when v joins the group whose distances
-    are ``dist``; 0 when v is already a member. ``c`` is what a vertex at
+class Marginal(NamedTuple):
+    """What ``marginal_value`` returns; ``bench/tracing.py`` counts the
+    aborted traversals of both objectives by ``is_exact``."""
+    is_exact: bool
+    value: float  # the exact change, or an upper bound on it once aborted
+
+
+def base_suffixes(dist, c):
+    """(count, total, cdist) for ``marginal_value``'s level bound, from one
+    counting pass over ``dist``: for each base distance t >= 1, ``count[t]``
+    vertices are at distance t or more and c of their distances sums to
+    ``total[t]``; the last index holds only the unreachable vertices, and
+    any larger t reads it. ``cdist[x]`` is c(dist[x])."""
+    at = Counter(dist)
+    far = at.pop(UNREACHABLE, 0)
+    top = max(at, default=0) + 1
+    count = [far] * (top + 1)
+    total = [far * c(UNREACHABLE) if far else 0] * (top + 1)  # never 0 * -inf
+    for t in range(top - 1, 0, -1):
+        m = at.get(t, 0)
+        count[t] = count[t + 1] + m
+        total[t] = total[t + 1] + m * c(t)
+    return count, total, [c(d) for d in dist]
+
+
+def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
+                   record=None) -> Marginal:
+    """(exact, value): the change in the objective when v joins the group
+    whose distances are ``dist``, or (False, bound) once an upper bound on
+    it drops below ``stop_below``; an exact 0 when v is already a member.
+    ``record`` collects every bound checked. ``c`` is what a vertex at
     distance d adds, as in ``swap_rows``. One closer-than-base traversal
-    from v: each vertex x it reaches past v trades c(dist[x]) for c(d),
-    and v itself, now a member, loses c(dist[v]). ``c`` is called once per
-    distance d, and the terms are summed in traversal order."""
+    from v: each vertex x it reaches past v trades c(dist[x]) for c(d), and
+    v itself, now a member, loses c(dist[v]); the terms are summed in
+    traversal order.
+
+    Unit weights check the level bound of Bergamini et al. (TKDD 2019)
+    after each BFS level d, written in c. An uncounted x gains only if it
+    ends closer than its base distance b: at most the level's fan-out of
+    those with b >= d+2 sit at d+1, and every other one gains at most
+    c(d+2) - c(b), which is positive only for b >= d+3. A vertex at level
+    d' has b >= d'+1, so once level d is counted, the counted vertices
+    with b <= d+1 are final, and the suffixes of ``suffix`` (built by
+    ``base_suffixes(dist, c)`` when not given) minus the running totals
+    over the counted vertices give the uncounted ones. Weighted graphs
+    return the exact value and check no bound: a settle-by-settle bound
+    cost more than the evaluations it saved."""
     own = dist[v]
     if not own:
-        return 0
+        return Marginal(True, 0)
     value = 0
-    if g.unit_weights:
-        levels = closer_levels(g, dist, v)
-        next(levels)  # (0, [v])
-        for d, level in levels:
-            cd = c(d)
-            for x in level:
-                value += cd - c(dist[x])
-    else:
+    if not g.unit_weights:
         settled = closer_settled(g, dist, v)
         next(settled)  # (0, v)
         last = 0
@@ -280,7 +315,45 @@ def marginal_value(g: Graph, dist, v: int, c):
             if d != last:
                 last, cd = d, c(d)
             value += cd - c(dist[x])
-    return value - c(own)
+        return Marginal(True, value - c(own))
+    count, total, cdist = suffix or base_suffixes(dist, c)
+    top = len(count) - 1
+    adj = g.adj
+    back = 0 if g.directed else 1  # undirected: one arc leads to the parent
+    c_own = cdist[v]
+    at = {}              # counted vertices per base distance
+    counted = csum = 0   # all counted: how many, sum of c over their bases
+    final = fsum = 0     # counted at base distance d+1 or less
+    # v's own term cancels at level 0; then cd, c1, c2 = c(d), c(d+1), c(d+2)
+    cd, c1, c2 = c_own, c(1), c(2)
+    for d, level in closer_levels(g, dist, v):
+        fanout = 0
+        if d:
+            cd, c1, c2 = c1, c2, c(d + 2)
+            fanout -= back * len(level)
+        for x in level:
+            b, cb = dist[x], cdist[x]
+            value += cd - cb
+            at[b] = at.get(b, 0) + 1
+            csum += cb
+            fanout += len(adj[x])
+        counted += len(level)
+        m = at.get(d + 1, 0)
+        final += m
+        fsum += m * c1
+        beyond = counted - final  # counted at base distance d+2 or more
+        avail = count[d + 2 if d + 2 < top else top] - beyond
+        promoted = fanout if fanout < avail else avail
+        m = at.get(d + 2, 0)
+        t = d + 3 if d + 3 < top else top
+        # every uncounted vertex at base distance d+3 or more, put at d+2
+        rest = (count[t] - beyond + m) * c2 - (total[t] - csum + fsum + m * c2)
+        bound = value - c_own + promoted * (c1 - c2) + rest
+        if record is not None:
+            record.append(bound)
+        if stop_below is not None and bound < stop_below:
+            return Marginal(False, bound)
+    return Marginal(True, value - c_own)
 
 
 def singleton_value(g: Graph, u: int, c, reach, stop_below=None, record=None):
@@ -368,30 +441,36 @@ def best_singleton(g: Graph, c, reach, margin):
     return best_u, bounds
 
 
-def lazy_greedy(g: Graph, k: int, start: int, bound, kernel, stats, margin):
+def lazy_greedy(g: Graph, k: int, start: int, bound, c, gain, stats, margin):
     """Greedy from the group {start} up to k members, with the lazy queue of
     Leskovec et al. (KDD 2007). Returns (group, best value per round).
 
-    Each round, ``kernel(dist)`` gives ``evaluate(v, best, best_v)`` over
-    the group's distances: (True, v's marginal value), or (False, an upper
-    bound on it) once v cannot beat the incumbent (the best value, then the
-    smallest id). ``bound[v]`` is an upper bound on v's marginal value and
-    keeps the last value computed for v; marginal values only shrink as the
-    group grows, so it stays one. A round pops candidates by (bound
-    descending, id) and ends once the top one is below the incumbent by
-    more than ``margin``. Evaluations count in ``stats["evaluated"]``,
-    aborts in ``stats["pruned"]``."""
+    ``gain(g, dist, v, suffix, stop_below)`` is ``marginal_value`` with
+    ``c`` over the group's distances ``dist``, and ``suffix`` is
+    ``base_suffixes(dist, c)``, built once per round on unit weights only.
+    v's traversal aborts below what v needs to beat the incumbent (the
+    best value, then the smallest id): for exact integer values (``margin``
+    0) the best value, plus one when v's id is larger; for floats, the best
+    value minus ``margin``. ``bound[v]`` is an upper bound on v's marginal
+    value and keeps the last value computed for v, exact or the first bound
+    below the stop value; marginal values only shrink as the group grows,
+    so it stays one. A round pops candidates by (bound descending, id) and
+    ends once the top one is below the incumbent by more than ``margin``.
+    Evaluations count in ``stats["evaluated"]``, aborts in
+    ``stats["pruned"]``."""
     group = [start]
     members = {start}
     gains = []
     while len(group) < k:
-        evaluate = kernel(multi_source_sssp(g, group))
+        dist = multi_source_sssp(g, group)
+        suffix = base_suffixes(dist, c) if g.unit_weights else None
         heap = [(-bound[v], v) for v in range(g.n) if v not in members]
         heapify(heap)
         best, best_v = -math.inf, g.n
         while heap and heap[0] < (margin - best, best_v):
             v = heappop(heap)[1]
-            exact, value = evaluate(v, best, best_v)
+            stop = best - margin if margin else best + (v > best_v)
+            exact, value = gain(g, dist, v, suffix, stop)
             stats["evaluated"] += 1
             bound[v] = value
             if not exact:

@@ -1,10 +1,10 @@
 """Property-check suites runnable from the CLI and reused by the test suite.
 
 Three families: diminishing-returns sampling for the harmonic objective,
-instrumented soundness checks for the pruning bounds (farness-decrease and
-start-scan upper bounds never undershoot) and for the farness of local
-search's swap rows, and greedy/local-search quality floors against the
-exhaustive oracle on small sweeps.
+instrumented soundness checks for the pruning bounds (marginal-value and
+start-scan upper bounds of either objective never undershoot) and for the
+farness of local search's swap rows, and greedy/local-search quality floors
+against the exhaustive oracle on small sweeps.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 from .centrality import (group_farness_raw, group_harmonic, patched_distances,
                          singleton_value, state_init, swap_rows)
-from .closeness import (LevelBuckets, _farness_term, farness_decrease,
-                        local_search_closeness)
+from .closeness import _farness_term, farness_decrease, local_search_closeness
 from .generators import (directed_strongly_connected, layered_dag,
                          mixed_regime_graphs, undirected_connected)
 from .graph import is_connected, reachable_counts, sssp
-from .harmonic import _harmonic_term, greedy_harmonic, local_search_harmonic
+from .harmonic import (_harmonic_term, greedy_harmonic, local_search_harmonic,
+                       pruned_marginal_gain)
 from .oracles import exhaustive_best
 from .reporting import AlgoConfig
 
@@ -84,15 +84,17 @@ def submodularity_check(num_graphs: int = 50, min_triples: int = 1000,
 
 def bound_check(cases_per_regime: int = 200, seed: int = 2,
                 graphs=None) -> CheckOutcome:
-    """Every farness-decrease bound a traversal checks (after each BFS
-    level; only unit weights have one) must dominate the exact decrease the
-    completed traversal reports. That decrease must match an independent
-    recomputation (exact integers) in both weight regimes, as must the
-    farness that v's swap row gives the same swap (u, v). For
-    the added vertex v, every start-scan bound of either objective must be
-    at least v's singleton value (up to float rounding), and both completed
-    traversals must match a recomputation; so must those of a vertex of a
-    generated DAG, where no vertex reaches all. Given graphs that are not
+    """Every marginal-value bound a traversal checks (after each BFS level;
+    only unit weights have one) must dominate the exact value: the farness
+    decrease the completed traversal reports, and v's harmonic gain up to
+    float rounding. Both completed traversals must match an independent
+    recomputation from group values (exact integers for the decrease) in
+    both weight regimes, as must the farness that v's swap row gives the
+    same swap (u, v). For the added vertex v, every start-scan bound of
+    either objective must be at least v's singleton value (up to float
+    rounding), and both completed traversals must match a recomputation;
+    so must those of a vertex of a generated DAG, where no vertex reaches
+    all. Given graphs that are not
     (strongly) connected or have fewer than 3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
@@ -118,13 +120,13 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
             state = state_init(g, group)
             u = rng.choice(group)  # connected: the others still cover every vertex
             dbase = patched_distances(state, u)
-            buckets = LevelBuckets.from_distances(dbase)
             v = rng.choice([x for x in range(g.n) if x not in group])
             rec = []
-            res = farness_decrease(g, dbase, buckets, v, record=rec)
+            res = farness_decrease(g, dbase, v, record=rec)
             without_u = [m for m in group if m != u]
+            with_v = sorted(set(without_u) | {v})
             farness_without = group_farness_raw(g, without_u)
-            farness_swapped = group_farness_raw(g, sorted(set(without_u) | {v}))
+            farness_swapped = group_farness_raw(g, with_v)
             oracle = farness_without - farness_swapped
             common, entry = swap_rows(state, _farness_term)(v)
             scored = farness_without - common - entry.get(u, 0)
@@ -142,12 +144,35 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
                     out.violations.append(
                         f"decrease bound {b} < exact {res.value} for u={u} v={v} "
                         f"S={group} edges={g.edges()}")
+            gain = (group_harmonic(g, with_v).value
+                    - group_harmonic(g, without_u).value)
+            _gain_bounds(g, dbase, v, gain, out)
             _singleton_bounds(g, v, out)
             if graphs is None:
                 dag = layered_dag(dag_rng, dag_rng.randrange(2, 5),
                                   dag_rng.randrange(2, 5), weights=weights)
                 _singleton_bounds(dag, dag_rng.randrange(dag.n), out)
     return out
+
+
+def _gain_bounds(g, dbase, v, gain, out):
+    """v's harmonic gain over the base ``dbase`` against ``gain``, its
+    recomputation from two group values: the completed traversal must match
+    it and every bound the traversal checks must be at least it, both up to
+    float rounding."""
+    rec = []
+    res = pruned_marginal_gain(g, dbase, v, record=rec)
+    slack = ROUNDING * max(1.0, abs(gain))
+    out.checked += len(rec) + 1
+    if not abs(res.value - gain) <= slack:
+        out.passed = False
+        out.violations.append(f"gain {res.value} != oracle {gain} for v={v} "
+                              f"base={dbase} edges={g.edges()}")
+    for b in rec:
+        if not b >= gain - slack:
+            out.passed = False
+            out.violations.append(f"gain bound {b} < exact {gain} for v={v} "
+                                  f"base={dbase} edges={g.edges()}")
 
 
 def _singleton_bounds(g, v, out):

@@ -1,13 +1,13 @@
 """Greedy and local-search maximizers for group-harmonic centrality.
 
-The start scan, exact marginal gain, lazy greedy and local search are the
-shared ones of ``centrality``, run with ``_harmonic_term``: a vertex at
-distance d adds 1/d. Gains run without a bound, so they never abort. This
-module adds the float margins. The start scan and lazy rounds only stop
-once a bound is below the incumbent by ``PRUNE_MARGIN``, so exact ties are
+The start scan, bounded marginal gain, lazy greedy and local search are
+the shared ones of ``centrality``, run with ``_harmonic_term``: a vertex at
+distance d adds 1/d. This module adds the float margins. The start scan,
+the lazy rounds and, on unit weights, each gain's traversal only stop once
+a bound is below the incumbent by ``PRUNE_MARGIN``, so exact ties are
 always evaluated and go to the smallest id, as in a plain exhaustive
 greedy; the start scan's values and abort bounds seed the second round's
-queue.
+queue. Weighted gains are exact.
 """
 
 from __future__ import annotations
@@ -44,10 +44,13 @@ def top_harmonic_vertex(g: Graph) -> int:
     return best_singleton(g, _harmonic_term, reachable_counts(g), PRUNE_MARGIN)[0]
 
 
-def pruned_marginal_gain(g: Graph, dist, u: int) -> float:
-    """Exact marginal harmonic gain of adding u to the group whose
-    distances are ``dist``; 0 when u is already a member."""
-    return marginal_value(g, dist, u, _harmonic_term)
+def pruned_marginal_gain(g: Graph, dist, u: int, suffix=None, stop_below=None,
+                         record=None):
+    """Marginal harmonic gain of adding u to the group whose distances are
+    ``dist``: ``marginal_value`` with c = 1/d, (exact, gain) or, on unit
+    weights, (False, bound) once a bound drops below ``stop_below``.
+    ``suffix`` is ``base_suffixes(dist, _harmonic_term)``."""
+    return marginal_value(g, dist, u, _harmonic_term, suffix, stop_below, record)
 
 
 def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_gains=()):
@@ -62,13 +65,9 @@ def _greedy_core(g, k):
     best gain per round, stats)."""
     start, gain_bound = best_singleton(g, _harmonic_term, reachable_counts(g),
                                        PRUNE_MARGIN)
-    stats = {"evaluated": g.n, "pruned": 0, "iterations": k}  # gains never abort
-
-    def kernel(dist):
-        return lambda v, best, best_v: (True, pruned_marginal_gain(g, dist, v))
-
-    group, round_gains = lazy_greedy(g, k, start, gain_bound, kernel, stats,
-                                     PRUNE_MARGIN)
+    stats = {"evaluated": g.n, "pruned": 0, "iterations": k}
+    group, round_gains = lazy_greedy(g, k, start, gain_bound, _harmonic_term,
+                                     pruned_marginal_gain, stats, PRUNE_MARGIN)
     return group, gain_bound, round_gains, stats
 
 
@@ -76,9 +75,10 @@ def greedy_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunRepor
     """Build a size-k group by repeatedly adding the best marginal gain.
 
     The first member is the top harmonic vertex; later rounds pop candidates
-    from a priority queue of stale gain bounds and re-evaluate with pruned
-    traversals. Additions proceed even when the best gain is negative, so
-    the returned group always has exactly k members.
+    from a priority queue of stale gain bounds and re-evaluate them, on unit
+    weights with traversals that abort once they cannot win the round.
+    Additions proceed even when the best gain is negative, so the returned
+    group always has exactly k members.
     """
     cfg = cfg or AlgoConfig(k=k)
     if not 1 <= k <= g.n:
@@ -97,15 +97,15 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
     """Swap-based refinement of the greedy group.
 
     Scans members by ascending removal loss and candidates by descending
-    final greedy gain bound (the last gain evaluated for the vertex, or its
-    start-scan value or abort bound if no round evaluated it); a swap
-    commits as soon as the new objective clears the multiplicative
-    acceptance threshold (1 + eps / (k (n - k))), with an absolute fallback
-    when the current objective is zero. Terminates when a full scan commits
-    nothing, so the result never falls below greedy. Swaps are scored by
-    ``swap_rows``, whose floats sum in another order than one traversal per
-    pair; a score within ``SWAP_GUARD`` of the threshold is decided by that
-    pair's own ``pruned_marginal_gain``.
+    final greedy gain bound (the last gain or abort bound computed for the
+    vertex, or its start-scan value or abort bound if no round evaluated
+    it); a swap commits as soon as the new objective clears the
+    multiplicative acceptance threshold (1 + eps / (k (n - k))), with an
+    absolute fallback when the current objective is zero. Terminates when
+    a full scan commits nothing, so the result never falls below greedy.
+    Swaps are scored by ``swap_rows``, whose floats sum in another order
+    than one traversal per pair; a score within ``SWAP_GUARD`` of the
+    threshold is decided by that pair's own ``pruned_marginal_gain``.
     """
     cfg = cfg or AlgoConfig(k=k)
     if not 1 <= k <= g.n:
@@ -135,7 +135,7 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
             if abs(value - threshold) <= near:
                 stats["evaluated"] += 1
                 value = without[u] + pruned_marginal_gain(
-                    g, patched_distances(state, u), v)
+                    g, patched_distances(state, u), v).value
             return value > threshold if strict else value >= threshold
 
         return members, candidates, accepts

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -19,8 +20,8 @@ class AlgoConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:  # NaN fails too
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 

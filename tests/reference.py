@@ -8,7 +8,8 @@ with the same member order, candidate order and acceptance test. They
 return (sorted group, swap sequence) for comparison with
 ``local_search_closeness`` and ``local_search_harmonic``.
 ``heap_farness_decrease`` is the unit-weight farness decrease with the
-suffix heaps it kept before its bound counted vertices per base distance.
+suffix heaps it kept before its bound counted vertices per base distance,
+over suffixes of the base distances scanned by ``suffix_ge``.
 """
 
 from fractions import Fraction
@@ -16,8 +17,7 @@ from heapq import heappop, heappush
 
 from groupcent.centrality import (group_farness_raw, harmonic_sum,
                                   patched_distances, removal_cost, state_init)
-from groupcent.closeness import (DecreaseResult, LevelBuckets,
-                                 _greedy_closeness_core, add_estimate,
+from groupcent.closeness import (_greedy_closeness_core, add_estimate,
                                  farness_decrease)
 from groupcent.graph import closer_levels, multi_source_sssp, sssp
 from groupcent.harmonic import (ABS_IMPROVE, _greedy_core,
@@ -32,8 +32,8 @@ def plain_greedy_harmonic(g, k):
     group = [values.index(max(values))]
     while len(group) < k:
         dist = multi_source_sssp(g, group)
-        gains = [float("-inf") if u in group else pruned_marginal_gain(g, dist, u)
-                 for u in range(g.n)]
+        gains = [float("-inf") if u in group
+                 else pruned_marginal_gain(g, dist, u).value for u in range(g.n)]
         group.append(gains.index(max(gains)))
     return sorted(group)
 
@@ -75,11 +75,17 @@ class _SuffixTracker:
         return self.cnt, self.total
 
 
-def heap_farness_decrease(g, dbase, buckets, v, stop_below=None, record=None):
-    """``farness_decrease`` on a unit-weight graph, with the counted
-    vertices' base distances in two heaps queried at thresholds d+2 and
-    d+3."""
-    assert g.unit_weights
+def suffix_ge(dbase, t):
+    """(count, sum) of the base distances that are t or more."""
+    ds = [d for d in dbase if d >= t]
+    return len(ds), sum(ds)
+
+
+def heap_farness_decrease(g, dbase, v, stop_below=None, record=None):
+    """``farness_decrease`` of a non-member v on a unit-weight graph, with
+    the counted vertices' base distances in two heaps queried at thresholds
+    d+2 and d+3. Returns (exact, value)."""
+    assert g.unit_weights and dbase[v]
     dec = 0
     back = 0 if g.directed else 1
     near = _SuffixTracker()
@@ -95,16 +101,15 @@ def heap_farness_decrease(g, dbase, buckets, v, stop_below=None, record=None):
         if d:
             fanout -= back * len(level)
         ecnt2, _ = near.stats_ge(d + 2)
-        promoted = min(fanout, buckets.count_ge(d + 2) - ecnt2)
+        promoted = min(fanout, suffix_ge(dbase, d + 2)[0] - ecnt2)
         ecnt3, esum3 = far.stats_ge(d + 3)
-        ucnt3 = buckets.count_ge(d + 3) - ecnt3
-        usum3 = buckets.sum_ge(d + 3) - esum3
-        bound = dec + promoted + (usum3 - (d + 2) * ucnt3)
+        cnt3, sum3 = suffix_ge(dbase, d + 3)
+        bound = dec + promoted + (sum3 - esum3 - (d + 2) * (cnt3 - ecnt3))
         if record is not None:
             record.append(bound)
         if stop_below is not None and bound < stop_below:
-            return DecreaseResult(False, bound)
-    return DecreaseResult(True, dec)
+            return False, bound
+    return True, dec
 
 
 def per_pair_closeness(g, k, eps):
@@ -129,16 +134,15 @@ def per_pair_closeness(g, k, eps):
         for cost_u, u in members:
             if k > 1:
                 dbase = patched_distances(state, u)
-                buckets = LevelBuckets.from_distances(dbase)
             for v in candidates:
                 if k == 1:
                     new_raw = group_farness_raw(g, [v])
                 else:
-                    res = farness_decrease(g, dbase, buckets, v)
-                    assert res.is_exact
-                    new_raw = raw + cost_u - res.value
+                    exact, dec = farness_decrease(g, dbase, v)
+                    assert exact
+                    new_raw = raw + cost_u - dec
                 if new_raw <= threshold:
-                    committed = (u, v, cost_u)
+                    committed = (u, v)
                     break
             if committed:
                 break
@@ -175,7 +179,7 @@ def per_pair_harmonic(g, k, eps):
         committed = None
         for _, u, d_without, gh_without in scan:
             for v in candidates:
-                if accepts(gh_without + pruned_marginal_gain(g, d_without, v)):
+                if accepts(gh_without + pruned_marginal_gain(g, d_without, v).value):
                     committed = (u, v)
                     break
             if committed:

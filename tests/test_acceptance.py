@@ -176,6 +176,13 @@ def test_criterion_07_bound_soundness(monkeypatch):
     def understated(g):
         return [r - 1 for r in graph.reachable_counts(g)]
 
+    # and the harmonic gain bounds: one below the exact gain must fail it
+    def undershooting_gain(g, dist, v, suffix=None, stop_below=None, record=None):
+        res = harmonic.pruned_marginal_gain(g, dist, v)
+        if record is not None:
+            record.append(res.value - 0.5)
+        return res
+
     monkeypatch.setattr(checks, "singleton_value",
                         undershooting(harmonic._harmonic_term, 0.5))
     harmonic_gated = not bound_check(cases_per_regime=5).passed
@@ -188,10 +195,14 @@ def test_criterion_07_bound_soundness(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(checks, "reachable_counts", understated)
     reach_gated = not bound_check(cases_per_regime=5).passed
-    _criterion(7, "pruning bounds (farness decrease, harmonic start, singleton "
-               "farness, reach counts) and swap rows are sound and gated",
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "pruned_marginal_gain", undershooting_gain)
+    gain_gated = not bound_check(cases_per_regime=5).passed
+    _criterion(7, "pruning bounds (farness decrease, harmonic gain, harmonic "
+               "start, singleton farness, reach counts) and swap rows are "
+               "sound and gated",
                outcome.passed and harmonic_gated and farness_gated
-               and rows_gated and reach_gated, detail)
+               and rows_gated and reach_gated and gain_gated, detail)
 
 
 def test_criterion_08_pruning_transparency():

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -5,17 +6,18 @@ import pytest
 
 from groupcent import centrality, closeness, harmonic
 from groupcent.centrality import (DisconnectedFarnessError,
-                                  DisconnectedRemovalError, group_farness_raw,
-                                  group_harmonic, harmonic_sum,
-                                  patched_distances, removal_cost,
-                                  state_init, swap_rows)
+                                  DisconnectedRemovalError, base_suffixes,
+                                  group_farness_raw, group_harmonic,
+                                  harmonic_sum, patched_distances,
+                                  removal_cost, state_init, swap_rows)
 from groupcent.closeness import _farness_term
 from groupcent.harmonic import _harmonic_term
 from groupcent.generators import (path_graph, random_graph, star_graph,
                                   undirected_connected)
-from groupcent.graph import Graph, UNREACHABLE, sssp
+from groupcent.graph import Graph, UNREACHABLE, multi_source_sssp, sssp
 from groupcent.reporting import AlgoConfig
 from groupcent.generators import directed_strongly_connected
+from reference import suffix_ge
 
 
 def weighted_path_l2():
@@ -341,6 +343,52 @@ class TestSwapRows:
             assert ls.candidates_evaluated == (greedy.candidates_evaluated
                                                + rows + rechecks)
         assert multi_pass
+
+
+class TestBaseSuffixes:
+    def test_counts_and_sums_match_a_scan(self):
+        # per base distance t >= 1: how many vertices are t or more away and
+        # c of their distances summed; the last index counts only the
+        # unreachable ones and answers every larger t
+        rng = random.Random(44)
+        for trial in range(30):
+            g = random_graph(rng.randrange(6, 20), rng, directed=bool(trial % 2),
+                             p=0.05)
+            group = rng.sample(range(g.n), rng.randrange(1, 4))
+            dist = multi_source_sssp(g, group)
+            if trial % 3 == 0:  # vertices the group does not reach
+                dist[rng.randrange(g.n)] = UNREACHABLE
+            count, total, cdist = base_suffixes(dist, _harmonic_term)
+            assert cdist == [_harmonic_term(d) for d in dist]
+            top = len(count) - 1
+            for t in range(1, top + 3):
+                ds = [d for d in dist if d >= t]
+                i = min(t, top)
+                assert count[i] == len(ds)
+                assert total[i] == pytest.approx(sum(map(_harmonic_term, ds)),
+                                                 rel=1e-12, abs=1e-12)
+            if UNREACHABLE in dist:
+                far = [d for d in dist if d != UNREACHABLE]
+                assert top == max(far) + 1
+                count, total, cdist = base_suffixes(far, operator.neg)
+                for t in range(1, len(count)):
+                    assert (count[t], -total[t]) == suffix_ge(far, t)
+                assert cdist == [-d for d in far]
+
+
+    def test_built_once_per_round_on_unit_weights_only(self, monkeypatch):
+        # weighted marginal values are exact and read no suffixes
+        built = []
+        real = centrality.base_suffixes
+        monkeypatch.setattr(centrality, "base_suffixes",
+                            lambda dist, c: built.append(c) or real(dist, c))
+        rng = random.Random(45)
+        for weights in ((1,), (1, 2)):
+            g = undirected_connected(20, rng, weights=weights)
+            for solve in (harmonic.greedy_harmonic, closeness.greedy_closeness):
+                built.clear()
+                solve(g, 4, AlgoConfig(k=4))
+                assert len(built) == (3 if g.unit_weights else 0)
 
 
 class TestSubmodularitySample:

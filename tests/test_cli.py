@@ -162,6 +162,14 @@ class TestExitCodes:
         assert code == 1
         assert "out of range" in err and not out
 
+    @pytest.mark.parametrize("eps", ("nan", "inf"))
+    @pytest.mark.parametrize("algo", ("ls-h", "ls-c"))
+    def test_non_finite_eps_is_usage_error(self, capsys, path3, algo, eps):
+        code, out, err = run(capsys, "solve", "--graph", path3, "--k", "1",
+                             "--algo", algo, "--eps", eps)
+        assert code == 1
+        assert "eps" in err and not out
+
     def test_closeness_on_disconnected_without_scc(self, capsys, disconnected):
         code, _, err = run(capsys, "solve", "--graph", disconnected, "--k", "1",
                            "--algo", "greedy-c")

@@ -1,14 +1,15 @@
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from groupcent.centrality import (group_farness_raw, patched_distances,
-                                  state_init)
-from groupcent.closeness import (DisconnectedGraphError, LevelBuckets,
-                                 add_estimate, farness_decrease,
-                                 greedy_closeness, local_search_closeness)
+from groupcent.centrality import (base_suffixes, group_farness_raw,
+                                  patched_distances, state_init)
+from groupcent.closeness import (DisconnectedGraphError, add_estimate,
+                                 farness_decrease, greedy_closeness,
+                                 local_search_closeness)
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   star_graph, undirected_connected)
 from groupcent.graph import Graph, multi_source_sssp
@@ -16,10 +17,6 @@ from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
 from reference import (heap_farness_decrease, per_pair_closeness,
                        plain_greedy_closeness)
-
-
-def _vertices_ge(buckets, t):
-    return [x for d, x in buckets.pairs if d >= t]
 
 
 def weighted_path_l2():
@@ -90,10 +87,9 @@ class TestFarnessDecreaseBounds:
             st = state_init(g, group)
             u = rng.choice(group)
             dbase = patched_distances(st, u)
-            buckets = LevelBuckets.from_distances(dbase)
             v = rng.choice([x for x in range(g.n) if x not in group])
             rec = []
-            res = farness_decrease(g, dbase, buckets, v, record=rec)
+            res = farness_decrease(g, dbase, v, record=rec)
             assert res.is_exact
             reduced = [m for m in group if m != u]
             oracle = (group_farness_raw(g, reduced)
@@ -105,7 +101,7 @@ class TestFarnessDecreaseBounds:
                 # weighted decreases are exact: no bound is checked, so a
                 # threshold above the decrease aborts nothing
                 assert rec == []
-                assert farness_decrease(g, dbase, buckets, v,
+                assert farness_decrease(g, dbase, v,
                                         stop_below=res.value + 1) == (True, oracle)
 
     def test_aborts_below_threshold_with_valid_bound(self):
@@ -116,15 +112,15 @@ class TestFarnessDecreaseBounds:
             group = sorted(rng.sample(range(g.n), 3))
             st = state_init(g, group)
             dbase = st.dist_nearest
-            buckets = LevelBuckets.from_distances(dbase)
+            suffix = base_suffixes(dbase, operator.neg)
             decs = {}
             for v in range(g.n):
                 if v in group:
                     continue
-                decs[v] = farness_decrease(g, dbase, buckets, v).value
+                decs[v] = farness_decrease(g, dbase, v, suffix).value
             floor = max(decs.values()) + 1
             for v in decs:
-                res = farness_decrease(g, dbase, buckets, v, stop_below=floor)
+                res = farness_decrease(g, dbase, v, suffix, stop_below=floor)
                 if not res.is_exact:
                     pruned += 1
                     assert res.value >= decs[v]
@@ -132,8 +128,10 @@ class TestFarnessDecreaseBounds:
 
     @pytest.mark.parametrize("directed", (False, True))
     def test_unit_bounds_match_heap_reference(self, directed):
-        # counting per base distance records the same bounds, aborts at the
-        # same one and returns the same result as the suffix heaps did
+        # the shared kernel with c = -d and one counting sort of the base
+        # distances records the same bounds, aborts at the same one and
+        # returns the same result as the suffix heaps did; a member's
+        # decrease is an exact 0 without a traversal
         rng = random.Random(44 + directed)
         aborted = deep = 0
         for trial in range(40):
@@ -146,47 +144,22 @@ class TestFarnessDecreaseBounds:
                 dbase = multi_source_sssp(g, group)
             else:  # the base of a swap that removes one member
                 dbase = patched_distances(state_init(g, group), group[0])
-            buckets = LevelBuckets.from_distances(dbase)
-            decs = [heap_farness_decrease(g, dbase, buckets, v).value
+            suffix = base_suffixes(dbase, operator.neg)
+            decs = [heap_farness_decrease(g, dbase, v)[1] if dbase[v] else 0
                     for v in range(n)]
-            for v in range(n):  # members too, whose base distance is 0
+            for v in range(n):
                 for stop in (None, decs[v], decs[v] + 1, max(decs) + 1,
                              rng.randrange(max(decs) + 2)):
                     got, want = [], []
-                    res = farness_decrease(g, dbase, buckets, v, stop, got)
+                    res = farness_decrease(g, dbase, v, suffix, stop, got)
+                    if not dbase[v]:
+                        assert (res, got) == ((True, 0), [])
+                        continue
                     assert (res, got) == (heap_farness_decrease(
-                        g, dbase, buckets, v, stop, want), want)
+                        g, dbase, v, stop, want), want)
                     aborted += not res.is_exact
                     deep += len(got) > 3
         assert aborted > 1000 and deep > 250
-
-
-class TestLevelBuckets:
-    def test_counts_consistent_with_distances(self):
-        rng = random.Random(44)
-        g = undirected_connected(12, rng, weights=(1, 2))
-        group = [0, 5]
-        st = state_init(g, group)
-        b = LevelBuckets.from_distances(st.dist_nearest)
-        n_outside = g.n - len(group)
-        assert b.count_ge(1) == n_outside
-        prev = b.count_ge(1)
-        for t in range(2, 12):
-            cur = b.count_ge(t)
-            assert cur <= prev
-            assert cur == sum(1 for d in st.dist_nearest if d >= t)
-            assert b.sum_ge(t) == sum(d for d in st.dist_nearest if d >= t)
-            assert sorted(_vertices_ge(b, t)) == sorted(
-                x for x, d in enumerate(st.dist_nearest) if d >= t)
-            prev = cur
-
-    def test_rebuilt_after_commit_matches_state(self):
-        rng = random.Random(45)
-        g = undirected_connected(10, rng)
-        r = local_search_closeness(g, 3, AlgoConfig(k=3))
-        st = state_init(g, r.group)
-        b = LevelBuckets.from_distances(st.dist_nearest)
-        assert b.count_ge(1) == g.n - 3
 
 
 class TestLocalSearchCloseness:
@@ -209,9 +182,8 @@ class TestLocalSearchCloseness:
                 shrink = 1 - Fraction(str(eps)) / (k * (g.n - k))
                 raw = greedy_raw
                 group = list(greedy_closeness(g, k, AlgoConfig(k=k)).group)
-                for swap in r.swap_sequence:
-                    group = sorted(set(group) - {swap.remove_vertex}
-                                   | {swap.add_vertex})
+                for u, v in r.swap_sequence:
+                    group = sorted(set(group) - {u} | {v})
                     new_raw = group_farness_raw(g, group)
                     assert Fraction(new_raw) <= shrink * raw
                     raw = new_raw

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from groupcent import harmonic
-from groupcent.centrality import best_singleton, group_harmonic, singleton_value
+from groupcent.centrality import (base_suffixes, best_singleton, group_harmonic,
+                                  singleton_value)
+from groupcent.checks import ROUNDING
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   random_graph, star_graph,
                                   undirected_connected)
@@ -174,7 +176,8 @@ class TestPrunedMarginalGain:
             group = sorted(rng.sample(range(g.n), rng.randrange(1, 4)))
             u = rng.randrange(g.n)  # a member's gain is 0
             members += u in group
-            gain = pruned_marginal_gain(g, multi_source_sssp(g, group), u)
+            exact, gain = pruned_marginal_gain(g, multi_source_sssp(g, group), u)
+            assert exact
             expected = (group_harmonic(g, group + [u]).value
                         - group_harmonic(g, group).value)
             assert gain == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -184,7 +187,40 @@ class TestPrunedMarginalGain:
         # candidate adjacent to the group covering nothing new: gain is
         # exactly the loss of its own contribution
         g = star_graph(3)
-        assert pruned_marginal_gain(g, multi_source_sssp(g, [0]), 1) == -1.0
+        assert pruned_marginal_gain(g, multi_source_sssp(g, [0]), 1) == (True, -1.0)
+
+    @pytest.mark.parametrize("directed", (False, True))
+    def test_unit_bounds_dominate_exact_gain(self, directed):
+        # on possibly disconnected unit-weight graphs every bound the level
+        # bound records is at least the exact gain, and a traversal aborts
+        # only below stop_below, returning such a bound; both up to the
+        # rounding of float sums taken in another order (a tight bound can
+        # sit an ulp below the gain)
+        rng = random.Random(26 + directed)
+        checked = aborted = unreached = 0
+        for _ in range(150):
+            g = any_graph(rng, directed, (1,))
+            group = rng.sample(range(g.n), rng.randrange(1, min(4, g.n) + 1))
+            dist = multi_source_sssp(g, group)
+            suffix = base_suffixes(dist, _harmonic_term)
+            unreached += UNREACHABLE in dist
+            gains = [pruned_marginal_gain(g, dist, v, suffix).value
+                     for v in range(g.n)]
+            for v in range(g.n):
+                low = gains[v] - ROUNDING * max(1.0, abs(gains[v]))
+                rec = []
+                assert pruned_marginal_gain(g, dist, v, suffix,
+                                            record=rec) == (True, gains[v])
+                assert all(b >= low for b in rec)
+                checked += len(rec)
+                for stop in (gains[v], gains[v] + 0.5, max(gains) + 1e-9):
+                    exact, value = pruned_marginal_gain(g, dist, v, suffix, stop)
+                    if exact:
+                        assert value == gains[v]
+                    else:
+                        assert low <= value < stop
+                        aborted += 1
+        assert checked > 2500 and aborted > 1000 and unreached > 50
 
 
 class TestGreedy:
@@ -207,6 +243,7 @@ class TestGreedy:
 
     def test_lazy_and_plain_select_identical_groups(self):
         rng = random.Random(24)
+        unit_aborts = 0
         for trial in range(40):
             weights = (1,) if trial % 2 else (1, 2)
             g = random_graph(rng.randrange(8, 30), rng, directed=bool(trial % 3 == 0),
@@ -214,7 +251,11 @@ class TestGreedy:
             k = rng.randrange(2, 6)
             lazy = greedy_harmonic(g, k, AlgoConfig(k=k))
             assert lazy.group == plain_greedy_harmonic(g, k)
-            assert lazy.traversals_pruned == 0
+            if weights == (1,):
+                unit_aborts += lazy.traversals_pruned
+            else:  # weighted gains are exact
+                assert lazy.traversals_pruned == 0
+        assert unit_aborts
 
     def test_weight_scaling_keeps_selection(self):
         # doubling every weight halves every reciprocal exactly (power-of-two
