@@ -13,8 +13,7 @@ from .closeness import (DisconnectedGraphError, greedy_closeness,
 from .graph import (EdgeListFormatError, Graph, GraphError,
                     IsolatedVertexError, UNREACHABLE, is_connected,
                     largest_component, load_edge_list, multi_source_sssp, sssp)
-from .harmonic import (greedy_harmonic, local_search_harmonic,
-                       top_harmonic_vertex)
+from .harmonic import greedy_harmonic, local_search_harmonic
 from .oracles import BudgetExceededError, best_random, exhaustive_best
 from .reporting import AlgoConfig, RunReport
 
@@ -26,5 +25,4 @@ __all__ = [
     "group_farness_raw", "group_harmonic", "harmonic_sum", "is_connected",
     "largest_component", "load_edge_list", "local_search_closeness",
     "local_search_harmonic", "multi_source_sssp", "sssp",
-    "top_harmonic_vertex",
 ]

@@ -1,7 +1,7 @@
 """Group centrality objectives, the incremental group-distance state, and
-the start scan, bounded marginal value, lazy greedy and single-swap local
-search both objectives share, each parameterized by what one vertex at
-distance d adds.
+the start scan, bounded marginal value, lazy greedy, removal pass and
+single-swap local search both objectives share, each parameterized by
+what one vertex at distance d adds.
 
 Group-harmonic centrality of a group S sums reciprocal distances from S to
 every outside vertex (unreachable vertices contribute zero). Group farness
@@ -24,10 +24,6 @@ from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
 
 class DisconnectedFarnessError(ValueError):
     """Some vertex is unreachable from the group, so farness is undefined."""
-
-
-class DisconnectedRemovalError(ValueError):
-    """Removing this member would leave some vertex uncovered."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +77,9 @@ class GroupDistanceState:
     """Nearest / second-nearest member distances for a current group.
 
     ``dist_second[x]`` is the distance from the group without x's nearest
-    member, which makes the farness increase of any single removal an O(n)
-    scan. ``raw_farness`` is None when some vertex is unreachable from the
-    group (harmonic contexts tolerate that, farness contexts must not).
+    member, so one O(n) pass (``removal_cost``) scores every removal and
+    one traversal per candidate (``swap_rows``) every swap. A vertex no
+    member reaches has nearest member -1.
     """
 
     graph: Graph = field(repr=False)
@@ -92,7 +88,6 @@ class GroupDistanceState:
     dist_nearest: list = field(repr=False)
     nearest_member: list = field(repr=False)
     dist_second: list = field(repr=False)
-    raw_farness: int | None
 
 
 def state_init(g: Graph, group) -> GroupDistanceState:
@@ -120,48 +115,38 @@ def state_init(g: Graph, group) -> GroupDistanceState:
         for y, w in arcs[x]:
             if second[y] == UNREACHABLE and rep[y] != r:
                 heappush(heap, (d + w, r, y))
-    member_set = frozenset(members)
-    raw: int | None = 0
-    for x in range(n):
-        if x in member_set:
-            continue
-        d = nearest[x]
-        if d == UNREACHABLE:
-            raw = None
-            break
-        raw += d
     return GroupDistanceState(
         graph=g,
         members=tuple(members),
-        member_set=member_set,
+        member_set=frozenset(members),
         dist_nearest=nearest,
         nearest_member=rep,
         dist_second=second,
-        raw_farness=raw,
     )
 
 
-def removal_cost(state: GroupDistanceState, u: int) -> int:
-    """Exact raw-farness increase from dropping member u, in one O(n) scan."""
-    if u not in state.member_set:
-        raise ValueError(f"{u} is not a group member")
-    if len(state.members) < 2:
-        raise ValueError("removal from a single-member group")
+def removal_cost(state: GroupDistanceState, c):
+    """(objective, cost) in one O(n) pass; ``c`` as in ``swap_rows``.
+    ``objective`` sums c(dist_nearest[x]) over the outside vertices in id
+    order, as ``harmonic_sum`` does for c = 1/d. ``cost[u]`` is what
+    dropping member u loses, objective(S) - objective(S - u), with 0 for
+    no members: each reached outside x adds c(dist_nearest[x]) -
+    c(dist_second[x]) to its nearest member's cost, and u, once outside,
+    adds c(dist_second[u])."""
     rep = state.nearest_member
-    d1 = state.dist_nearest
     d2 = state.dist_second
-    cost = 0
-    for x in range(state.graph.n):
-        if x == u or x in state.member_set:
+    members = state.member_set
+    objective = 0
+    cost = dict.fromkeys(state.members, 0)
+    for x, d in enumerate(state.dist_nearest):
+        if x in members:
+            cost[x] -= c(d2[x])
             continue
-        if rep[x] == u:
-            if d2[x] == UNREACHABLE:
-                raise DisconnectedRemovalError(
-                    f"removing {u} disconnects vertex {x}")
-            cost += d2[x] - d1[x]
-    if d2[u] == UNREACHABLE:
-        raise DisconnectedRemovalError(f"removing {u} leaves it uncovered")
-    return cost + d2[u]
+        cd = c(d)
+        objective += cd
+        if d != UNREACHABLE:
+            cost[rep[x]] += cd - c(d2[x])
+    return objective, cost
 
 
 def patched_distances(state: GroupDistanceState, u: int) -> list:
@@ -224,28 +209,32 @@ def swap_rows(state: GroupDistanceState, c):
 def local_search(g: Graph, group, c, plan, stats):
     """Single-swap local search from ``group``; ``c`` as in ``swap_rows``.
 
-    Per pass, ``plan(state)`` gives the members as (u, objective without u)
-    and the candidates, both in scan order, and ``accepts(u, v, objective
-    after the swap)``. The first accepted swap in member-major order
-    commits; a pass without one ends the search. Rows are built when first
-    needed and kept for the pass: at most n - k per pass, counted in
-    ``stats["evaluated"]``, passes in ``stats["iterations"]``. Returns
-    (group, [(u, v), ...]).
+    Each pass scores every removal with one ``removal_cost`` pass and scans
+    the members by (cost, id), cheapest removal first. ``plan(state,
+    objective)`` gives the candidates in scan order and ``accepts(value)``,
+    which judges the objective after a swap; the swap of v for u scores
+    objective - cost[u] + common + entry[u] from v's row. The first
+    accepted swap in member-major order commits; a pass without one ends
+    the search. Rows are built when first needed and kept for the pass: at
+    most n - k per pass, counted in ``stats["evaluated"]``, passes in
+    ``stats["iterations"]``. Returns (group, [(u, v), ...]).
     """
     swaps = []
     while True:
         stats["iterations"] += 1
         state = state_init(g, group)
-        members, candidates, accepts = plan(state)
+        objective, cost = removal_cost(state, c)
+        candidates, accepts = plan(state, objective)
         row = swap_rows(state, c)
         rows = {}
-        for u, without in members:
+        for u in sorted(cost, key=lambda m: (cost[m], m)):
+            without = objective - cost[u]
             for v in candidates:
                 r = rows.get(v)
                 if r is None:
                     r = rows[v] = row(v)
                     stats["evaluated"] += 1
-                if accepts(u, v, without + r[0] + r[1].get(u, 0)):
+                if accepts(without + r[0] + r[1].get(u, 0)):
                     break
             else:
                 continue

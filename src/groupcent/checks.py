@@ -2,9 +2,9 @@
 
 Three families: diminishing-returns sampling for the harmonic objective,
 instrumented soundness checks for the pruning bounds (marginal-value and
-start-scan upper bounds of either objective never undershoot) and for the
-farness of local search's swap rows, and greedy/local-search quality floors
-against the exhaustive oracle on small sweeps.
+start-scan upper bounds of either objective never undershoot) and for
+local search's removal pass and swap rows, and greedy/local-search
+quality floors against the exhaustive oracle on small sweeps.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .centrality import (group_farness_raw, group_harmonic, patched_distances,
-                         singleton_value, state_init, swap_rows)
+                         removal_cost, singleton_value, state_init, swap_rows)
 from .closeness import _farness_term, farness_decrease, local_search_closeness
 from .generators import (directed_strongly_connected, layered_dag,
                          mixed_regime_graphs, undirected_connected)
@@ -90,12 +90,14 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
     float rounding. Both completed traversals must match an independent
     recomputation from group values (exact integers for the decrease) in
     both weight regimes, as must the farness that v's swap row gives the
-    same swap (u, v). For the added vertex v, every start-scan bound of
-    either objective must be at least v's singleton value (up to float
-    rounding), and both completed traversals must match a recomputation;
-    so must those of a vertex of a generated DAG, where no vertex reaches
-    all. Given graphs that are not
-    (strongly) connected or have fewer than 3 vertices are skipped."""
+    same swap (u, v), and the objectives of the group and of the group
+    without u that the removal pass gives for either objective (exactly
+    for farness, to rounding for harmonic). For the added vertex v, every
+    start-scan bound of either objective must be at least v's singleton
+    value (up to float rounding), and both completed traversals must match
+    a recomputation; so must those of a vertex of a generated DAG, where
+    no vertex reaches all. Given graphs that are not (strongly) connected
+    or have fewer than 3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
     dag_rng = random.Random(seed + 1)
@@ -144,8 +146,13 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
                     out.violations.append(
                         f"decrease bound {b} < exact {res.value} for u={u} v={v} "
                         f"S={group} edges={g.edges()}")
-            gain = (group_harmonic(g, with_v).value
-                    - group_harmonic(g, without_u).value)
+            harmonic_without = group_harmonic(g, without_u).value
+            _removal_pass(state, u, _farness_term,
+                          (-group_farness_raw(g, group), -farness_without), 0, out)
+            _removal_pass(state, u, _harmonic_term,
+                          (group_harmonic(g, group).value, harmonic_without),
+                          ROUNDING, out)
+            gain = group_harmonic(g, with_v).value - harmonic_without
             _gain_bounds(g, dbase, v, gain, out)
             _singleton_bounds(g, v, out)
             if graphs is None:
@@ -153,6 +160,20 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
                                   dag_rng.randrange(2, 5), weights=weights)
                 _singleton_bounds(dag, dag_rng.randrange(dag.n), out)
     return out
+
+
+def _removal_pass(state, u, c, want, slack, out):
+    """The removal pass with ``c`` against ``want``, the objective of the
+    group and of the group without member u recomputed from group values:
+    it must give both up to the relative ``slack``."""
+    objective, cost = removal_cost(state, c)
+    got = (objective, objective - cost[u])
+    out.checked += 2
+    if not all(abs(a - b) <= slack * max(1.0, abs(b)) for a, b in zip(got, want)):
+        out.passed = False
+        out.violations.append(f"removal pass {got} != oracle {want} for u={u} "
+                              f"S={list(state.members)} "
+                              f"edges={state.graph.edges()}")
 
 
 def _gain_bounds(g, dbase, v, gain, out):

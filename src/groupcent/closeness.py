@@ -17,7 +17,7 @@ from math import floor as int_floor
 from operator import neg
 
 from .centrality import (best_singleton, group_farness_raw, lazy_greedy,
-                         local_search, marginal_value, removal_cost)
+                         local_search, marginal_value)
 from .graph import Graph, UNREACHABLE, is_connected
 from .reporting import AlgoConfig, RunReport, solver_report
 
@@ -100,12 +100,15 @@ def _farness_term(d):
 def local_search_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunReport:
     """Single-swap local search started from the greedy group.
 
-    Members are scanned by ascending removal cost, candidates by descending
-    add estimate; degree-1 candidates are skipped on undirected unit-weight
-    graphs, where the unique neighbor always does at least as well. The
-    first swap whose exact new farness clears (1 - eps/(k(n-k))) * current
-    commits, both loops restart, and the search stops when a full pass
-    commits nothing. Swaps are scored in integers by ``swap_rows``."""
+    ``local_search`` scans members by ascending removal cost; candidates
+    go by descending add estimate, and degree-1 candidates are skipped on
+    undirected unit-weight graphs, where the unique neighbor always does at
+    least as well. The first swap whose exact new farness clears
+    (1 - eps/(k(n-k))) * current commits, both loops restart, and the
+    search stops when a full pass commits nothing. Removals and swaps are
+    scored in integers by ``removal_cost`` and ``swap_rows``; the graph is
+    strongly connected, so only k = 1 ever leaves a vertex uncovered, and
+    the empty group counts 0."""
     cfg = cfg or AlgoConfig(k=k)
     _require_connected(g)
     if not 1 <= k < g.n:
@@ -117,18 +120,13 @@ def local_search_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> R
     shrink = 1 - Fraction(str(cfg.eps)) / (k * (n - k))
     exclude_deg1 = g.unit_weights and not g.directed
 
-    def plan(state):
-        raw = state.raw_farness
-        # strongly connected: with k > 1, no removal leaves a vertex uncovered
-        cost = {u: removal_cost(state, u) if k > 1 else 0 for u in state.members}
-        members = [(u, -(raw + cost[u]) if k > 1 else 0)
-                   for u in sorted(cost, key=lambda u: (cost[u], u))]
+    def plan(state, objective):
         candidates = sorted(
             (v for v in range(n) if v not in state.member_set
              and not (exclude_deg1 and g.out_degree(v) == 1)),
             key=lambda v: (-add_estimate(state, v), v))
-        limit = int_floor(shrink * raw)  # the new farness is an integer
-        return members, candidates, lambda u, v, value: -value <= limit
+        limit = int_floor(shrink * -objective)  # the new farness is an integer
+        return candidates, lambda value: -value <= limit
 
     group, swaps = local_search(g, group, _farness_term, plan, stats)
     return _closeness_report(g, "ls-c", group, cfg, t0, stats, swap_sequence=swaps)

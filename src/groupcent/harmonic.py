@@ -16,14 +16,13 @@ import math
 import time
 
 from .centrality import (best_singleton, harmonic_sum, lazy_greedy,
-                         local_search, marginal_value, patched_distances)
+                         local_search, marginal_value)
 from .graph import (Graph, UNREACHABLE, multi_source_sssp, reachable_counts,
                     sssp)
 from .reporting import AlgoConfig, RunReport, solver_report
 
 PRUNE_MARGIN = 1e-9
 ABS_IMPROVE = 1e-9  # absolute acceptance fallback when the objective is zero
-SWAP_GUARD = 1e-9  # relative distance from the threshold at which a swap score is re-checked
 
 
 def harmonic_centralities(g: Graph):
@@ -37,11 +36,6 @@ def harmonic_centralities(g: Graph):
                 total += 1.0 / dv
         values.append(total)
     return values
-
-
-def top_harmonic_vertex(g: Graph) -> int:
-    """Vertex of largest harmonic centrality, the smallest id on ties."""
-    return best_singleton(g, _harmonic_term, reachable_counts(g), PRUNE_MARGIN)[0]
 
 
 def pruned_marginal_gain(g: Graph, dist, u: int, suffix=None, stop_below=None,
@@ -96,16 +90,17 @@ def _harmonic_term(d):
 def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunReport:
     """Swap-based refinement of the greedy group.
 
-    Scans members by ascending removal loss and candidates by descending
-    final greedy gain bound (the last gain or abort bound computed for the
-    vertex, or its start-scan value or abort bound if no round evaluated
-    it); a swap commits as soon as the new objective clears the
-    multiplicative acceptance threshold (1 + eps / (k (n - k))), with an
-    absolute fallback when the current objective is zero. Terminates when
-    a full scan commits nothing, so the result never falls below greedy.
-    Swaps are scored by ``swap_rows``, whose floats sum in another order
-    than one traversal per pair; a score within ``SWAP_GUARD`` of the
-    threshold is decided by that pair's own ``pruned_marginal_gain``.
+    ``local_search`` scans members by ascending removal loss and, here,
+    candidates by descending final greedy gain bound (the last gain or
+    abort bound computed for the vertex, or its start-scan value or abort
+    bound if no round evaluated it); a swap commits as soon as the new
+    objective clears the multiplicative acceptance threshold
+    (1 + eps / (k (n - k))), with an absolute fallback when the current
+    objective is zero. Terminates when a full scan commits nothing, so the
+    result never falls below greedy. Removal losses and swap scores are
+    float sums in another order than a scan of one traversal per pair, so
+    a score within rounding of the threshold may be judged differently
+    from that scan.
     """
     cfg = cfg or AlgoConfig(k=k)
     if not 1 <= k <= g.n:
@@ -116,29 +111,15 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
     stats["iterations"] = 0
     swaps: list[tuple[int, int]] = []
 
-    def plan(state):
-        gh_here = harmonic_sum(state.dist_nearest, state.member_set)
-        # multiplicative acceptance when positive; strict absolute
-        # improvement when the objective sits at zero
-        if gh_here > 0.0:
-            threshold, strict = gh_here * (1.0 + cfg.eps / (k * (n - k))), False
-        else:
-            threshold, strict = gh_here + ABS_IMPROVE, True
-        near = SWAP_GUARD * max(1.0, abs(threshold))
-        without = {u: harmonic_sum(patched_distances(state, u), state.member_set - {u})
-                   for u in state.members}
-        members = sorted(without.items(), key=lambda m: (gh_here - m[1], m[0]))
+    def plan(state, objective):
         candidates = sorted((x for x in range(n) if x not in state.member_set),
                             key=lambda x: (-gain_bound[x], x))
-
-        def accepts(u, v, value):
-            if abs(value - threshold) <= near:
-                stats["evaluated"] += 1
-                value = without[u] + pruned_marginal_gain(
-                    g, patched_distances(state, u), v).value
-            return value > threshold if strict else value >= threshold
-
-        return members, candidates, accepts
+        # multiplicative acceptance when positive; strict absolute
+        # improvement when the objective sits at zero
+        if objective > 0.0:
+            threshold = objective * (1.0 + cfg.eps / (k * (n - k)))
+            return candidates, lambda value: value >= threshold
+        return candidates, lambda value: value > objective + ABS_IMPROVE
 
     if k < n:
         group, swaps = local_search(g, group, _harmonic_term, plan, stats)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .centrality import group_farness_raw, group_harmonic
@@ -23,10 +23,6 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"enumeration needs {count} evaluations, budget is {budget}")
         self.count = count
         self.budget = budget
-
-
-class InfeasibleAssignmentError(ValueError):
-    pass
 
 
 def _distance_matrix(g):
@@ -134,16 +130,17 @@ class IlpModel:
 
     Variables: y_j = 1 if vertex j is in the group; x_ij = 1 if vertex i is
     served by group member j (declared only when j can reach i). Objective
-    sums x_ij / d(j, i) where d(j, i) is the member-to-vertex distance, so a
-    feasible assignment scores exactly the group-harmonic value. Constraints:
-    each vertex is either in the group or assigned once; exactly k members;
-    assignment only to members.
+    sums x_ij / d(j, i) where d(j, i) is the member-to-vertex distance, so
+    the best assignment for a group (each outside vertex to a nearest
+    member) scores exactly its group-harmonic value. Constraints: each
+    vertex is in the group or assigned at most once, so a vertex no member
+    reaches stays unassigned and adds 0; exactly k members; assignment only
+    to members.
     """
 
     n: int
     k: int
     dist: dict  # (i, j) -> exact int distance from j to i, finite pairs only
-    warnings: list = field(default_factory=list)
 
     def x_pairs(self):
         return sorted(self.dist)
@@ -159,22 +156,14 @@ def build_harmonic_model(g: Graph, k: int) -> IlpModel:
         for i in range(n):
             if i != j and dj[i] != UNREACHABLE:
                 dist[(i, j)] = dj[i]
-    model = IlpModel(n=n, k=k, dist=dist)
-    for i in range(n):
-        if not any((i, j) in dist for j in range(n) if j != i):
-            model.warnings.append(
-                f"vertex {i} has no finite distance from any other vertex; "
-                f"the model may be infeasible")
-    return model
+    return IlpModel(n=n, k=k, dist=dist)
 
 
 def write_lp(model: IlpModel, path) -> None:
     """CPLEX-style text LP: Maximize / Subject To / Binary / End."""
     lines = ["\\ group-harmonic assignment model",
-             f"\\ n={model.n} k={model.k}"]
-    for w in model.warnings:
-        lines.append(f"\\ warning: {w}")
-    lines.append("Maximize")
+             f"\\ n={model.n} k={model.k}",
+             "Maximize"]
     terms = []
     for (i, j) in model.x_pairs():
         coeff = format(1.0 / model.dist[(i, j)], ".17g")
@@ -184,7 +173,7 @@ def write_lp(model: IlpModel, path) -> None:
     for i in range(model.n):
         parts = [f"x_{i}_{j}" for j in range(model.n) if (i, j) in model.dist]
         parts.append(f"y_{i}")
-        lines.append(f" assign_{i}: " + " + ".join(parts) + " = 1")
+        lines.append(f" assign_{i}: " + " + ".join(parts) + " <= 1")
     budget = " + ".join(f"y_{j}" for j in range(model.n))
     lines.append(f" budget: {budget} = {model.k}")
     for (i, j) in model.x_pairs():
@@ -207,8 +196,9 @@ def export_ilp_harmonic(g: Graph, k: int, path) -> IlpModel:
 
 def evaluate_assignment(model: IlpModel, group) -> float:
     """Plug a group into the model: assign every outside vertex to its
-    nearest member (ties to the smaller id), verify all constraints, and
-    return the objective value."""
+    nearest member (ties to the smaller id), leave a vertex no member
+    reaches unassigned, verify all constraints, and return the objective
+    value."""
     members = sorted(set(group))
     if len(members) != model.k:
         raise ValueError(f"group size {len(members)} != k={model.k}")
@@ -227,8 +217,7 @@ def evaluate_assignment(model: IlpModel, group) -> float:
             if d is not None and (best_d is None or d < best_d):
                 best_d, best_j = d, j
         if best_j is None:
-            raise InfeasibleAssignmentError(
-                f"vertex {i} unreachable from every group member")
+            continue
         if y[best_j] != 1:
             raise AssertionError("assignment to a non-member")
         objective += 1.0 / best_d

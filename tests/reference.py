@@ -4,8 +4,9 @@
 greedy-c without laziness or pruning. The per-pair local searches are the
 scan loops the solvers ran before swap rows: one exact traversal per
 (member u, candidate v) pair over the distances of the group without u,
-with the same member order, candidate order and acceptance test. They
-return (sorted group, swap sequence) for comparison with
+with the same member order, candidate order and acceptance test; member
+losses are differences of group values, as are ls-h's objectives without
+each member. They return (sorted group, swap sequence) for comparison with
 ``local_search_closeness`` and ``local_search_harmonic``.
 ``heap_farness_decrease`` is the unit-weight farness decrease with the
 suffix heaps it kept before its bound counted vertices per base distance,
@@ -16,7 +17,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from groupcent.centrality import (group_farness_raw, harmonic_sum,
-                                  patched_distances, removal_cost, state_init)
+                                  patched_distances, state_init)
 from groupcent.closeness import (_greedy_closeness_core, add_estimate,
                                  farness_decrease)
 from groupcent.graph import closer_levels, multi_source_sssp, sssp
@@ -120,12 +121,13 @@ def per_pair_closeness(g, k, eps):
     swaps = []
     while True:
         state = state_init(g, group)
-        raw = state.raw_farness
+        raw = group_farness_raw(g, group)
         threshold = shrink * raw
         if k == 1:
             members = [(0, group[0])]
         else:
-            members = sorted((removal_cost(state, u), u) for u in group)
+            members = sorted((group_farness_raw(g, [m for m in group if m != u])
+                              - raw, u) for u in group)
         candidates = sorted(
             (v for v in range(n) if v not in state.member_set
              and not (exclude_deg1 and g.out_degree(v) == 1)),

@@ -172,6 +172,11 @@ def test_criterion_07_bound_soundness(monkeypatch):
             return common + 1, entry
         return corrupted
 
+    # and the removal pass: one whose costs are off by one must fail it
+    def off_by_one_pass(state, c):
+        objective, cost = centrality.removal_cost(state, c)
+        return objective, {u: x + 1 for u, x in cost.items()}
+
     # and the reach counts those start-scan bounds rest on
     def understated(g):
         return [r - 1 for r in graph.reachable_counts(g)]
@@ -193,16 +198,20 @@ def test_criterion_07_bound_soundness(monkeypatch):
     monkeypatch.setattr(checks, "swap_rows", off_by_one)
     rows_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
+    monkeypatch.setattr(checks, "removal_cost", off_by_one_pass)
+    pass_gated = not bound_check(cases_per_regime=5).passed
+    monkeypatch.undo()
     monkeypatch.setattr(checks, "reachable_counts", understated)
     reach_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
     monkeypatch.setattr(checks, "pruned_marginal_gain", undershooting_gain)
     gain_gated = not bound_check(cases_per_regime=5).passed
     _criterion(7, "pruning bounds (farness decrease, harmonic gain, harmonic "
-               "start, singleton farness, reach counts) and swap rows are "
-               "sound and gated",
+               "start, singleton farness, reach counts), the removal pass "
+               "and swap rows are sound and gated",
                outcome.passed and harmonic_gated and farness_gated
-               and rows_gated and reach_gated and gain_gated, detail)
+               and rows_gated and pass_gated and reach_gated and gain_gated,
+               detail)
 
 
 def test_criterion_08_pruning_transparency():

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from groupcent import centrality, closeness, harmonic
-from groupcent.centrality import (DisconnectedFarnessError,
-                                  DisconnectedRemovalError, base_suffixes,
+from groupcent.centrality import (DisconnectedFarnessError, base_suffixes,
                                   group_farness_raw, group_harmonic,
                                   harmonic_sum, patched_distances,
                                   removal_cost, state_init, swap_rows)
@@ -23,6 +22,11 @@ from reference import suffix_ge
 def weighted_path_l2():
     # 4-path with first edge weight 2, the closeness counter-example shape
     return path_graph([2, 1, 1])
+
+
+def farness(state):
+    """The group's raw farness, from the removal pass with c = -d."""
+    return -removal_cost(state, _farness_term)[0]
 
 
 class TestGroupHarmonic:
@@ -101,7 +105,7 @@ class TestState:
         st = state_init(g, [0, 4])
         assert st.nearest_member == [0, 0, 0, 4, 4]
         assert st.dist_second[2] == 2
-        assert st.raw_farness == 4
+        assert farness(st) == 4
 
     def test_singleton_second_is_sentinel(self):
         g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
@@ -125,57 +129,85 @@ class TestState:
                 assert st.dist_second[x] == expected
 
     def test_raw_farness_matches_scratch(self):
+        # from the removal pass: farness exactly, and harmonic bit for bit,
+        # as harmonic_sum sums it
         rng = random.Random(13)
         for _ in range(20):
             g = undirected_connected(9, rng, weights=(1, 2))
             group = sorted(rng.sample(range(g.n), 2))
             st = state_init(g, group)
-            assert st.raw_farness == group_farness_raw(g, group)
+            assert farness(st) == group_farness_raw(g, group)
+            assert (removal_cost(st, _harmonic_term)[0]
+                    == harmonic_sum(st.dist_nearest, st.member_set))
 
 
 class TestRemovalCost:
+    """``cost[u]`` is objective(S) - objective(S - u), with 0 for no
+    members: exactly for farness, to rounding for harmonic."""
+
     def test_path_end_removal(self):
         g = Graph(5, [(i, i + 1, 1) for i in range(4)])
         st = state_init(g, [0, 4])
-        assert removal_cost(st, 4) == 6
+        assert removal_cost(st, _farness_term) == (-4, {0: 6, 4: 6})
 
     def test_member_with_no_assignments(self):
         g = star_graph(4)  # center 0
         st = state_init(g, [0, 1])
         # every outside vertex is nearest to the center, so dropping leaf 1
         # only reintroduces its own distance
-        assert removal_cost(st, 1) == st.dist_second[1]
+        assert removal_cost(st, _farness_term)[1][1] == st.dist_second[1]
 
     def test_matches_scratch_difference(self):
+        # farness, in all four regimes
         rng = random.Random(14)
-        done = 0
-        while done < 200:
-            directed = bool(done % 2)
-            g = (directed_strongly_connected(9, rng, weights=(1, 2))
-                 if directed else undirected_connected(9, rng, weights=(1, 2)))
-            k = rng.randrange(2, 5)
+        singletons = 0
+        for trial in range(200):
+            weights = (1,) if trial % 4 < 2 else (1, 2, 3)
+            g = sparse_graph(rng, bool(trial % 2), weights, connected=True)
+            k = rng.randrange(1, min(4, g.n - 1) + 1)
+            group = sorted(rng.sample(range(g.n), k))
+            objective, cost = removal_cost(state_init(g, group), _farness_term)
+            assert objective == -group_farness_raw(g, group)
+            assert sorted(cost) == group
+            for u in group:
+                rest = [m for m in group if m != u]
+                without = -group_farness_raw(g, rest) if rest else 0
+                assert objective - cost[u] == without
+            singletons += k == 1
+        assert singletons
+
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 3)))
+    def test_harmonic_costs_match_scratch_difference(self, directed, weights):
+        # mostly graphs some vertex of which no member reaches, and groups
+        # whose removals leave a vertex uncovered
+        rng = random.Random(24 + 2 * directed + len(weights))
+        uncovered = orphaning = singletons = 0
+        for trial in range(60):
+            g = sparse_graph(rng, directed, weights, connected=trial % 4 == 0)
+            k = rng.randrange(1, min(4, g.n - 1) + 1)
             group = sorted(rng.sample(range(g.n), k))
             st = state_init(g, group)
+            objective, cost = removal_cost(st, _harmonic_term)
+            assert objective == group_harmonic(g, group).value
             for u in group:
-                expected = (group_farness_raw(g, [m for m in group if m != u])
-                            - group_farness_raw(g, group))
-                assert removal_cost(st, u) == expected
-                done += 1
+                rest = [m for m in group if m != u]
+                without = group_harmonic(g, rest).value if rest else 0.0
+                assert abs(objective - cost[u] - without) <= 1e-12 * max(1.0, without)
+            uncovered += -1 in st.nearest_member
+            orphaning += k > 1 and any(st.nearest_member[x] != x
+                                       and st.dist_second[x] == UNREACHABLE
+                                       and st.dist_nearest[x] != UNREACHABLE
+                                       for x in range(g.n))
+            singletons += k == 1
+        assert singletons and uncovered and orphaning
 
-    def test_disconnecting_removal_signalled(self):
-        g = Graph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)], directed=True)
-        # only vertex 0 reaches the others; removing it strands coverage
-        st = state_init(g, [0, 1])
-        with pytest.raises(DisconnectedRemovalError):
-            removal_cost(st, 0)
-
-    def test_requires_membership_and_size(self):
-        g = Graph(3, [(0, 1, 1), (1, 2, 1)])
-        st = state_init(g, [0, 1])
-        with pytest.raises(ValueError):
-            removal_cost(st, 2)
-        with pytest.raises(ValueError):
-            removal_cost(state_init(g, [0]), 0)
+    def test_single_member_loses_the_whole_objective(self):
+        g = weighted_path_l2()
+        st = state_init(g, [1])
+        assert removal_cost(st, _farness_term) == (-5, {1: -5})
+        objective, cost = removal_cost(st, _harmonic_term)
+        assert objective == cost[1] == 1 / 2 + 1 + 1 / 2
 
 
 def state_apply_swap(state, u, v):
@@ -194,7 +226,7 @@ class TestSwap:
         st = state_init(g, [0, 3])
         swapped = state_apply_swap(st, 3, 5)
         back = state_apply_swap(swapped, 5, 3)
-        assert back.raw_farness == st.raw_farness
+        assert farness(back) == farness(st)
         assert back.members == st.members
 
     def test_swap_matches_scratch(self):
@@ -206,14 +238,14 @@ class TestSwap:
             u = rng.choice(group)
             v = rng.choice([x for x in range(g.n) if x not in group])
             new = state_apply_swap(st, u, v)
-            assert new.raw_farness == group_farness_raw(g, new.members)
+            assert farness(new) == group_farness_raw(g, new.members)
 
     def test_weighted_path_swap_golden(self):
         g = weighted_path_l2()
         st = state_init(g, [1])
         new = state_apply_swap(st, 1, 0)
-        assert st.raw_farness == 5
-        assert new.raw_farness == 9
+        assert farness(st) == 5
+        assert farness(new) == 9
 
     def test_patched_distances_match_reduced_group(self):
         rng = random.Random(17)
@@ -297,9 +329,9 @@ class TestSwapRows:
 
     @pytest.mark.parametrize("algo", ("closeness", "harmonic"))
     def test_a_pass_builds_each_row_at_most_once(self, algo, monkeypatch):
-        # every pass builds at most one row per non-member, and the reports
-        # count greedy's evaluations plus every row (plus, for harmonic,
-        # every per-pair re-check near the threshold)
+        # every pass builds at most one row per non-member, local search
+        # runs no marginal kernel of its own, and the reports count
+        # greedy's evaluations plus every row
         per_pass = []
 
         def counting(state, c):
@@ -308,15 +340,17 @@ class TestSwapRows:
             row = swap_rows(state, c)
             return lambda v: built.append(v) or row(v)
 
-        gains = []
-        real_gain = harmonic.pruned_marginal_gain
+        kernels = []
 
-        def counting_gain(*args):
-            gains.append(1)
-            return real_gain(*args)
+        def counted(kernel):
+            return lambda *args: kernels.append(1) or kernel(*args)
 
+        module = closeness if algo == "closeness" else harmonic
         monkeypatch.setattr(centrality, "swap_rows", counting)
-        monkeypatch.setattr(harmonic, "pruned_marginal_gain", counting_gain)
+        monkeypatch.setattr(harmonic, "pruned_marginal_gain",
+                            counted(harmonic.pruned_marginal_gain))
+        monkeypatch.setattr(closeness, "farness_decrease",
+                            counted(closeness.farness_decrease))
         rng = random.Random(80)
         multi_pass = 0
         for trial in range(30):
@@ -325,12 +359,11 @@ class TestSwapRows:
                      weights=(1,) if trial % 4 < 2 else (1, 2))
             k = rng.randrange(1, 5)
             cfg = AlgoConfig(k=k, eps=1e-6)
-            module = closeness if algo == "closeness" else harmonic
-            before = len(gains)
+            before = len(kernels)
             greedy = getattr(module, f"greedy_{algo}")(g, k, cfg)
-            mid = len(gains)
+            mid = len(kernels)
             ls = getattr(module, f"local_search_{algo}")(g, k, cfg)
-            rechecks = (len(gains) - mid) - (mid - before)
+            assert len(kernels) - mid == mid - before
             passes, per_pass[:] = per_pass[:], []
             assert len(passes) == ls.iterations
             multi_pass += ls.iterations > 1
@@ -340,8 +373,7 @@ class TestSwapRows:
                 assert len(set(built)) == len(built) <= g.n - k
                 rows += len(built)
             assert ls.traversals_pruned == greedy.traversals_pruned
-            assert ls.candidates_evaluated == (greedy.candidates_evaluated
-                                               + rows + rechecks)
+            assert ls.candidates_evaluated == greedy.candidates_evaluated + rows
         assert multi_pass
 
 

@@ -6,10 +6,10 @@ from itertools import combinations
 import pytest
 
 from groupcent.centrality import (base_suffixes, group_farness_raw,
-                                  patched_distances, state_init)
-from groupcent.closeness import (DisconnectedGraphError, add_estimate,
-                                 farness_decrease, greedy_closeness,
-                                 local_search_closeness)
+                                  patched_distances, removal_cost, state_init)
+from groupcent.closeness import (DisconnectedGraphError, _farness_term,
+                                 add_estimate, farness_decrease,
+                                 greedy_closeness, local_search_closeness)
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   star_graph, undirected_connected)
 from groupcent.graph import Graph, multi_source_sssp
@@ -316,8 +316,7 @@ class TestAddEstimate:
         for _ in range(50):
             g = undirected_connected(8, rng, weights=(1, 2))
             group = sorted(rng.sample(range(g.n), 2))
-            st = state_init(g, group)
-            raw = st.raw_farness
+            raw = -removal_cost(state_init(g, group), _farness_term)[0]
             shrink = 1 - Fraction(1, 100) / (2 * (g.n - 2))
             u = rng.choice(group)
             outside = [x for x in range(g.n) if x not in group]

@@ -15,12 +15,19 @@ from groupcent.graph import (Graph, UNREACHABLE, multi_source_sssp,
                             reachable_counts, sssp)
 from groupcent.closeness import (DisconnectedGraphError, _closeness_start_vertex,
                                  greedy_closeness, local_search_closeness)
-from groupcent.harmonic import (_harmonic_term, greedy_harmonic,
+from groupcent.harmonic import (PRUNE_MARGIN, _harmonic_term, greedy_harmonic,
                                 harmonic_centralities, local_search_harmonic,
-                                pruned_marginal_gain, top_harmonic_vertex)
+                                pruned_marginal_gain)
 from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
 from reference import per_pair_harmonic, plain_greedy_harmonic
+
+
+def top_harmonic_vertex(g):
+    """The harmonic start vertex: largest harmonic centrality, the smallest
+    id on ties, with the reach counts the harmonic solvers use."""
+    return best_singleton(g, _harmonic_term, harmonic.reachable_counts(g),
+                          PRUNE_MARGIN)[0]
 
 
 class TestTopVertex:

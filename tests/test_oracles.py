@@ -4,16 +4,72 @@ import random
 import pytest
 
 from groupcent.centrality import group_harmonic
-from groupcent.generators import path_graph, random_graph, undirected_connected
+from groupcent.generators import (layered_dag, path_graph, random_graph,
+                                  undirected_connected)
 from groupcent.graph import Graph
-from groupcent.oracles import (BudgetExceededError, InfeasibleAssignmentError,
-                               best_random, build_harmonic_model,
-                               evaluate_assignment, exhaustive_best,
-                               export_ilp_harmonic)
+from groupcent.oracles import (BudgetExceededError, best_random,
+                               build_harmonic_model, evaluate_assignment,
+                               exhaustive_best, export_ilp_harmonic)
 
 
 def weighted_path_l2():
     return path_graph([2, 1, 1])
+
+
+def fan_with_source():
+    """Directed 0->1, 0->2, 0->3 and 4->0: nothing reaches 4."""
+    return Graph(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 0, 1)], directed=True)
+
+
+def solve_lp_file(path):
+    """(group, value): an optimum of a model written by ``write_lp``, solved
+    as read back from its text by scipy's MILP solver."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    index = {}
+
+    def linear(expr):
+        coeffs, sign, coef = {}, 1.0, 1.0
+        for tok in expr.split():
+            if tok in ("+", "-"):
+                sign = -1.0 if tok == "-" else 1.0
+            elif tok[0].isdigit():
+                coef = float(tok)
+            else:
+                j = index.setdefault(tok, len(index))
+                coeffs[j] = coeffs.get(j, 0.0) + sign * coef
+                sign, coef = 1.0, 1.0
+        return coeffs
+
+    section, objective, rows = None, {}, []
+    for line in path.read_text().splitlines():
+        if line.startswith("\\"):
+            continue
+        if not line.startswith(" "):
+            section = line
+        elif section == "Maximize":
+            objective = linear(line.split(":", 1)[1])
+        elif section == "Subject To":
+            lhs, op, rhs = line.split(":", 1)[1].rsplit(None, 2)
+            rows.append((linear(lhs), op, float(rhs)))
+        elif section == "Binary":
+            index.setdefault(line.strip(), len(index))
+    a = np.zeros((len(rows), len(index)))
+    lo, hi = [], []
+    for r, (coeffs, op, rhs) in enumerate(rows):
+        for j, v in coeffs.items():
+            a[r, j] = v
+        lo.append(rhs if op in ("=", ">=") else -np.inf)
+        hi.append(rhs if op in ("=", "<=") else np.inf)
+    c = np.zeros(len(index))
+    for j, v in objective.items():
+        c[j] = -v  # milp minimizes
+    res = milp(c, constraints=LinearConstraint(a, lo, hi),
+               integrality=np.ones(len(index)), bounds=Bounds(0, 1))
+    assert res.success
+    group = sorted(int(name[2:]) for name, j in index.items()
+                   if name.startswith("y_") and res.x[j] > 0.5)
+    return group, -res.fun
 
 
 class TestExhaustive:
@@ -133,13 +189,32 @@ class TestIlpModel:
         with pytest.raises(ValueError):
             evaluate_assignment(model, [0, 1])
 
-    def test_unreachable_vertex_infeasible(self):
-        g = Graph(3, [(0, 1, 1), (0, 2, 1)], directed=True)
-        model = build_harmonic_model(g, 1)
-        # vertex 0 has no incoming arc: model carries a feasibility warning
-        assert model.warnings
-        with pytest.raises(InfeasibleAssignmentError):
-            evaluate_assignment(model, [1])
+    def test_unreachable_vertex_scores_zero(self, tmp_path):
+        # {0} misses vertex 4, which harmonic scores 0: the group stays
+        # feasible and wins
+        model = export_ilp_harmonic(fan_with_source(), 1, tmp_path / "f.lp")
+        assert evaluate_assignment(model, [0]) == 3.0
+        assert evaluate_assignment(model, [4]) == 2.5
+        assert " assign_4: y_4 <= 1" in (tmp_path / "f.lp").read_text()
+
+    def test_milp_optimum_matches_exhaustive(self, tmp_path):
+        pytest.importorskip("scipy.optimize")
+        rng = random.Random(8)
+        cases = [(fan_with_source(), 1)]
+        for trial in range(10):
+            g = (layered_dag(rng, rng.randrange(2, 4), rng.randrange(2, 4),
+                             weights=(1, 2)) if trial % 2 else
+                 random_graph(rng.randrange(5, 9), rng, directed=trial % 4 == 0,
+                              weights=(1, 3)))
+            cases.append((g, rng.randrange(1, 4)))
+        for i, (g, k) in enumerate(cases):
+            model = export_ilp_harmonic(g, k, tmp_path / f"m{i}.lp")
+            group, value = solve_lp_file(tmp_path / f"m{i}.lp")
+            opt = exhaustive_best(g, k, "harmonic").objective_value
+            assert len(group) == k
+            assert abs(value - opt) <= 1e-9 * max(1.0, opt)
+            assert abs(evaluate_assignment(model, group) - opt) <= 1e-9 * max(1.0, opt)
+        assert solve_lp_file(tmp_path / "m0.lp")[0] == [0]
 
     def test_directed_model_matches_group_objective(self, tmp_path):
         from groupcent.generators import directed_strongly_connected
