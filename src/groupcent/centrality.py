@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .graph import (Graph, UNREACHABLE, closer_levels, closer_settled,
+from .graph import (Graph, UNREACHABLE, closer_levels, lower_distances,
                     multi_source_sssp)
 
 
@@ -169,12 +169,13 @@ def swap_rows(state: GroupDistanceState, c):
     distance d adds to the objective, with c(0) >= c(d) >= c(UNREACHABLE) = 0.
 
     Without u, distances change only where u is nearest, to
-    ``dist_second``; so one closer-than-base traversal from v over the
-    1-Lipschitz ``dist_second`` reaches every vertex any swap of v improves.
-    A visited x at distance d adds c(d) - c(dist_nearest[x]), if positive,
-    to ``common`` and the rest of its gain against ``dist_second[x]`` to
-    the entry of its nearest member; v itself, now a member, adds
-    -c(dist_nearest[v]). Only nonzero entries are kept.
+    ``dist_second``; so one closer-than-base traversal (``closer_levels``)
+    from v over the 1-Lipschitz ``dist_second`` reaches every vertex any
+    swap of v improves. A visited x at distance d adds c(d) -
+    c(dist_nearest[x]), if positive, to ``common`` and the rest of its gain
+    against ``dist_second[x]`` to the entry of its nearest member; v
+    itself, now a member, adds -c(dist_nearest[v]). Only nonzero entries
+    are kept.
     """
     g = state.graph
     rep = state.nearest_member
@@ -183,8 +184,7 @@ def swap_rows(state: GroupDistanceState, c):
     c2 = [c(d) for d in d2]
 
     def row(v):
-        levels = (closer_levels(g, d2, v) if g.unit_weights
-                  else ((d, (x,)) for d, x in closer_settled(g, d2, v)))
+        levels = closer_levels(g, d2, (v,))
         next(levels)  # (0, [v])
         common = -c1[v]
         e = c1[v] - c2[v]
@@ -277,9 +277,10 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     it drops below ``stop_below``; an exact 0 when v is already a member.
     ``record`` collects every bound checked. ``c`` is what a vertex at
     distance d adds, as in ``swap_rows``. One closer-than-base traversal
-    from v: each vertex x it reaches past v trades c(dist[x]) for c(d), and
-    v itself, now a member, loses c(dist[v]); the terms are summed in
-    traversal order.
+    (``closer_levels``) from v: each vertex x it reaches past v trades
+    c(dist[x]) for c(d), and v itself, now a member, loses c(dist[v]); the
+    terms are summed in traversal order, level by level and by id within a
+    level.
 
     Unit weights check the level bound of Bergamini et al. (TKDD 2019)
     after each BFS level d, written in c. An uncounted x gains only if it
@@ -290,20 +291,19 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     with b <= d+1 are final, and the suffixes of ``suffix`` (built by
     ``base_suffixes(dist, c)`` when not given) minus the running totals
     over the counted vertices give the uncounted ones. Weighted graphs
-    return the exact value and check no bound: a settle-by-settle bound
-    cost more than the evaluations it saved."""
+    return the exact value and check no bound: a bound checked at every
+    settled vertex cost more than the evaluations it saved."""
     own = dist[v]
     if not own:
         return Marginal(True, 0)
     value = 0
     if not g.unit_weights:
-        settled = closer_settled(g, dist, v)
-        next(settled)  # (0, v)
-        last = 0
-        for d, x in settled:
-            if d != last:
-                last, cd = d, c(d)
-            value += cd - c(dist[x])
+        levels = closer_levels(g, dist, (v,))
+        next(levels)  # (0, [v])
+        for d, level in levels:
+            cd = c(d)
+            for x in level:
+                value += cd - c(dist[x])
         return Marginal(True, value - c(own))
     count, total, cdist = suffix or base_suffixes(dist, c)
     top = len(count) - 1
@@ -315,7 +315,7 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     final = fsum = 0     # counted at base distance d+1 or less
     # v's own term cancels at level 0; then cd, c1, c2 = c(d), c(d+1), c(d+2)
     cd, c1, c2 = c_own, c(1), c(2)
-    for d, level in closer_levels(g, dist, v):
+    for d, level in closer_levels(g, dist, (v,)):
         fanout = 0
         if d:
             cd, c1, c2 = c1, c2, c(d + 2)
@@ -354,16 +354,16 @@ def singleton_value(g: Graph, u: int, c, reach, stop_below=None, record=None):
     vertex below every vertex that reaches all. ``reach`` is at least the
     number of vertices u reaches, u included (``graph.reachable_counts``).
 
-    The traversal is the closer-than-base one with an all-UNREACHABLE base,
-    and the bounds are the level bounds of Bergamini et al. (TKDD 2019):
-    the n - reach vertices u cannot reach add c(UNREACHABLE) each, and only
-    the reach - counted uncounted ones can add more. Unit weights check the
-    bound after counting each BFS level d: at most the level's fan-out of
-    those sit at d+1, the rest at least at d+2. Weighted graphs check it
-    before counting each settled vertex (d > 0): all of them are at least d
-    away. ``c`` is called once per distance, and a completed traversal
-    sums the terms in vertex-id order, as
-    ``harmonic.harmonic_centralities`` does."""
+    The traversal is the closer-than-base one (``closer_levels``) with an
+    all-UNREACHABLE base, and the bounds are the level bounds of Bergamini
+    et al. (TKDD 2019): the n - reach vertices u cannot reach add
+    c(UNREACHABLE) each, and only the reach - counted uncounted ones can
+    add more. Unit weights check the bound after counting each BFS level d:
+    at most the level's fan-out of those sit at d+1, the rest at least at
+    d+2. Weighted graphs check it once per level d > 0, before counting the
+    level: its vertices and all later ones are at least d away. ``c`` is
+    called once per distance, and a completed traversal sums the terms in
+    vertex-id order, as ``harmonic.harmonic_centralities`` does."""
     n = g.n
     nowhere = [UNREACHABLE] * n
     unreached = c(UNREACHABLE)
@@ -375,7 +375,7 @@ def singleton_value(g: Graph, u: int, c, reach, stop_below=None, record=None):
         adj = g.adj
         back = 0 if g.directed else 1  # undirected: one arc leads to the parent
         cd, c1, c2 = 0, c(1), c(2)  # u's own term, then c(d), c(d+1), c(d+2)
-        for d, level in closer_levels(g, nowhere, u):
+        for d, level in closer_levels(g, nowhere, (u,)):
             fanout = 0
             if d:
                 cd, c1, c2 = c1, c2, c(d + 2)
@@ -393,19 +393,19 @@ def singleton_value(g: Graph, u: int, c, reach, stop_below=None, record=None):
             if stop_below is not None and bound < stop_below:
                 return False, bound
     else:
-        last, cd = 0, 0  # u's own term
-        for d, x in closer_settled(g, nowhere, u):
+        cd = 0  # u's own term
+        for d, level in closer_levels(g, nowhere, (u,)):
             if d:
-                if d != last:
-                    last, cd = d, c(d)
+                cd = c(d)
                 bound = partial + (reach - counted) * cd
                 if record is not None:
                     record.append(bound)
                 if stop_below is not None and bound < stop_below:
                     return False, bound
+            for x in level:
+                term[x] = cd
                 partial += cd
-            term[x] = cd
-            counted += 1
+            counted += len(level)
     value = 0
     for t in term:
         value += t
@@ -437,6 +437,9 @@ def lazy_greedy(g: Graph, k: int, start: int, bound, c, gain, stats, margin):
     ``gain(g, dist, v, suffix, stop_below)`` is ``marginal_value`` with
     ``c`` over the group's distances ``dist``, and ``suffix`` is
     ``base_suffixes(dist, c)``, built once per round on unit weights only.
+    ``dist`` is one list, searched once for {start}; after each round the
+    winner's closer-than-base traversal (``lower_distances``), which visits
+    exactly the vertices whose distance drops, lowers it.
     v's traversal aborts below what v needs to beat the incumbent (the
     best value, then the smallest id): for exact integer values (``margin``
     0) the best value, plus one when v's id is larger; for floats, the best
@@ -450,8 +453,8 @@ def lazy_greedy(g: Graph, k: int, start: int, bound, c, gain, stats, margin):
     group = [start]
     members = {start}
     gains = []
+    dist = multi_source_sssp(g, group)
     while len(group) < k:
-        dist = multi_source_sssp(g, group)
         suffix = base_suffixes(dist, c) if g.unit_weights else None
         heap = [(-bound[v], v) for v in range(g.n) if v not in members]
         heapify(heap)
@@ -469,4 +472,6 @@ def lazy_greedy(g: Graph, k: int, start: int, bound, c, gain, stats, margin):
         group.append(best_v)
         members.add(best_v)
         gains.append(best)
+        if len(group) < k:
+            lower_distances(g, dist, (best_v,))
     return group, gains

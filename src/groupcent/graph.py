@@ -191,97 +191,84 @@ def sssp(g: Graph, source: int):
     """Exact distances from one source; UNREACHABLE where no path exists."""
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
-    return _shortest_paths(g, (source,))
+    dist = [UNREACHABLE] * g.n
+    lower_distances(g, dist, (source,))
+    return dist
 
 
 def multi_source_sssp(g: Graph, sources):
     """Elementwise-minimum distances from a nonempty set of sources."""
-    seeds = sorted(set(sources))
+    seeds = set(sources)
     if not seeds:
         raise ValueError("empty source set")
     for s in seeds:
         if not 0 <= s < g.n:
             raise ValueError(f"source {s} out of range")
-    return _shortest_paths(g, seeds)
-
-
-def _shortest_paths(g, seeds):
-    n = g.n
-    dist = [UNREACHABLE] * n
-    if g.unit_weights:
-        adj = g.adj
-        q = deque(seeds)
-        for s in seeds:
-            dist[s] = 0
-        while q:
-            u = q.popleft()
-            nd = dist[u] + 1
-            for v in adj[u]:
-                if nd < dist[v]:
-                    dist[v] = nd
-                    q.append(v)
-        return dist
-    arcs = g.arcs
-    heap = [(0, s) for s in seeds]
-    for s in seeds:
-        dist[s] = 0
-    done = bytearray(n)
-    while heap:
-        d, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = 1
-        for v, w in arcs[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heappush(heap, (nd, v))
+    dist = [UNREACHABLE] * g.n
+    lower_distances(g, dist, seeds)
     return dist
 
 
-def closer_levels(g: Graph, dbase, v: int):
-    """BFS from v over the vertices strictly closer to v than ``dbase``
-    says, for unit weights. Yields ``(d, level)`` for d = 0, 1, ...,
-    starting with ``(0, [v])``; a vertex that fails the test at level d
-    fails it at every later level too, so the cut is exact. Level d+1 is
-    only built once the consumer asks for it."""
-    adj = g.adj
-    seen = bytearray(g.n)
-    seen[v] = 1
-    level = [v]
-    d = 0
-    while level:
-        yield d, level
-        d += 1
-        nxt = []
+def lower_distances(g: Graph, dist, seeds):
+    """Lower ``dist``, the distances from a group (all UNREACHABLE for
+    none), in place to the distances from that group plus ``seeds``."""
+    for d, level in closer_levels(g, dist, seeds):
         for x in level:
-            for y in adj[x]:
-                if not seen[y] and d < dbase[y]:
-                    seen[y] = 1
-                    nxt.append(y)
-        level = nxt
+            dist[x] = d
 
 
-def closer_settled(g: Graph, dbase, v: int):
-    """Dijkstra from v over the vertices strictly closer to v than
-    ``dbase`` says. Yields ``(d, x)`` as each vertex is settled, in
-    nondecreasing d and before x's arcs are relaxed, starting with
-    ``(0, v)``. A heap entry is stale when its key exceeds the vertex's
-    tentative distance."""
+def closer_levels(g: Graph, dbase, seeds):
+    """Shortest-path search from the distinct ``seeds`` over the vertices
+    strictly closer to them than ``dbase`` says. Yields ``(d, level)``,
+    the level holding every such vertex at distance d, starting with ``(0,
+    sorted seeds)``. ``dbase`` grows by at most w along every arc of
+    weight w, as distances from a group do, so every vertex on a shortest
+    path to a yielded vertex is yielded too and the cut is exact. A level
+    is yielded before its arcs are relaxed, so the consumer may lower
+    ``dbase`` to d on it; the next level is only built once asked for.
+
+    Unit weights run a BFS, with the levels d = 0, 1, .... Weighted graphs
+    run Dijkstra and yield the vertices settled at one distance together,
+    in ascending id order; weights are at least 1, so no vertex at
+    distance d is found from another one at d. A heap entry is stale when
+    its key exceeds the vertex's tentative distance."""
+    level = sorted(seeds)
+    d = 0
+    if g.unit_weights:
+        adj = g.adj
+        seen = bytearray(g.n)
+        for s in level:
+            seen[s] = 1
+        while level:
+            yield d, level
+            d += 1
+            nxt = []
+            for x in level:
+                for y in adj[x]:
+                    if not seen[y] and d < dbase[y]:
+                        seen[y] = 1
+                        nxt.append(y)
+            level = nxt
+        return
     arcs = g.arcs
     tentative = [UNREACHABLE] * g.n
-    tentative[v] = 0
-    heap = [(0, v)]
-    while heap:
-        d, x = heappop(heap)
-        if d > tentative[x]:
-            continue
-        yield d, x
-        for y, w in arcs[x]:
-            ny = d + w
-            if ny < dbase[y] and ny < tentative[y]:
-                tentative[y] = ny
-                heappush(heap, (ny, y))
+    for s in level:
+        tentative[s] = 0
+    heap = []
+    while level:
+        yield d, level
+        for x in level:
+            for y, w in arcs[x]:
+                ny = d + w
+                if ny < dbase[y] and ny < tentative[y]:
+                    tentative[y] = ny
+                    heappush(heap, (ny, y))
+        level = []
+        while heap and (not level or heap[0][0] == d):
+            ny, y = heappop(heap)
+            if ny == tentative[y]:
+                d = ny
+                level.append(y)
 
 
 def connected_component_ids(g: Graph):

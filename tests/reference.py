@@ -91,7 +91,7 @@ def heap_farness_decrease(g, dbase, v, stop_below=None, record=None):
     back = 0 if g.directed else 1
     near = _SuffixTracker()
     far = _SuffixTracker()
-    for d, level in closer_levels(g, dbase, v):
+    for d, level in closer_levels(g, dbase, (v,)):
         fanout = 0
         for x in level:
             dx = dbase[x]

@@ -423,6 +423,56 @@ class TestBaseSuffixes:
                 assert len(built) == (3 if g.unit_weights else 0)
 
 
+class TestGreedyDistances:
+    """lazy_greedy searches once for {start} and lowers that one ``dist``
+    after each round."""
+
+    @pytest.mark.parametrize("algo", ("closeness", "harmonic"))
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
+    def test_every_round_sees_the_group_distances(self, algo, directed,
+                                                  weights, monkeypatch):
+        # members sit at distance 0 and nowhere else, so each round's
+        # group is the set of zeros in the dist its gains read
+        seen = {}
+        module = closeness if algo == "closeness" else harmonic
+        name = "farness_decrease" if algo == "closeness" else "pruned_marginal_gain"
+        real = getattr(module, name)
+
+        def gain(g, dist, *args):
+            seen.setdefault(dist.count(0), []).append(dist.copy())
+            return real(g, dist, *args)
+
+        monkeypatch.setattr(module, name, gain)
+        make = directed_strongly_connected if directed else undirected_connected
+        rng = random.Random(46 + directed + len(weights))
+        for _ in range(8):
+            g = make(rng.randrange(15, 35), rng, extra=0.1, weights=weights)
+            k = rng.randrange(2, 7)
+            seen.clear()
+            report = getattr(module, f"greedy_{algo}")(g, k, AlgoConfig(k=k))
+            assert sorted(seen) == list(range(1, k))
+            for dists in seen.values():
+                group = [x for x, d in enumerate(dists[0]) if d == 0]
+                assert set(group) < set(report.group)
+                assert all(d == multi_source_sssp(g, group) for d in dists)
+
+    def test_a_greedy_solve_searches_once_and_once_for_the_report(self, monkeypatch):
+        calls = []
+        real = multi_source_sssp
+        for module in (centrality, harmonic):
+            monkeypatch.setattr(module, "multi_source_sssp",
+                                lambda g, s: calls.append(1) or real(g, s))
+        rng = random.Random(47)
+        for weights in ((1,), (1, 2)):
+            g = undirected_connected(25, rng, weights=weights)
+            for solve in (harmonic.greedy_harmonic, closeness.greedy_closeness):
+                for k in (1, 5):
+                    calls.clear()
+                    solve(g, k, AlgoConfig(k=k))
+                    assert len(calls) == 2
+
+
 class TestSubmodularitySample:
     def test_diminishing_returns_small_sample(self):
         rng = random.Random(18)

@@ -6,8 +6,8 @@ import pytest
 from groupcent import graph
 from groupcent.graph import (EdgeListFormatError, Graph, GraphError,
                              IsolatedVertexError, UNREACHABLE, closer_levels,
-                             closer_settled, is_connected, largest_component,
-                             load_edge_list, multi_source_sssp,
+                             is_connected, largest_component, load_edge_list,
+                             lower_distances, multi_source_sssp,
                              reachable_counts, sssp)
 from groupcent.generators import random_graph
 from test_cli import within
@@ -195,6 +195,22 @@ class TestShortestPaths:
                     if not directed and d[v] != UNREACHABLE:
                         assert d[u] <= d[v] + w
 
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
+    def test_lowering_adds_the_seeds_to_the_group(self, directed, weights):
+        rng = random.Random(4 + directed + len(weights))
+        for _ in range(40):
+            g = random_graph(rng.randrange(2, 25), rng, directed=directed,
+                             p=rng.choice((0.05, 0.15)), weights=weights)
+            a = rng.sample(range(g.n), rng.randrange(1, min(4, g.n) + 1))
+            b = rng.sample(range(g.n), rng.randrange(1, min(4, g.n) + 1))
+            dist = multi_source_sssp(g, a)
+            lower_distances(g, dist, b)
+            assert dist == multi_source_sssp(g, a + b)
+            nowhere = [UNREACHABLE] * g.n
+            lower_distances(g, nowhere, b)
+            assert nowhere == multi_source_sssp(g, b)
+
 
 class TestReachableCounts:
     def test_connected_undirected_all_n(self):
@@ -279,8 +295,9 @@ def test_is_connected():
 
 
 class TestCloserTraversals:
-    """closer_levels and closer_settled visit exactly the vertices strictly
-    closer to the source than the base, each once, at its sssp distance."""
+    """closer_levels visits exactly the vertices strictly closer to the
+    seeds than the base, each once, at its sssp distance, a whole distance
+    class per level, in both weight regimes."""
 
     @staticmethod
     def cases(directed, weights):
@@ -299,8 +316,8 @@ class TestCloserTraversals:
                 yield g, dbase, rng.randrange(n)
 
     @staticmethod
-    def settled_by_levels(g, dbase, v):
-        return [(d, x) for d, level in closer_levels(g, dbase, v) for x in level]
+    def settled(g, dbase, seeds):
+        return [(d, x) for d, level in closer_levels(g, dbase, seeds) for x in level]
 
     @pytest.mark.parametrize("directed", (False, True))
     @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
@@ -309,38 +326,54 @@ class TestCloserTraversals:
         for g, dbase, v in self.cases(directed, weights):
             dv = sssp(g, v)
             want = {x for x in range(g.n) if dv[x] < dbase[x]} | {v}
-            runs = [list(closer_settled(g, dbase, v))]
-            if g.unit_weights:
-                runs.append(self.settled_by_levels(g, dbase, v))
-            for pairs in runs:
-                xs = [x for _, x in pairs]
-                assert pairs[0] == (0, v)
-                assert len(xs) == len(set(xs)) and set(xs) == want
-                assert all(d == dv[x] for d, x in pairs)
-                assert [d for d, _ in pairs] == sorted(d for d, _ in pairs)
+            pairs = self.settled(g, dbase, (v,))
+            xs = [x for _, x in pairs]
+            assert pairs[0] == (0, v)
+            assert len(xs) == len(set(xs)) and set(xs) == want
+            assert all(d == dv[x] for d, x in pairs)
+            assert [d for d, _ in pairs] == sorted(d for d, _ in pairs)
             cut += len(want) < sum(d != UNREACHABLE for d in dv)
         assert cut > 50  # the base hides some reachable vertices
 
     @pytest.mark.parametrize("directed", (False, True))
     def test_levels_are_whole_distance_classes(self, directed):
-        for g, dbase, v in self.cases(directed, (1,)):
+        for g, dbase, v in [*self.cases(directed, (1,)),
+                            *self.cases(directed, (1, 2, 5))]:
             dv = sssp(g, v)
-            levels = list(closer_levels(g, dbase, v))
-            assert [d for d, _ in levels] == list(range(len(levels)))
+            levels = list(closer_levels(g, dbase, (v,)))
+            ds = [d for d, _ in levels]
+            if g.unit_weights:
+                assert ds == list(range(len(levels)))
+            else:
+                assert ds[0] == 0 and all(a < b for a, b in zip(ds, ds[1:]))
             for d, level in levels:
                 assert set(level) == ({x for x in range(g.n)
                                        if dv[x] == d and d < dbase[x]}
                                       | ({v} if d == 0 else set()))
+                if not g.unit_weights:  # Dijkstra's settle order
+                    assert level == sorted(level)
+
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
+    def test_several_seeds(self, directed, weights):
+        rng = random.Random(43)
+        for g, dbase, _ in self.cases(directed, weights):
+            seeds = rng.sample(range(g.n), rng.randrange(1, min(4, g.n) + 1))
+            dv = multi_source_sssp(g, seeds)
+            levels = list(closer_levels(g, dbase, seeds))
+            assert levels[0] == (0, sorted(seeds))
+            pairs = [(d, x) for d, level in levels for x in level]
+            assert sorted(x for _, x in pairs) == sorted(
+                {x for x in range(g.n) if dv[x] < dbase[x]} | set(seeds))
+            assert all(d == dv[x] for d, x in pairs)
 
     @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
     def test_abandoned_generator_leaves_a_fresh_run_unchanged(self, weights):
         for g, dbase, v in self.cases(True, weights):
-            for traversal in ((closer_levels, closer_settled) if g.unit_weights
-                              else (closer_settled,)):
-                first = list(traversal(g, dbase, v))
-                half = traversal(g, dbase, v)
-                for _ in range(len(first) // 2):
-                    next(half)
-                assert list(traversal(g, dbase, v)) == first
-                half.close()
-                assert list(traversal(g, dbase, v)) == first
+            first = list(closer_levels(g, dbase, (v,)))
+            half = closer_levels(g, dbase, (v,))
+            for _ in range(len(first) // 2):
+                next(half)
+            assert list(closer_levels(g, dbase, (v,))) == first
+            half.close()
+            assert list(closer_levels(g, dbase, (v,))) == first

@@ -1,4 +1,5 @@
-"""Every name a library or test module imports is used in that module."""
+"""Every name a library, test or benchmark module imports is used in that
+module."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p.relative_to(ROOT).as_posix() for p in
                  [*(ROOT / "src" / "groupcent").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")]
+                  *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "bench").glob("*.py")]
                  if p.name != "__init__.py")
 
 
