@@ -53,7 +53,11 @@ def group_farness_raw(g: Graph, group) -> int:
     """Exact integer sum of dist(S, v) over v outside S."""
     members = set(group)
     _validate_group(g, members)
-    dist = multi_source_sssp(g, members)
+    return farness_sum(multi_source_sssp(g, members), members)
+
+
+def farness_sum(dist, members) -> int:
+    """Sum of ``dist`` over vertices outside ``members``, all reachable."""
     total = 0
     for x, d in enumerate(dist):
         if x in members:
@@ -217,7 +221,8 @@ def local_search(g: Graph, group, c, plan, stats):
     accepted swap in member-major order commits; a pass without one ends
     the search. Rows are built when first needed and kept for the pass: at
     most n - k per pass, counted in ``stats["evaluated"]``, passes in
-    ``stats["iterations"]``. Returns (group, [(u, v), ...]).
+    ``stats["iterations"]``. Returns (group, [(u, v), ...], the group's
+    distances).
     """
     swaps = []
     while True:
@@ -242,7 +247,7 @@ def local_search(g: Graph, group, c, plan, stats):
             group = sorted(set(group) - {u} | {v})
             break
         else:
-            return group, swaps
+            return group, swaps, state.dist_nearest
 
 
 class Marginal(NamedTuple):
@@ -432,14 +437,16 @@ def best_singleton(g: Graph, c, reach, margin):
 
 def lazy_greedy(g: Graph, k: int, start: int, bound, c, gain, stats, margin):
     """Greedy from the group {start} up to k members, with the lazy queue of
-    Leskovec et al. (KDD 2007). Returns (group, best value per round).
+    Leskovec et al. (KDD 2007). Returns (group, best value per round, the
+    group's distances).
 
     ``gain(g, dist, v, suffix, stop_below)`` is ``marginal_value`` with
     ``c`` over the group's distances ``dist``, and ``suffix`` is
     ``base_suffixes(dist, c)``, built once per round on unit weights only.
     ``dist`` is one list, searched once for {start}; after each round the
     winner's closer-than-base traversal (``lower_distances``), which visits
-    exactly the vertices whose distance drops, lowers it.
+    exactly the vertices whose distance drops, lowers it, so it ends as the
+    final group's distances.
     v's traversal aborts below what v needs to beat the incumbent (the
     best value, then the smallest id): for exact integer values (``margin``
     0) the best value, plus one when v's id is larger; for floats, the best
@@ -472,6 +479,5 @@ def lazy_greedy(g: Graph, k: int, start: int, bound, c, gain, stats, margin):
         group.append(best_v)
         members.add(best_v)
         gains.append(best)
-        if len(group) < k:
-            lower_distances(g, dist, (best_v,))
-    return group, gains
+        lower_distances(g, dist, (best_v,))
+    return group, gains, dist

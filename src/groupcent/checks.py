@@ -219,10 +219,9 @@ def _singleton_bounds(g, v, out):
 
 
 def harmonic_sweep(directed: bool, graphs_per_n: int = 24, ns=(5, 6, 7, 8, 9),
-                   ks=(1, 2, 3), weights=(1, 2), seed: int = 3,
-                   with_local_search: bool = True):
-    """Greedy (and optionally local search) vs the exhaustive optimum on a
-    deterministic family of connected instances. One row per (graph, k)."""
+                   ks=(1, 2, 3), weights=(1, 2), seed: int = 3):
+    """Greedy and local search vs the exhaustive optimum on a deterministic
+    family of connected instances. One row per (graph, k)."""
     rows = []
     base_seed = seed + (1000 if directed else 0)
     for n in ns:
@@ -236,15 +235,12 @@ def harmonic_sweep(directed: bool, graphs_per_n: int = 24, ns=(5, 6, 7, 8, 9),
                 cfg = AlgoConfig(k=k)
                 opt = exhaustive_best(g, k, "harmonic").objective_value
                 greedy = greedy_harmonic(g, k, cfg)
-                row = {
+                rows.append({
                     "n": n, "seed": s, "k": k, "lam": g.lambda_ratio,
                     "opt": opt, "greedy": greedy.objective_value,
+                    "ls": local_search_harmonic(g, k, cfg).objective_value,
                     "round_gains": greedy.round_gains, "graph": g,
-                }
-                if with_local_search:
-                    ls = local_search_harmonic(g, k, cfg)
-                    row["ls"] = ls.objective_value
-                rows.append(row)
+                })
     return rows
 
 

@@ -26,9 +26,21 @@ EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
 EXIT_CHECK_FAILED = 4
 
-ALGOS = ("greedy-h", "ls-h", "greedy-c", "ls-c",
-         "exact-h", "exact-c", "random-h", "random-c")
-CLOSENESS_ALGOS = {"greedy-c", "ls-c", "exact-c", "random-c"}
+# name -> solve(g, cfg); a name ending in "-c" is a closeness algorithm.
+# Each solver is looked up when called, so a patched module attribute (a
+# tracer's span, a test's stub) takes effect.
+SOLVERS = {
+    "greedy-h": lambda g, cfg: greedy_harmonic(g, cfg.k, cfg),
+    "ls-h": lambda g, cfg: local_search_harmonic(g, cfg.k, cfg),
+    "greedy-c": lambda g, cfg: greedy_closeness(g, cfg.k, cfg),
+    "ls-c": lambda g, cfg: local_search_closeness(g, cfg.k, cfg),
+    "exact-h": lambda g, cfg: exhaustive_best(g, cfg.k, "harmonic", cfg=cfg),
+    "exact-c": lambda g, cfg: exhaustive_best(g, cfg.k, "closeness", cfg=cfg),
+    "random-h": lambda g, cfg: best_random(g, cfg.k, cfg.trials, cfg.seed,
+                                           "harmonic", cfg=cfg),
+    "random-c": lambda g, cfg: best_random(g, cfg.k, cfg.trials, cfg.seed,
+                                           "closeness", cfg=cfg),
+}
 
 
 class UsageError(Exception):
@@ -44,7 +56,7 @@ def _add_solve_args(p):
     p.add_argument("--graph", required=True, action="append",
                    help="edge-list file; may repeat for compare")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--algo", required=True, choices=ALGOS)
+    p.add_argument("--algo", required=True, choices=tuple(SOLVERS))
     p.add_argument("--directed", action="store_true")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--eps", type=float, default=0.01)
@@ -79,7 +91,7 @@ def build_parser():
 
 def _prepare_graph(args, path):
     g = load_edge_list(path, directed=args.directed, weighted=args.weighted)
-    if args.algo in CLOSENESS_ALGOS:
+    if args.algo.endswith("-c"):
         if is_connected(g):
             return g
         if args.scc:
@@ -92,28 +104,9 @@ def _prepare_graph(args, path):
     return g
 
 
-def _run_algo(algo, g, cfg):
-    if algo == "greedy-h":
-        return greedy_harmonic(g, cfg.k, cfg)
-    if algo == "ls-h":
-        return local_search_harmonic(g, cfg.k, cfg)
-    if algo == "greedy-c":
-        return greedy_closeness(g, cfg.k, cfg)
-    if algo == "ls-c":
-        return local_search_closeness(g, cfg.k, cfg)
-    if algo == "exact-h":
-        return exhaustive_best(g, cfg.k, "harmonic", cfg=cfg)
-    if algo == "exact-c":
-        return exhaustive_best(g, cfg.k, "closeness", cfg=cfg)
-    if algo == "random-h":
-        return best_random(g, cfg.k, cfg.trials, cfg.seed, "harmonic", cfg=cfg)
-    if algo == "random-c":
-        return best_random(g, cfg.k, cfg.trials, cfg.seed, "closeness", cfg=cfg)
-    raise UsageError(f"unknown algorithm {algo!r}")
-
-
 def _verify_report(g, report):
-    """Emitted objective must match a from-scratch recomputation."""
+    """The emitted objective, which the solver summed over its own
+    incrementally kept distances, must match a from-scratch recomputation."""
     if report.objective_kind == "harmonic":
         fresh = group_harmonic(g, report.group).value
         scale = max(1.0, abs(fresh))
@@ -138,7 +131,7 @@ def _cmd_solve(args):
         raise UsageError("solve takes exactly one --graph")
     cfg = _config_from_args(args)
     g = _prepare_graph(args, args.graph[0])
-    report = _run_algo(args.algo, g, cfg)
+    report = SOLVERS[args.algo](g, cfg)
     _verify_report(g, report)
     _emit(report, args.output)
     return EXIT_OK
@@ -153,18 +146,16 @@ def _config_from_args(args):
 
 def _cmd_compare(args):
     cfg = _config_from_args(args)
-    closeness = args.algo in CLOSENESS_ALGOS
-    baseline_algo = (("exact-c" if closeness else "exact-h")
-                     if args.baseline == "exact"
-                     else ("random-c" if closeness else "random-h"))
+    closeness = args.algo.endswith("-c")
+    baseline_algo = f"{args.baseline}-{args.algo[-1]}"
     import json
 
     ratios = []
     speeds = []
     for path in args.graph:
         g = _prepare_graph(args, path)
-        target = _run_algo(args.algo, g, cfg)
-        base = _run_algo(baseline_algo, g, cfg)
+        target = SOLVERS[args.algo](g, cfg)
+        base = SOLVERS[baseline_algo](g, cfg)
         _verify_report(g, target)
         _verify_report(g, base)
         # maximization framing for both objectives: higher is better

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import floor as int_floor
 from operator import neg
 
-from .centrality import (best_singleton, group_farness_raw, lazy_greedy,
+from .centrality import (best_singleton, farness_sum, lazy_greedy,
                          local_search, marginal_value)
 from .graph import Graph, UNREACHABLE, is_connected
 from .reporting import AlgoConfig, RunReport, solver_report
@@ -48,9 +48,10 @@ def _require_connected(g):
             "graph is not (strongly) connected; extract the largest component first")
 
 
-def _closeness_report(g, algorithm, group, cfg, t0, stats, swap_sequence=()):
+def _closeness_report(g, algorithm, group, dist, cfg, t0, stats, swap_sequence=()):
+    """Report of ``group``, whose distances are ``dist``."""
     members = sorted(group)
-    raw = group_farness_raw(g, members)
+    raw = farness_sum(dist, set(members))
     return solver_report(g, algorithm, members, g.n / raw if raw else float("inf"),
                          raw, cfg, t0, stats, swap_sequence)
 
@@ -62,16 +63,18 @@ def _closeness_start_vertex(g, reach):
 
 
 def _greedy_closeness_core(g, k):
-    """Lazy greedy selection without the report. Returns (group, stats).
+    """Lazy greedy selection without the report. Returns (group, its
+    distances, stats).
 
     Decreases are exact integers, so the queue needs no margin: a
     candidate's traversal aborts once it cannot beat the incumbent, which a
     smaller id wins at a tie and a larger one must strictly beat."""
     stats = {"evaluated": g.n, "pruned": 0, "iterations": k}
     # the solvers only run on (strongly) connected graphs: all reach all
-    group, _ = lazy_greedy(g, k, _closeness_start_vertex(g, [g.n] * g.n),
-                           [UNREACHABLE] * g.n, neg, farness_decrease, stats, 0)
-    return group, stats
+    group, _, dist = lazy_greedy(g, k, _closeness_start_vertex(g, [g.n] * g.n),
+                                 [UNREACHABLE] * g.n, neg, farness_decrease,
+                                 stats, 0)
+    return group, dist, stats
 
 
 def greedy_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunReport:
@@ -88,8 +91,8 @@ def greedy_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunRepo
     if not 1 <= k < g.n:
         raise ValueError(f"k={k} out of range for n={g.n} (closeness needs k < n)")
     t0 = time.perf_counter()
-    group, stats = _greedy_closeness_core(g, k)
-    return _closeness_report(g, "greedy-c", group, cfg, t0, stats)
+    group, dist, stats = _greedy_closeness_core(g, k)
+    return _closeness_report(g, "greedy-c", group, dist, cfg, t0, stats)
 
 
 def _farness_term(d):
@@ -115,7 +118,7 @@ def local_search_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> R
         raise ValueError(f"k={k} out of range for n={g.n} (closeness needs k < n)")
     t0 = time.perf_counter()
     n = g.n
-    group, stats = _greedy_closeness_core(g, k)
+    group, _, stats = _greedy_closeness_core(g, k)
     stats["iterations"] = 0
     shrink = 1 - Fraction(str(cfg.eps)) / (k * (n - k))
     exclude_deg1 = g.unit_weights and not g.directed
@@ -128,5 +131,6 @@ def local_search_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> R
         limit = int_floor(shrink * -objective)  # the new farness is an integer
         return candidates, lambda value: -value <= limit
 
-    group, swaps = local_search(g, group, _farness_term, plan, stats)
-    return _closeness_report(g, "ls-c", group, cfg, t0, stats, swap_sequence=swaps)
+    group, swaps, dist = local_search(g, group, _farness_term, plan, stats)
+    return _closeness_report(g, "ls-c", group, dist, cfg, t0, stats,
+                             swap_sequence=swaps)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from collections import deque
 from heapq import heappop, heappush
 
 UNREACHABLE = math.inf
@@ -113,9 +112,6 @@ class Graph:
     def out_degree(self, u: int) -> int:
         return len(self.adj[u])
 
-    def neighbors(self, u: int):
-        return list(self.arcs[u])
-
     def edges(self):
         """Canonical edge triples (u, v, w), sorted; one per undirected
         edge, as (smaller id, larger id, w)."""
@@ -189,11 +185,7 @@ def load_edge_list(path, directed: bool = False, weighted: bool = False,
 
 def sssp(g: Graph, source: int):
     """Exact distances from one source; UNREACHABLE where no path exists."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range")
-    dist = [UNREACHABLE] * g.n
-    lower_distances(g, dist, (source,))
-    return dist
+    return multi_source_sssp(g, (source,))
 
 
 def multi_source_sssp(g: Graph, sources):
@@ -271,32 +263,12 @@ def closer_levels(g: Graph, dbase, seeds):
                 level.append(y)
 
 
-def connected_component_ids(g: Graph):
-    """Per-vertex component id of an undirected graph."""
-    if g.directed:
-        raise ValueError("connected_component_ids needs an undirected graph")
-    n, adj = g.n, g.adj
-    comp = [-1] * n
-    cid = 0
-    for root in range(n):
-        if comp[root] != -1:
-            continue
-        comp[root] = cid
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if comp[v] == -1:
-                    comp[v] = cid
-                    q.append(v)
-        cid += 1
-    return comp, cid
-
-
 def strongly_connected_components(g: Graph):
     """Iterative Tarjan. Returns (comp ids, count); components are numbered
     in emission order, which is reverse topological order of the condensation
-    (every arc leaving a component points at a lower-numbered one)."""
+    (every arc leaving a component points at a lower-numbered one). An
+    undirected edge is two arcs, so on an undirected graph these are its
+    connected components."""
     n, adj = g.n, g.adj
     index = [-1] * n
     low = [0] * n
@@ -368,10 +340,7 @@ def largest_component(g: Graph) -> Graph:
     Ties go to the component containing the smallest vertex id; surviving
     ids are remapped densely in ascending order.
     """
-    if g.directed:
-        comp, cid = strongly_connected_components(g)
-    else:
-        comp, cid = connected_component_ids(g)
+    comp, cid = strongly_connected_components(g)
     groups: list[list[int]] = [[] for _ in range(cid)]
     for v in range(g.n):
         groups[comp[v]].append(v)
@@ -398,8 +367,7 @@ def reachable_counts(g: Graph):
     directed path.
     """
     n = g.n
-    comp, cid = (strongly_connected_components(g) if g.directed
-                 else connected_component_ids(g))
+    comp, cid = strongly_connected_components(g)
     sizes = [0] * cid
     for v in range(n):
         sizes[comp[v]] += 1

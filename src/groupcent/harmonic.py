@@ -17,8 +17,7 @@ import time
 
 from .centrality import (best_singleton, harmonic_sum, lazy_greedy,
                          local_search, marginal_value)
-from .graph import (Graph, UNREACHABLE, multi_source_sssp, reachable_counts,
-                    sssp)
+from .graph import Graph, UNREACHABLE, reachable_counts, sssp
 from .reporting import AlgoConfig, RunReport, solver_report
 
 PRUNE_MARGIN = 1e-9
@@ -47,22 +46,25 @@ def pruned_marginal_gain(g: Graph, dist, u: int, suffix=None, stop_below=None,
     return marginal_value(g, dist, u, _harmonic_term, suffix, stop_below, record)
 
 
-def _finish_report(g, algorithm, group, cfg, t0, stats, swap_sequence=(), round_gains=()):
+def _finish_report(g, algorithm, group, dist, cfg, t0, stats, swap_sequence=(),
+                   round_gains=()):
+    """Report of ``group``, whose distances are ``dist``."""
     members = sorted(group)
-    value = harmonic_sum(multi_source_sssp(g, members), set(members))
+    value = harmonic_sum(dist, set(members))
     return solver_report(g, algorithm, members, value, None, cfg, t0, stats,
                          swap_sequence, round_gains)
 
 
 def _greedy_core(g, k):
-    """Lazy greedy selection. Returns (group, final per-vertex gain bounds,
-    best gain per round, stats)."""
+    """Lazy greedy selection. Returns (group, its distances, final
+    per-vertex gain bounds, best gain per round, stats)."""
     start, gain_bound = best_singleton(g, _harmonic_term, reachable_counts(g),
                                        PRUNE_MARGIN)
     stats = {"evaluated": g.n, "pruned": 0, "iterations": k}
-    group, round_gains = lazy_greedy(g, k, start, gain_bound, _harmonic_term,
-                                     pruned_marginal_gain, stats, PRUNE_MARGIN)
-    return group, gain_bound, round_gains, stats
+    group, round_gains, dist = lazy_greedy(
+        g, k, start, gain_bound, _harmonic_term, pruned_marginal_gain, stats,
+        PRUNE_MARGIN)
+    return group, dist, gain_bound, round_gains, stats
 
 
 def greedy_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunReport:
@@ -78,8 +80,9 @@ def greedy_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunRepor
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
     t0 = time.perf_counter()
-    group, _, round_gains, stats = _greedy_core(g, k)
-    return _finish_report(g, "greedy-h", group, cfg, t0, stats, round_gains=round_gains)
+    group, dist, _, round_gains, stats = _greedy_core(g, k)
+    return _finish_report(g, "greedy-h", group, dist, cfg, t0, stats,
+                          round_gains=round_gains)
 
 
 def _harmonic_term(d):
@@ -107,7 +110,7 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
         raise ValueError(f"k={k} out of range for n={g.n}")
     t0 = time.perf_counter()
     n = g.n
-    group, gain_bound, round_gains, stats = _greedy_core(g, k)
+    group, dist, gain_bound, round_gains, stats = _greedy_core(g, k)
     stats["iterations"] = 0
     swaps: list[tuple[int, int]] = []
 
@@ -122,6 +125,6 @@ def local_search_harmonic(g: Graph, k: int, cfg: AlgoConfig | None = None) -> Ru
         return candidates, lambda value: value > objective + ABS_IMPROVE
 
     if k < n:
-        group, swaps = local_search(g, group, _harmonic_term, plan, stats)
-    return _finish_report(g, "ls-h", group, cfg, t0, stats,
+        group, swaps, dist = local_search(g, group, _harmonic_term, plan, stats)
+    return _finish_report(g, "ls-h", group, dist, cfg, t0, stats,
                           swap_sequence=swaps, round_gains=round_gains)

@@ -109,6 +109,7 @@ def solver_report(g: Graph, algorithm: str, group, value, raw, cfg: AlgoConfig,
     )
 
 
+# JSON keys, from the report, its "config" and its "graph"
 CSV_COLUMNS = [
     "algorithm", "k", "group", "objectiveKind", "objectiveValue", "rawFarness",
     "iterations", "swapsCommitted", "candidatesEvaluated", "traversalsPruned",
@@ -119,15 +120,7 @@ CSV_COLUMNS = [
 
 def report_to_csv_row(report: RunReport) -> str:
     d = report.to_dict()
-    cells = [
-        d["algorithm"], d["config"]["k"], " ".join(map(str, d["group"])),
-        d["objectiveKind"], d["objectiveValue"],
-        "" if d["rawFarness"] is None else d["rawFarness"],
-        d["iterations"], d["swapsCommitted"], d["candidatesEvaluated"],
-        d["traversalsPruned"], d["wallTimeMillis"],
-        d["graph"]["n"], d["graph"]["m"], d["graph"]["directed"],
-        d["graph"]["weighted"], d["graph"]["hash"],
-        d["config"]["eps"], d["config"]["trials"],
-        d["config"]["seed"], d["config"]["workers"], d["config"]["deterministic"],
-    ]
-    return ",".join(str(c) for c in cells)
+    flat = {**d, **d["config"], **d["graph"],
+            "group": " ".join(map(str, d["group"])),
+            "rawFarness": "" if d["rawFarness"] is None else d["rawFarness"]}
+    return ",".join(str(flat[c]) for c in CSV_COLUMNS)

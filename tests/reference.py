@@ -115,7 +115,7 @@ def heap_farness_decrease(g, dbase, v, stop_below=None, record=None):
 
 def per_pair_closeness(g, k, eps):
     n = g.n
-    group, _ = _greedy_closeness_core(g, k)
+    group, _, _ = _greedy_closeness_core(g, k)
     shrink = 1 - Fraction(str(eps)) / (k * (n - k))
     exclude_deg1 = g.unit_weights and not g.directed
     swaps = []
@@ -156,7 +156,7 @@ def per_pair_closeness(g, k, eps):
 
 def per_pair_harmonic(g, k, eps):
     n = g.n
-    group, gain_bound, _, _ = _greedy_core(g, k)
+    group, _, gain_bound, _, _ = _greedy_core(g, k)
     swaps = []
     if k == n:
         return sorted(group), swaps

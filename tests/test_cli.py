@@ -9,6 +9,7 @@ from groupcent import checks, closeness, graph, harmonic
 from groupcent.generators import undirected_connected
 from groupcent.cli import main
 from groupcent.graph import Graph
+from groupcent.reporting import CSV_COLUMNS, AlgoConfig, report_to_csv_row
 
 
 def run(capsys, *argv):
@@ -100,6 +101,28 @@ class TestSolve:
         header, row = out.strip().splitlines()
         assert header.startswith("algorithm,k,group")
         assert row.startswith("greedy-h,1,1,")
+
+    def test_csv_row_is_the_json_report_flattened(self):
+        g = Graph(7, [(0, 1, 2), (1, 2, 1), (2, 3, 1), (3, 4, 3), (4, 5, 1),
+                      (5, 6, 2), (1, 5, 4), (0, 6, 1)])
+        pinned = {
+            harmonic.greedy_harmonic: "greedy-h,2,2 5,harmonic,3.833333333333333,,"
+            "2,0,13,0,12.5,7,8,False,True,1d9d563af8250ede,0.01,100,0,1,True",
+            closeness.local_search_closeness: "ls-c,2,2 6,closeness,0.875,8,"
+            "3,2,25,0,12.5,7,8,False,True,1d9d563af8250ede,0.01,100,0,1,True",
+        }
+        for solve, row in pinned.items():
+            report = solve(g, 2, AlgoConfig(k=2))
+            report.wall_time_millis = 12.5
+            assert report_to_csv_row(report) == row
+            d = json.loads(report.to_json())
+            flat = {**d, **d["config"], **d["graph"]}
+            cells = dict(zip(CSV_COLUMNS, row.split(",")))
+            assert len(cells) == len(CSV_COLUMNS) == len(row.split(","))
+            assert cells.pop("group") == " ".join(map(str, flat["group"]))
+            raw = flat["rawFarness"]
+            assert cells.pop("rawFarness") == ("" if raw is None else str(raw))
+            assert cells == {c: str(flat[c]) for c in cells}
 
     def test_all_algorithms_run(self, capsys, tmp_path):
         p = tmp_path / "g.txt"

@@ -90,18 +90,29 @@ class TestLayout:
             if not directed:
                 arcs = sorted(arcs + [(v, u, w) for u, v, w in arcs])
             assert sorted((u, v, w) for u in range(g.n)
-                          for v, w in g.neighbors(u)) == arcs
+                          for v, w in g.arcs[u]) == arcs
             for u in range(g.n):
                 assert g.adj[u] == sorted(set(g.adj[u]))
-                assert g.adj[u] == [v for v, _ in g.neighbors(u)]
-                assert g.arcs[u] == g.neighbors(u)
+                assert g.adj[u] == [v for v, _ in g.arcs[u]]
                 assert g.out_degree(u) == len(g.adj[u])
             assert g.num_edges == len(g.edges())
 
-    def test_component_ids_need_an_undirected_graph(self):
-        g = Graph(3, [(0, 1, 1), (2, 1, 1)], directed=True)
-        with pytest.raises(ValueError, match="undirected"):
-            graph.connected_component_ids(g)
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
+    def test_undirected_components_are_the_reachability_classes(self, weights):
+        # an undirected edge is two arcs, so the strongly connected
+        # components of an undirected graph are its connected components
+        rng = random.Random(9 + len(weights))
+        for _ in range(40):
+            n = rng.randrange(2, 25)
+            edges = [(rng.randrange(n), rng.randrange(n), rng.choice(weights))
+                     for _ in range(rng.randrange(n + 1))]
+            g = Graph(n, edges, check_isolated=False)
+            comp, count = graph.strongly_connected_components(g)
+            assert sorted(set(comp)) == list(range(count))
+            for u in range(n):
+                du = sssp(g, u)
+                assert all((comp[u] == comp[v]) == (du[v] != UNREACHABLE)
+                           for v in range(n))
 
     def test_hash_and_edges_pinned(self):
         g = Graph(6, self.EDGES)
@@ -229,7 +240,7 @@ class TestReachableCounts:
             stack = [s]
             while stack:
                 u = stack.pop()
-                for v, _ in g.neighbors(u):
+                for v in g.adj[u]:
                     if v not in seen:
                         seen.add(v)
                         stack.append(v)
