@@ -1,7 +1,8 @@
 """Group centrality objectives, the incremental group-distance state, and
 the start scan, bounded marginal value, lazy greedy, removal pass and
 single-swap local search both objectives share, each parameterized by
-what one vertex at distance d adds.
+what one vertex at distance d adds; ``solve`` runs them for the
+``Objective`` record that holds what differs.
 
 Group-harmonic centrality of a group S sums reciprocal distances from S to
 every outside vertex (unreachable vertices contribute zero). Group farness
@@ -13,13 +14,15 @@ acceptance thresholds can be compared in exact arithmetic.
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .graph import (Graph, UNREACHABLE, closer_levels, lower_distances,
                     multi_source_sssp)
+from .reporting import AlgoConfig, RunReport, solver_report
 
 
 class DisconnectedFarnessError(ValueError):
@@ -481,3 +484,57 @@ def lazy_greedy(g: Graph, k: int, start: int, bound, c, gain, stats, margin):
         gains.append(best)
         lower_distances(g, dist, (best_v,))
     return group, gains, dist
+
+
+class Objective(NamedTuple):
+    """What differs between the maximized objectives: what a vertex at
+    distance d adds, and what follows from it. ``solve`` and the oracles
+    run everything else alike.
+
+    ``check(g, k)`` raises on an instance the objective cannot solve.
+    ``start(g)`` is (start vertex, per-vertex upper bounds on the second
+    round's values) for ``lazy_greedy``, which runs ``gain``, ``c`` and
+    ``margin``. ``term`` is local search's c, 0 at UNREACHABLE, and
+    ``plan(g, k, eps, bounds)`` its plan, given greedy's final bounds.
+    ``report(g, dist, members)`` is (value, raw farness or None) of the
+    group whose distances are ``dist``."""
+    check: Callable
+    start: Callable
+    gain: Callable
+    c: Callable
+    margin: float
+    term: Callable
+    plan: Callable
+    report: Callable
+
+
+def greedy(g: Graph, k: int, objective: Objective, stats):
+    """``lazy_greedy`` of ``objective`` from its start vertex. Returns
+    (group, best value per round, the group's distances, final bounds)."""
+    start, bounds = objective.start(g)
+    return (*lazy_greedy(g, k, start, bounds, objective.c, objective.gain,
+                         stats, objective.margin), bounds)
+
+
+def solve(g: Graph, k: int, cfg: AlgoConfig | None, objective: Objective,
+          algorithm: str) -> RunReport:
+    """Report of ``algorithm``: greedy, then for "ls-*" local search from
+    greedy's group. The value is summed over the distances the last phase
+    holds for the final group. The start scan counts n evaluations;
+    ``iterations`` counts greedy's rounds, or local search's passes."""
+    cfg = cfg or AlgoConfig(k=k)
+    objective.check(g, k)
+    t0 = time.perf_counter()
+    stats = {"evaluated": g.n, "pruned": 0, "iterations": k}
+    group, gains, dist, bounds = greedy(g, k, objective, stats)
+    swaps = ()
+    if algorithm.startswith("ls-"):
+        stats["iterations"] = 0
+        if k < g.n:  # a full group has no swap
+            group, swaps, dist = local_search(
+                g, group, objective.term, objective.plan(g, k, cfg.eps, bounds),
+                stats)
+    members = sorted(group)
+    value, raw = objective.report(g, dist, set(members))
+    return solver_report(g, algorithm, members, value, raw, cfg, t0, stats,
+                         swaps, gains)

@@ -1,7 +1,8 @@
-"""Ground-truth and baseline solvers: exhaustive enumeration, best-of-N
-random groups, and an exportable 0/1 assignment model for the harmonic
-objective (solver-free; the model can be checked by plugging a known group
-into its objective)."""
+"""Ground-truth and baseline solvers: exhaustive enumeration and best-of-N
+random groups of either objective, which score groups by the
+``centrality.Objective`` records the solvers run (``OBJECTIVES``), and an
+exportable 0/1 assignment model for the harmonic objective (solver-free;
+the model can be checked by plugging a known group into its objective)."""
 
 from __future__ import annotations
 
@@ -11,11 +12,13 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .centrality import group_farness_raw, group_harmonic
-from .graph import Graph, UNREACHABLE, is_connected, sssp
+from .closeness import CLOSENESS
+from .graph import Graph, UNREACHABLE, multi_source_sssp, sssp
+from .harmonic import HARMONIC
 from .reporting import AlgoConfig, RunReport, solver_report
 
 DEFAULT_ENUM_BUDGET = 5_000_000
+OBJECTIVES = {"harmonic": HARMONIC, "closeness": CLOSENESS}
 
 
 class BudgetExceededError(RuntimeError):
@@ -25,8 +28,32 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def _distance_matrix(g):
-    return [sssp(g, u) for u in range(g.n)]
+def _objective(g, k, name):
+    """The ``OBJECTIVES`` record of ``name``, once it accepts k on g."""
+    if name not in OBJECTIVES:
+        raise ValueError(f"unknown objective {name!r}")
+    OBJECTIVES[name].check(g, k)
+    return OBJECTIVES[name]
+
+
+def _best(g, objective, algorithm, groups, distances, cfg, t0, count):
+    """Report of the first of ``groups`` whose objective, ``objective.term``
+    summed over the outside vertices of ``distances(group)`` in id order,
+    is largest."""
+    term = objective.term
+    best = best_group = None
+    for group in groups:
+        members = set(group)
+        value = 0
+        for v, d in enumerate(distances(group)):
+            if v not in members:
+                value += term(d)
+        if best is None or value > best:
+            best, best_group = value, list(group)
+    value, raw = objective.report(g, multi_source_sssp(g, best_group),
+                                  set(best_group))
+    return solver_report(g, algorithm, best_group, value, raw, cfg, t0,
+                         {"iterations": count, "evaluated": count})
 
 
 def exhaustive_best(g: Graph, k: int, objective: str = "harmonic",
@@ -36,92 +63,31 @@ def exhaustive_best(g: Graph, k: int, objective: str = "harmonic",
 
     Ties resolve to the first (lexicographically smallest) optimum. Refuses
     instances whose subset count exceeds the evaluation budget."""
-    if objective not in ("harmonic", "closeness"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range")
+    record = _objective(g, k, objective)
     total = math.comb(g.n, k)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    if objective == "closeness":
-        if k >= g.n:
-            raise ValueError(f"k={k} out of range for n={g.n} (closeness needs k < n)")
-        if not is_connected(g):
-            raise ValueError("closeness oracle requires a (strongly) connected graph")
     cfg = cfg or AlgoConfig(k=k)
     t0 = time.perf_counter()
-    dist = _distance_matrix(g)
-    n = g.n
-    best_group = None
-    if objective == "harmonic":
-        best_val = float("-inf")
-        for combo in combinations(range(n), k):
-            rows = [dist[u] for u in combo]
-            inset = set(combo)
-            val = 0.0
-            for v in range(n):
-                if v in inset:
-                    continue
-                d = min(row[v] for row in rows)
-                if d != UNREACHABLE:
-                    val += 1.0 / d
-            if val > best_val:
-                best_val, best_group = val, combo
-        group = list(best_group)
-        return solver_report(g, "exact-h", group, group_harmonic(g, group).value,
-                             None, cfg, t0, {"iterations": total, "evaluated": total})
-    best_raw = None
-    for combo in combinations(range(n), k):
-        rows = [dist[u] for u in combo]
-        inset = set(combo)
-        raw = 0
-        for v in range(n):
-            if v not in inset:
-                raw += min(row[v] for row in rows)
-        if best_raw is None or raw < best_raw:
-            best_raw, best_group = raw, combo
-    group = list(best_group)
-    raw = group_farness_raw(g, group)
-    return solver_report(g, "exact-c", group, g.n / raw, raw, cfg, t0,
-                         {"iterations": total, "evaluated": total})
+    rows = [sssp(g, u) for u in range(g.n)]
+    return _best(g, record, f"exact-{objective[0]}", combinations(range(g.n), k),
+                 lambda combo: map(min, zip(*(rows[u] for u in combo))),
+                 cfg, t0, total)
 
 
 def best_random(g: Graph, k: int, trials: int = 100, seed: int = 0,
                 objective: str = "harmonic",
                 cfg: AlgoConfig | None = None) -> RunReport:
     """Best objective over seeded uniform k-subsets, one sample per trial."""
-    if objective not in ("harmonic", "closeness"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range")
+    record = _objective(g, k, objective)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if objective == "closeness":
-        if k >= g.n:
-            raise ValueError(f"k={k} out of range for n={g.n} (closeness needs k < n)")
-        if not is_connected(g):
-            raise ValueError("closeness baseline requires a (strongly) connected graph")
     cfg = cfg or AlgoConfig(k=k, trials=trials, seed=seed)
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    best_group = None
-    best_key = None
-    for _ in range(trials):
-        group = sorted(rng.sample(range(g.n), k))
-        if objective == "harmonic":
-            key = -group_harmonic(g, group).value
-        else:
-            key = group_farness_raw(g, group)
-        if best_key is None or key < best_key:
-            best_key, best_group = key, group
-    algo = "random-h" if objective == "harmonic" else "random-c"
-    if objective == "harmonic":
-        value, raw = group_harmonic(g, best_group).value, None
-    else:
-        raw = group_farness_raw(g, best_group)
-        value = g.n / raw
-    return solver_report(g, algo, best_group, value, raw, cfg, t0,
-                         {"iterations": trials, "evaluated": trials})
+    groups = (sorted(rng.sample(range(g.n), k)) for _ in range(trials))
+    return _best(g, record, f"random-{objective[0]}", groups,
+                 lambda group: multi_source_sssp(g, group), cfg, t0, trials)
 
 
 @dataclass

@@ -13,16 +13,16 @@ suffix heaps it kept before its bound counted vertices per base distance,
 over suffixes of the base distances scanned by ``suffix_ge``.
 """
 
+from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from groupcent.centrality import (group_farness_raw, harmonic_sum,
+from groupcent.centrality import (greedy, group_farness_raw, harmonic_sum,
                                   patched_distances, state_init)
-from groupcent.closeness import (_greedy_closeness_core, add_estimate,
-                                 farness_decrease)
+from groupcent.closeness import CLOSENESS, add_estimate, farness_decrease
 from groupcent.graph import closer_levels, multi_source_sssp, sssp
-from groupcent.harmonic import (ABS_IMPROVE, _greedy_core,
-                                harmonic_centralities, pruned_marginal_gain)
+from groupcent.harmonic import (ABS_IMPROVE, HARMONIC, harmonic_centralities,
+                                pruned_marginal_gain)
 
 
 def plain_greedy_harmonic(g, k):
@@ -115,7 +115,7 @@ def heap_farness_decrease(g, dbase, v, stop_below=None, record=None):
 
 def per_pair_closeness(g, k, eps):
     n = g.n
-    group, _, _ = _greedy_closeness_core(g, k)
+    group = greedy(g, k, CLOSENESS, Counter())[0]
     shrink = 1 - Fraction(str(eps)) / (k * (n - k))
     exclude_deg1 = g.unit_weights and not g.directed
     swaps = []
@@ -156,7 +156,7 @@ def per_pair_closeness(g, k, eps):
 
 def per_pair_harmonic(g, k, eps):
     n = g.n
-    group, _, gain_bound, _, _ = _greedy_core(g, k)
+    group, _, _, gain_bound = greedy(g, k, HARMONIC, Counter())
     swaps = []
     if k == n:
         return sorted(group), swaps

@@ -1,6 +1,7 @@
 import operator
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -485,6 +486,33 @@ class TestGreedyDistances:
                     g, report.group).value
             else:
                 assert report.raw_farness == group_farness_raw(g, report.group)
+
+
+class TestObjectiveRecords:
+    def test_solvers_call_the_patched_module_kernels(self, monkeypatch):
+        # a tracer records spans by replacing module attributes, so the
+        # objective records must look their kernels up when called
+        calls = Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args: calls.update([name]) or real(*args))
+
+        count(harmonic, "pruned_marginal_gain")
+        count(closeness, "farness_decrease")
+        count(closeness, "_closeness_start_vertex")
+        g = undirected_connected(20, random.Random(72))
+        for solve, kernel in (
+                (harmonic.greedy_harmonic, "pruned_marginal_gain"),
+                (harmonic.local_search_harmonic, "pruned_marginal_gain"),
+                (closeness.greedy_closeness, "farness_decrease"),
+                (closeness.local_search_closeness, "farness_decrease")):
+            calls.clear()
+            solve(g, 4, AlgoConfig(k=4))
+            assert calls[kernel] > 0, solve.__name__
+            starts = calls["_closeness_start_vertex"]
+            assert starts == (kernel == "farness_decrease"), solve.__name__
 
 
 class TestSubmodularitySample:

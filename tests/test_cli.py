@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import signal
@@ -7,8 +8,9 @@ import pytest
 
 from groupcent import checks, closeness, graph, harmonic
 from groupcent.generators import undirected_connected
-from groupcent.cli import main
-from groupcent.graph import Graph
+from groupcent.cli import SOLVERS, _verify_report, main
+from groupcent.graph import Graph, multi_source_sssp
+from groupcent.oracles import OBJECTIVES
 from groupcent.reporting import CSV_COLUMNS, AlgoConfig, report_to_csv_row
 
 
@@ -165,6 +167,40 @@ class TestSolve:
         assert [run(capsys, *argv, *extra)[0] for extra in
                 (("--workers", "2"), ("--p", "2"), ("--algo", "multiswap-c"))] \
             == [1, 1, 1]
+
+
+class TestVerifyReport:
+    """The CLI recomputes every emitted value with the solver's own
+    objective record and demands exact equality."""
+
+    def test_every_algorithm_matches_its_record_exactly(self):
+        rng = random.Random(70)
+        for trial in range(4):
+            g = undirected_connected(16, rng, weights=(1, 2, 3) if trial % 2 else (1,))
+            for algo, solve in SOLVERS.items():
+                report = solve(g, AlgoConfig(k=3))
+                group = report.group
+                fresh = OBJECTIVES[report.objective_kind].report(
+                    g, multi_source_sssp(g, group), set(group))
+                assert fresh == (report.objective_value, report.raw_farness), algo
+                _verify_report(g, report)
+
+    def test_one_ulp_off_fails(self):
+        g = undirected_connected(12, random.Random(71), weights=(1, 2, 3))
+        for solve in (harmonic.greedy_harmonic, closeness.greedy_closeness):
+            report = solve(g, 2)
+            value = report.objective_value
+            for off in (math.nextafter(value, math.inf),
+                        math.nextafter(value, -math.inf)):
+                report.objective_value = off
+                with pytest.raises(RuntimeError):
+                    _verify_report(g, report)
+            report.objective_value = value
+            _verify_report(g, report)
+            if report.raw_farness is not None:
+                report.raw_farness += 1
+                with pytest.raises(RuntimeError):
+                    _verify_report(g, report)
 
 
 class TestExitCodes:

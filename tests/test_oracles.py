@@ -1,9 +1,11 @@
 import math
 import random
+from itertools import combinations, product
 
 import pytest
 
-from groupcent.centrality import group_harmonic
+from groupcent.centrality import group_farness_raw, group_harmonic
+from groupcent.closeness import DisconnectedGraphError
 from groupcent.generators import (layered_dag, path_graph, random_graph,
                                   undirected_connected)
 from groupcent.graph import Graph
@@ -108,7 +110,77 @@ class TestExhaustive:
                 assert opt >= got.objective_value - 1e-12
 
 
+class TestOneEnumeration:
+    """Both objectives share one enumeration loop over the objective
+    records; it must pick what brute force over group values picks."""
+
+    def test_matches_brute_force_in_all_regimes(self):
+        rng = random.Random(73)
+        for directed, weights in product((False, True), ((1,), (1, 2, 3))):
+            for trial in range(6):
+                n = rng.randrange(3, 10)
+                g = random_graph(n, rng, directed=directed, weights=weights)
+                # a DAG, where some vertex misses others, for harmonic only
+                dag = layered_dag(rng, layers=3, width=3, weights=weights)
+                for k in range(1, min(n, 4)):
+                    for graph, kind in ((g, "harmonic"), (g, "closeness"),
+                                        (dag, "harmonic")):
+                        groups = list(combinations(range(graph.n), k))
+                        if kind == "harmonic":
+                            values = [group_harmonic(graph, c).value for c in groups]
+                        else:
+                            values = [-group_farness_raw(graph, c) for c in groups]
+                        best = max(values)
+                        report = exhaustive_best(graph, k, kind)
+                        # index() keeps the first, lexicographically smallest, optimum
+                        assert report.group == list(groups[values.index(best)])
+                        if kind == "harmonic":
+                            assert report.objective_value == best
+                        else:
+                            assert report.raw_farness == -best
+                            assert report.objective_value == graph.n / -best
+                        assert report.iterations == len(groups)
+
+    def test_closeness_rejects_a_disconnected_graph_before_the_budget(self):
+        g = Graph(4, [(0, 1, 1), (2, 3, 1)])
+        with pytest.raises(DisconnectedGraphError):
+            exhaustive_best(g, 2, "closeness", budget=0)
+        with pytest.raises(DisconnectedGraphError):
+            best_random(g, 2, trials=3, objective="closeness")
+        with pytest.raises(BudgetExceededError):
+            exhaustive_best(g, 2, "harmonic", budget=0)
+
+    def test_unknown_objective_rejected(self):
+        g = path_graph([1, 1])
+        for oracle in (exhaustive_best, best_random):
+            with pytest.raises(ValueError, match="unknown objective"):
+                oracle(g, 1, objective="betweenness")
+
+
 class TestBestRandom:
+    def test_groups_pinned_on_fixed_seeds(self):
+        undirected = random_graph(14, random.Random(4))
+        directed = random_graph(12, random.Random(8), directed=True,
+                                weights=(1, 2, 3))
+        pinned = [  # (graph, objective, seed, group, raw farness)
+            (undirected, "harmonic", 0, [1, 2, 4], None),
+            (undirected, "harmonic", 5, [5, 11, 12], None),
+            (undirected, "closeness", 0, [1, 2, 4], 11),
+            (undirected, "closeness", 5, [5, 11, 12], 11),
+            (directed, "harmonic", 0, [4, 6, 7], None),
+            (directed, "harmonic", 5, [0, 3, 6], None),
+            (directed, "closeness", 0, [4, 6, 7], 16),
+            (directed, "closeness", 5, [3, 6, 8], 17),
+        ]
+        for g, objective, seed, group, raw in pinned:
+            r = best_random(g, 3, trials=20, seed=seed, objective=objective)
+            assert (r.group, r.raw_farness) == (group, raw)
+            assert r.algorithm == f"random-{objective[0]}"
+            if raw is None:
+                assert r.objective_value == group_harmonic(g, group).value
+            else:
+                assert r.objective_value == g.n / raw
+
     def test_single_trial_deterministic(self):
         g = random_graph(12, random.Random(2))
         a = best_random(g, 3, trials=1, seed=99)
