@@ -1,8 +1,9 @@
 """Group centrality objectives, the incremental group-distance state, and
-the start scan, bounded marginal value, lazy greedy, removal pass and
-single-swap local search both objectives share, each parameterized by
-what one vertex at distance d adds; ``solve`` runs them for the
-``Objective`` record that holds what differs.
+the bounded marginal value (which also scores the start scan, greedy's
+first round from the empty group), lazy greedy, removal pass and
+single-swap local search both objectives share, each parameterized by c,
+what one vertex at distance d adds (0 when unreachable); ``solve`` runs
+them for the ``Objective`` record that holds what differs.
 
 Group-harmonic centrality of a group S sums reciprocal distances from S to
 every outside vertex (unreachable vertices contribute zero). Group farness
@@ -261,16 +262,17 @@ class Marginal(NamedTuple):
 
 
 def base_suffixes(dist, c):
-    """(count, total, cdist) for ``marginal_value``'s level bound, from one
+    """(count, total, cdist) for ``marginal_value``'s bounds, from one
     counting pass over ``dist``: for each base distance t >= 1, ``count[t]``
     vertices are at distance t or more and c of their distances sums to
     ``total[t]``; the last index holds only the unreachable vertices, and
-    any larger t reads it. ``cdist[x]`` is c(dist[x])."""
+    any larger t reads it. ``cdist[x]`` is c(dist[x]). c(UNREACHABLE) is
+    0, so the unreachable vertices add nothing to any total."""
     at = Counter(dist)
     far = at.pop(UNREACHABLE, 0)
     top = max(at, default=0) + 1
     count = [far] * (top + 1)
-    total = [far * c(UNREACHABLE) if far else 0] * (top + 1)  # never 0 * -inf
+    total = [far * c(UNREACHABLE)] * (top + 1)
     for t in range(top - 1, 0, -1):
         m = at.get(t, 0)
         count[t] = count[t + 1] + m
@@ -288,7 +290,14 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     (``closer_levels``) from v: each vertex x it reaches past v trades
     c(dist[x]) for c(d), and v itself, now a member, loses c(dist[v]); the
     terms are summed in traversal order, level by level and by id within a
-    level.
+    level. Over the empty group's base (all UNREACHABLE) every term of a
+    level is the same c(d), so the value depends only on how many vertices
+    each level holds.
+
+    Both bounds read ``suffix``, the suffixes of ``base_suffixes(dist,
+    c)``; over the empty group's base, ([r, r], total, cdist) with r the
+    number of vertices v reaches (``graph.reachable_counts``) or more, so
+    that only r - counted uncounted vertices can gain.
 
     Unit weights check the level bound of Bergamini et al. (TKDD 2019)
     after each BFS level d, written in c. An uncounted x gains only if it
@@ -296,29 +305,60 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     those with b >= d+2 sit at d+1, and every other one gains at most
     c(d+2) - c(b), which is positive only for b >= d+3. A vertex at level
     d' has b >= d'+1, so once level d is counted, the counted vertices
-    with b <= d+1 are final, and the suffixes of ``suffix`` (built by
-    ``base_suffixes(dist, c)`` when not given) minus the running totals
-    over the counted vertices give the uncounted ones. Weighted graphs
-    return the exact value and check no bound: a bound checked at every
-    settled vertex cost more than the evaluations it saved."""
+    with b <= d+1 are final, and the suffixes (built here when not given)
+    minus the running totals over the counted vertices give the uncounted
+    ones.
+
+    Weighted graphs check a bound only when ``suffix`` is given, before
+    each level d > 0: an uncounted x ends at least d away, so it gains at
+    most c(d) - c(b), and only if b > d; a counted vertex leaves the
+    counted tally once d reaches its base. Without a suffix they return
+    the exact value: a bound checked in every greedy round cost more than
+    the evaluations it saved."""
     own = dist[v]
     if not own:
         return Marginal(True, 0)
     value = 0
     if not g.unit_weights:
+        c_own = c(own)
         levels = closer_levels(g, dist, (v,))
         next(levels)  # (0, [v])
+        if suffix is not None:
+            count, total, cdist = suffix
+            top = len(count) - 1
+            # counted vertices with base beyond d: how many, c of the bases
+            # summed, and the finite bases as a heap
+            over, osum = 1, c_own
+            bases = [] if own == UNREACHABLE else [own]
         for d, level in levels:
             cd = c(d)
+            if suffix is None:
+                for x in level:
+                    value += cd - c(dist[x])
+                continue
+            while bases and bases[0] <= d:
+                over -= 1
+                osum -= c(heappop(bases))
+            t = d + 1 if d + 1 < top else top
+            bound = value - c_own + (count[t] - over) * cd - (total[t] - osum)
+            if record is not None:
+                record.append(bound)
+            if stop_below is not None and bound < stop_below:
+                return Marginal(False, bound)
+            over += len(level)
             for x in level:
-                value += cd - c(dist[x])
-        return Marginal(True, value - c(own))
+                b, cb = dist[x], cdist[x]
+                value += cd - cb
+                if b != UNREACHABLE:
+                    heappush(bases, b)
+                    osum += cb
+        return Marginal(True, value - c_own)
     count, total, cdist = suffix or base_suffixes(dist, c)
     top = len(count) - 1
     adj = g.adj
     back = 0 if g.directed else 1  # undirected: one arc leads to the parent
     c_own = cdist[v]
-    at = {}              # counted vertices per base distance
+    at = {}              # counted vertices per finite base distance
     counted = csum = 0   # all counted: how many, sum of c over their bases
     final = fsum = 0     # counted at base distance d+1 or less
     # v's own term cancels at level 0; then cd, c1, c2 = c(d), c(d+1), c(d+2)
@@ -331,7 +371,8 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
         for x in level:
             b, cb = dist[x], cdist[x]
             value += cd - cb
-            at[b] = at.get(b, 0) + 1
+            if b < top:
+                at[b] = at.get(b, 0) + 1
             csum += cb
             fanout += len(adj[x])
         counted += len(level)
@@ -353,85 +394,25 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     return Marginal(True, value - c_own)
 
 
-def singleton_value(g: Graph, u: int, c, reach, stop_below=None, record=None):
-    """(exact, value): the objective of the group {u}, the sum of c(d) over
-    the other vertices at distance d from u, or (False, bound) once an
-    upper bound on it drops below ``stop_below``. ``record`` collects every
-    bound checked. ``c`` is nonincreasing, as in ``swap_rows``, but
-    c(UNREACHABLE) may be -inf, which ranks a vertex that misses some
-    vertex below every vertex that reaches all. ``reach`` is at least the
-    number of vertices u reaches, u included (``graph.reachable_counts``).
-
-    The traversal is the closer-than-base one (``closer_levels``) with an
-    all-UNREACHABLE base, and the bounds are the level bounds of Bergamini
-    et al. (TKDD 2019): the n - reach vertices u cannot reach add
-    c(UNREACHABLE) each, and only the reach - counted uncounted ones can
-    add more. Unit weights check the bound after counting each BFS level d:
-    at most the level's fan-out of those sit at d+1, the rest at least at
-    d+2. Weighted graphs check it once per level d > 0, before counting the
-    level: its vertices and all later ones are at least d away. ``c`` is
-    called once per distance, and a completed traversal sums the terms in
-    vertex-id order, as ``harmonic.harmonic_centralities`` does."""
-    n = g.n
-    nowhere = [UNREACHABLE] * n
-    unreached = c(UNREACHABLE)
-    term = [unreached] * n
-    counted = 0
-    # what the vertices u misses add; at reach == n, 0 * -inf would be NaN
-    partial = 0 if reach == n else (n - reach) * unreached
-    if g.unit_weights:
-        adj = g.adj
-        back = 0 if g.directed else 1  # undirected: one arc leads to the parent
-        cd, c1, c2 = 0, c(1), c(2)  # u's own term, then c(d), c(d+1), c(d+2)
-        for d, level in closer_levels(g, nowhere, (u,)):
-            fanout = 0
-            if d:
-                cd, c1, c2 = c1, c2, c(d + 2)
-                fanout -= back * len(level)
-            for x in level:
-                term[x] = cd
-                fanout += len(adj[x])
-            counted += len(level)
-            partial += len(level) * cd
-            rem = reach - counted
-            f = fanout if fanout < rem else rem
-            bound = partial + f * c1 + (rem - f) * c2
-            if record is not None:
-                record.append(bound)
-            if stop_below is not None and bound < stop_below:
-                return False, bound
-    else:
-        cd = 0  # u's own term
-        for d, level in closer_levels(g, nowhere, (u,)):
-            if d:
-                cd = c(d)
-                bound = partial + (reach - counted) * cd
-                if record is not None:
-                    record.append(bound)
-                if stop_below is not None and bound < stop_below:
-                    return False, bound
-            for x in level:
-                term[x] = cd
-                partial += cd
-            counted += len(level)
-    value = 0
-    for t in term:
-        value += t
-    return True, value
-
-
 def best_singleton(g: Graph, c, reach, margin):
-    """(vertex, bounds): the vertex of largest ``singleton_value``, the
-    smallest id on ties, and per vertex its value if its traversal
-    completed or its abort bound otherwise, an upper bound either way.
-    ``reach[u]`` bounds the vertices u reaches, as in ``singleton_value``.
+    """(vertex, bounds): greedy's first pick from the empty group, the
+    vertex of largest singleton value (its ``marginal_value`` over one
+    all-UNREACHABLE base, shared by the whole scan), the smallest id on
+    ties, and per vertex its value if its traversal completed or its abort
+    bound otherwise, an upper bound either way. ``reach[u]`` is at least
+    the number of vertices u reaches, u included
+    (``graph.reachable_counts``), and enters as the empty base's suffix.
     Vertices are scanned in descending out-degree order, and a traversal
     aborts once its bound is below the best value so far by more than
     ``margin``."""
+    nowhere = [UNREACHABLE] * g.n
+    _, total, cdist = base_suffixes(nowhere, c)
     bounds = [None] * g.n
     best, best_u = -math.inf, g.n
     for u in sorted(range(g.n), key=lambda x: (-g.out_degree(x), x)):
-        exact, value = singleton_value(g, u, c, reach[u], best - margin)
+        r = reach[u]
+        exact, value = marginal_value(g, nowhere, u, c, ([r, r], total, cdist),
+                                      best - margin)
         bounds[u] = value
         if exact and (value > best or (value == best and u < best_u)):
             best, best_u = value, u
@@ -494,8 +475,9 @@ class Objective(NamedTuple):
     ``check(g, k)`` raises on an instance the objective cannot solve.
     ``start(g)`` is (start vertex, per-vertex upper bounds on the second
     round's values) for ``lazy_greedy``, which runs ``gain``, ``c`` and
-    ``margin``. ``term`` is local search's c, 0 at UNREACHABLE, and
-    ``plan(g, k, eps, bounds)`` its plan, given greedy's final bounds.
+    ``margin``. ``c`` is also local search's, and is 0 at UNREACHABLE;
+    ``plan(g, k, eps, bounds)`` is local search's plan, given greedy's
+    final bounds.
     ``report(g, dist, members)`` is (value, raw farness or None) of the
     group whose distances are ``dist``."""
     check: Callable
@@ -503,7 +485,6 @@ class Objective(NamedTuple):
     gain: Callable
     c: Callable
     margin: float
-    term: Callable
     plan: Callable
     report: Callable
 
@@ -532,7 +513,7 @@ def solve(g: Graph, k: int, cfg: AlgoConfig | None, objective: Objective,
         stats["iterations"] = 0
         if k < g.n:  # a full group has no swap
             group, swaps, dist = local_search(
-                g, group, objective.term, objective.plan(g, k, cfg.eps, bounds),
+                g, group, objective.c, objective.plan(g, k, cfg.eps, bounds),
                 stats)
     members = sorted(group)
     value, raw = objective.report(g, dist, set(members))

@@ -10,16 +10,16 @@ quality floors against the exhaustive oracle on small sweeps.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 
-from .centrality import (group_farness_raw, group_harmonic, patched_distances,
-                         removal_cost, singleton_value, state_init, swap_rows)
+from .centrality import (base_suffixes, best_singleton, group_farness_raw,
+                         group_harmonic, marginal_value, patched_distances,
+                         removal_cost, state_init, swap_rows)
 from .closeness import _farness_term, farness_decrease, local_search_closeness
 from .generators import (directed_strongly_connected, layered_dag,
                          mixed_regime_graphs, undirected_connected)
-from .graph import is_connected, reachable_counts, sssp
+from .graph import UNREACHABLE, is_connected, reachable_counts, sssp
 from .harmonic import (_harmonic_term, greedy_harmonic, local_search_harmonic,
                        pruned_marginal_gain)
 from .oracles import exhaustive_best
@@ -84,8 +84,9 @@ def submodularity_check(num_graphs: int = 50, min_triples: int = 1000,
 
 def bound_check(cases_per_regime: int = 200, seed: int = 2,
                 graphs=None) -> CheckOutcome:
-    """Every marginal-value bound a traversal checks (after each BFS level;
-    only unit weights have one) must dominate the exact value: the farness
+    """Every marginal-value bound a traversal checks, given the base's
+    suffixes (after each BFS level on unit weights, before each level past
+    v's on weighted graphs), must dominate the exact value: the farness
     decrease the completed traversal reports, and v's harmonic gain up to
     float rounding. Both completed traversals must match an independent
     recomputation from group values (exact integers for the decrease) in
@@ -94,10 +95,10 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
     without u that the removal pass gives for either objective (exactly
     for farness, to rounding for harmonic). For the added vertex v, every
     start-scan bound of either objective must be at least v's singleton
-    value (up to float rounding), and both completed traversals must match
-    a recomputation; so must those of a vertex of a generated DAG, where
-    no vertex reaches all. Given graphs that are not (strongly) connected
-    or have fewer than 3 vertices are skipped."""
+    value (up to float rounding), and the start scan's value of v must
+    match a recomputation; so must those of a vertex of a generated DAG,
+    where no vertex reaches all. Given graphs that are not (strongly)
+    connected or have fewer than 3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
     dag_rng = random.Random(seed + 1)
@@ -124,7 +125,9 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
             dbase = patched_distances(state, u)
             v = rng.choice([x for x in range(g.n) if x not in group])
             rec = []
-            res = farness_decrease(g, dbase, v, record=rec)
+            res = farness_decrease(g, dbase, v,
+                                   base_suffixes(dbase, _farness_term),
+                                   record=rec)
             without_u = [m for m in group if m != u]
             with_v = sorted(set(without_u) | {v})
             farness_without = group_farness_raw(g, without_u)
@@ -182,7 +185,8 @@ def _gain_bounds(g, dbase, v, gain, out):
     it and every bound the traversal checks must be at least it, both up to
     float rounding."""
     rec = []
-    res = pruned_marginal_gain(g, dbase, v, record=rec)
+    res = pruned_marginal_gain(g, dbase, v, base_suffixes(dbase, _harmonic_term),
+                               record=rec)
     slack = ROUNDING * max(1.0, abs(gain))
     out.checked += len(rec) + 1
     if not abs(res.value - gain) <= slack:
@@ -197,22 +201,32 @@ def _gain_bounds(g, dbase, v, gain, out):
 
 
 def _singleton_bounds(g, v, out):
-    """Start-scan bounds of vertex v, given its reach count, against its
-    exact singleton values: harmonic centrality, and farness as the
-    objective -farness (-inf when v misses a vertex). A NaN bound fails."""
-    reach = reachable_counts(g)[v]
-    for name, c, exact in (
-            ("harmonic", _harmonic_term, group_harmonic(g, [v]).value),
-            ("-farness", operator.neg, -sum(sssp(g, v)))):
+    """Vertex v in the start scan, against its exact singleton values:
+    harmonic centrality, up to float rounding, and -farness, the negated
+    sum of v's finite distances, exactly. The scan's value of v (with no
+    abort) must match it, and every bound v's traversal checks over the
+    empty group's base, with v's reach count as the suffix, must be at
+    least it. A NaN bound fails."""
+    reach = reachable_counts(g)
+    nowhere = [UNREACHABLE] * g.n
+    row = sssp(g, v)
+    for name, c, exact, slack in (
+            ("harmonic", _harmonic_term, group_harmonic(g, [v]).value, ROUNDING),
+            ("-farness", _farness_term,
+             -sum(d for d in row if d != UNREACHABLE), 0)):
+        _, total, cdist = base_suffixes(nowhere, c)
         rec = []
-        _, value = singleton_value(g, v, c, reach, record=rec)
+        marginal_value(g, nowhere, v, c, ([reach[v]] * 2, total, cdist),
+                       record=rec)
+        value = best_singleton(g, c, reach, math.inf)[1][v]
+        tol = slack * max(1.0, abs(exact))
         out.checked += len(rec) + 1
-        if value != exact:
+        if not abs(value - exact) <= tol:
             out.passed = False
             out.violations.append(f"singleton {name} {value} != oracle {exact} "
                                   f"for v={v} edges={g.edges()}")
         for b in rec:
-            if not b >= exact - ROUNDING * max(1.0, abs(exact)):
+            if not b >= exact - tol:
                 out.passed = False
                 out.violations.append(f"singleton {name} bound {b} < exact "
                                       f"{exact} for v={v} edges={g.edges()}")

@@ -1,21 +1,21 @@
 """Greedy and swap-based local-search minimization of group farness.
 
 ``CLOSENESS`` is the ``centrality.Objective`` that ``centrality.solve``
-runs: a vertex at distance d adds -d. Farness is kept as the raw integer
-sum of distances, so every bound, threshold and acceptance test is exact
-arithmetic, and pruning never changes a selection, only how much work is
-spent rejecting the losers. Decreases are exact integers, so the lazy
-queue needs no margin: a candidate's traversal aborts once it cannot beat
-the incumbent, which a smaller id wins at a tie and a larger one must
-strictly beat. This module adds the entry point ``farness_decrease``, the
-swap scan order and the Fraction swap threshold (1 - eps/Q) * raw.
+runs: a vertex at distance d adds -d (``_farness_term``, 0 when
+unreachable). Farness is kept as the raw integer sum of distances, so
+every bound, threshold and acceptance test is exact arithmetic, and
+pruning never changes a selection, only how much work is spent rejecting
+the losers. Decreases are exact integers, so the lazy queue needs no
+margin: a candidate's traversal aborts once it cannot beat the incumbent,
+which a smaller id wins at a tie and a larger one must strictly beat.
+This module adds the entry point ``farness_decrease``, the swap scan
+order and the Fraction swap threshold (1 - eps/Q) * raw.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import neg
 
 from .centrality import (Objective, best_singleton, farness_sum,
                          marginal_value, solve)
@@ -34,24 +34,26 @@ def add_estimate(state, v: int) -> float:
     return float(state.dist_nearest[v] * (1 + state.graph.out_degree(v)))
 
 
+def _farness_term(d):
+    """A vertex's term of -farness, the objective both solvers maximize."""
+    return 0 if d == UNREACHABLE else -d  # a group of no members counts 0
+
+
 def farness_decrease(g: Graph, dbase, v: int, suffix=None, stop_below=None,
                      record=None):
     """Raw-farness decrease from adding v to the group behind ``dbase``:
-    ``marginal_value`` with c = -d, whose bound on unit weights is exact
-    integer arithmetic. ``suffix`` is ``base_suffixes(dbase, neg)``; with
-    ``stop_below=None`` the result is exact."""
-    return marginal_value(g, dbase, v, neg, suffix, stop_below, record)
+    ``marginal_value`` with c = ``_farness_term``, whose bounds are exact
+    integer arithmetic. ``suffix`` is ``base_suffixes(dbase,
+    _farness_term)``; with ``stop_below=None`` the result is exact."""
+    return marginal_value(g, dbase, v, _farness_term, suffix, stop_below,
+                          record)
 
 
-def _closeness_start_vertex(g, reach):
-    """Vertex of least farness, the smallest id on ties; ``reach`` as in
-    ``best_singleton``."""
-    return best_singleton(g, neg, reach, 0)[0]
-
-
-def _farness_term(d):
-    """A vertex's term of -farness, which local search maximizes."""
-    return 0 if d == UNREACHABLE else -d  # a group of no members counts 0
+def _closeness_start_vertex(g):
+    """Vertex of least farness, the smallest id on ties. Every reach count
+    is n: the solvers only run on (strongly) connected graphs. On another
+    graph a vertex ranks by the sum of the distances it reaches."""
+    return best_singleton(g, _farness_term, [g.n] * g.n, 0)[0]
 
 
 def _check(g, k):
@@ -91,13 +93,11 @@ def _report(g, dist, members):
 
 CLOSENESS = Objective(
     check=_check,
-    # the solvers only run on (strongly) connected graphs: all reach all.
-    # The kernels are looked up when called, so a patched module attribute
-    # (a tracer's span, a test's counter) takes effect.
-    start=lambda g: (_closeness_start_vertex(g, [g.n] * g.n),
-                     [UNREACHABLE] * g.n),
+    # the kernels are looked up when called, so a patched module attribute
+    # (a tracer's span, a test's counter) takes effect
+    start=lambda g: (_closeness_start_vertex(g), [UNREACHABLE] * g.n),
     gain=lambda *args: farness_decrease(*args),
-    c=neg, margin=0, term=_farness_term, plan=_plan, report=_report)
+    c=_farness_term, margin=0, plan=_plan, report=_report)
 
 
 def greedy_closeness(g: Graph, k: int, cfg: AlgoConfig | None = None) -> RunReport:

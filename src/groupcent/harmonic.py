@@ -6,7 +6,8 @@ float margins. The start scan, the lazy rounds and, on unit weights, each
 gain's traversal only stop once a bound is below the incumbent by
 ``PRUNE_MARGIN``, so exact ties are always evaluated and go to the
 smallest id, as in a plain exhaustive greedy; the start scan's values and
-abort bounds seed the second round's queue. Weighted gains are exact.
+abort bounds seed the second round's queue. The gains of weighted rounds
+are exact.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ def harmonic_centralities(g: Graph):
 def pruned_marginal_gain(g: Graph, dist, u: int, suffix=None, stop_below=None,
                          record=None):
     """Marginal harmonic gain of adding u to the group whose distances are
-    ``dist``: ``marginal_value`` with c = 1/d, (exact, gain) or, on unit
-    weights, (False, bound) once a bound drops below ``stop_below``.
-    ``suffix`` is ``base_suffixes(dist, _harmonic_term)``."""
+    ``dist``: ``marginal_value`` with c = 1/d, (exact, gain) or (False,
+    bound) once a bound drops below ``stop_below``, on weighted graphs only
+    when ``suffix``, ``base_suffixes(dist, _harmonic_term)``, is given."""
     return marginal_value(g, dist, u, _harmonic_term, suffix, stop_below, record)
 
 
@@ -83,7 +84,7 @@ HARMONIC = Objective(
     start=lambda g: best_singleton(g, _harmonic_term, reachable_counts(g),
                                    PRUNE_MARGIN),
     gain=lambda *args: pruned_marginal_gain(*args),
-    c=_harmonic_term, margin=PRUNE_MARGIN, term=_harmonic_term, plan=_plan,
+    c=_harmonic_term, margin=PRUNE_MARGIN, plan=_plan,
     report=lambda g, dist, members: (harmonic_sum(dist, members), None))
 
 

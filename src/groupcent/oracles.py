@@ -37,17 +37,17 @@ def _objective(g, k, name):
 
 
 def _best(g, objective, algorithm, groups, distances, cfg, t0, count):
-    """Report of the first of ``groups`` whose objective, ``objective.term``
+    """Report of the first of ``groups`` whose objective, ``objective.c``
     summed over the outside vertices of ``distances(group)`` in id order,
     is largest."""
-    term = objective.term
+    c = objective.c
     best = best_group = None
     for group in groups:
         members = set(group)
         value = 0
         for v, d in enumerate(distances(group)):
             if v not in members:
-                value += term(d)
+                value += c(d)
         if best is None or value > best:
             best, best_group = value, list(group)
     value, raw = objective.report(g, multi_source_sssp(g, best_group),

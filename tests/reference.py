@@ -5,9 +5,11 @@ greedy-c without laziness or pruning. The per-pair local searches are the
 scan loops the solvers ran before swap rows: one exact traversal per
 (member u, candidate v) pair over the distances of the group without u,
 with the same member order, candidate order and acceptance test; member
-losses are differences of group values, as are ls-h's objectives without
-each member. They return (sorted group, swap sequence) for comparison with
-``local_search_closeness`` and ``local_search_harmonic``.
+losses are differences of group values, exact ones for the member order,
+and so are ls-h's objectives without each member. They return (sorted
+group, swap sequence) for comparison with ``local_search_closeness`` and
+``local_search_harmonic``. ``exact_harmonic`` sums reciprocal distances
+as ``Fraction``, so exact ties stay ties.
 ``heap_farness_decrease`` is the unit-weight farness decrease with the
 suffix heaps it kept before its bound counted vertices per base distance,
 over suffixes of the base distances scanned by ``suffix_ge``.
@@ -20,17 +22,28 @@ from heapq import heappop, heappush
 from groupcent.centrality import (greedy, group_farness_raw, harmonic_sum,
                                   patched_distances, state_init)
 from groupcent.closeness import CLOSENESS, add_estimate, farness_decrease
-from groupcent.graph import closer_levels, multi_source_sssp, sssp
-from groupcent.harmonic import (ABS_IMPROVE, HARMONIC, harmonic_centralities,
-                                pruned_marginal_gain)
+from groupcent.graph import UNREACHABLE, closer_levels, multi_source_sssp, sssp
+from groupcent.harmonic import ABS_IMPROVE, HARMONIC, pruned_marginal_gain
+
+
+def exact_harmonic(dist, members):
+    """``harmonic_sum`` as a ``Fraction``."""
+    return sum((Fraction(1, d) for x, d in enumerate(dist)
+                if x not in members and d != UNREACHABLE), Fraction(0))
+
+
+def exact_start(g):
+    """The vertex of largest exact harmonic centrality, the smallest id on
+    ties."""
+    values = [exact_harmonic(sssp(g, u), {u}) for u in range(g.n)]
+    return values.index(max(values))
 
 
 def plain_greedy_harmonic(g, k):
-    """The harmonic_centralities argmax, then in every round the candidate
-    of largest exact gain, the smallest id on ties. Returns the sorted
-    group."""
-    values = harmonic_centralities(g)
-    group = [values.index(max(values))]
+    """The exact harmonic centrality argmax (``exact_start``), then in every
+    round the candidate of largest gain, the smallest id on ties. Returns
+    the sorted group."""
+    group = [exact_start(g)]
     while len(group) < k:
         dist = multi_source_sssp(g, group)
         gains = [float("-inf") if u in group
@@ -170,11 +183,13 @@ def per_pair_harmonic(g, k, eps):
         else:
             threshold = gh_here + ABS_IMPROVE
             accepts = lambda val: val > threshold
+        exact_here = exact_harmonic(state.dist_nearest, state.member_set)
         scan = []
         for u in group:
             d_without = patched_distances(state, u)
-            gh_without = harmonic_sum(d_without, state.member_set - {u})
-            scan.append((gh_here - gh_without, u, d_without, gh_without))
+            without = state.member_set - {u}
+            scan.append((exact_here - exact_harmonic(d_without, without), u,
+                         d_without, harmonic_sum(d_without, without)))
         scan.sort(key=lambda item: (item[0], item[1]))
         candidates = sorted((x for x in range(n) if x not in state.member_set),
                             key=lambda x: (-gain_bound[x], x))

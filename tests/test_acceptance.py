@@ -4,14 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL lines and the reported desk-scale quality statistics.
 """
 
-import operator
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from groupcent import centrality, checks, graph, harmonic
+from groupcent import centrality, checks, closeness, graph, harmonic
 from groupcent.centrality import group_farness_raw, group_harmonic
 from groupcent.checks import (DIRECTED_FLOOR, UNDIRECTED_FLOOR, bound_check,
                               closeness_sweep, harmonic_sweep,
@@ -152,16 +151,23 @@ def test_criterion_07_bound_soundness(monkeypatch):
     detail = (f"({outcome.checked} recorded bounds, "
               f"{len(outcome.violations)} violations)")
 
-    # the suite covers the start-scan bounds of either objective: an unsound
-    # one must fail it (a farness lower bound one too high is an upper
-    # bound on -farness one too low)
-    def undershooting(objective, slack):
-        def kernel(g, u, c, reach, stop_below=None, record=None):
-            exact, value = centrality.singleton_value(g, u, c, reach)
-            if c is objective:
-                record.append(value - slack)
-            return exact, value
+    # the suite covers the start-scan bounds of either objective, over the
+    # empty group's base, and the weighted bounds over a group's base: an
+    # unsound one must fail it (a farness lower bound one too high is an
+    # upper bound on -farness one too low)
+    def undershooting(objective, slack, base):
+        def kernel(g, dist, v, c, suffix=None, stop_below=None, record=None):
+            res = centrality.marginal_value(g, dist, v, c, suffix)
+            if c is objective and record is not None and base(g, dist):
+                record.append(res.value - slack)
+            return res
         return kernel
+
+    def empty(g, dist):
+        return min(dist) == graph.UNREACHABLE
+
+    def weighted(g, dist):
+        return not g.unit_weights and min(dist) == 0
 
     # and the swap rows: a row off by one must fail it
     def off_by_one(state, c):
@@ -188,12 +194,17 @@ def test_criterion_07_bound_soundness(monkeypatch):
             record.append(res.value - 0.5)
         return res
 
-    monkeypatch.setattr(checks, "singleton_value",
-                        undershooting(harmonic._harmonic_term, 0.5))
+    monkeypatch.setattr(checks, "marginal_value",
+                        undershooting(harmonic._harmonic_term, 0.5, empty))
     harmonic_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
-    monkeypatch.setattr(checks, "singleton_value", undershooting(operator.neg, 1))
+    monkeypatch.setattr(checks, "marginal_value",
+                        undershooting(closeness._farness_term, 1, empty))
     farness_gated = not bound_check(cases_per_regime=5).passed
+    monkeypatch.undo()
+    monkeypatch.setattr(closeness, "marginal_value",
+                        undershooting(closeness._farness_term, 1, weighted))
+    weighted_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
     monkeypatch.setattr(checks, "swap_rows", off_by_one)
     rows_gated = not bound_check(cases_per_regime=5).passed
@@ -206,12 +217,12 @@ def test_criterion_07_bound_soundness(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(checks, "pruned_marginal_gain", undershooting_gain)
     gain_gated = not bound_check(cases_per_regime=5).passed
-    _criterion(7, "pruning bounds (farness decrease, harmonic gain, harmonic "
-               "start, singleton farness, reach counts), the removal pass "
-               "and swap rows are sound and gated",
+    _criterion(7, "pruning bounds (farness decrease, weighted decrease, "
+               "harmonic gain, harmonic start, singleton farness, reach "
+               "counts), the removal pass and swap rows are sound and gated",
                outcome.passed and harmonic_gated and farness_gated
-               and rows_gated and pass_gated and reach_gated and gain_gated,
-               detail)
+               and weighted_gated and rows_gated and pass_gated
+               and reach_gated and gain_gated, detail)
 
 
 def test_criterion_08_pruning_transparency():

@@ -1,4 +1,3 @@
-import operator
 import random
 import sys
 from collections import Counter
@@ -10,13 +9,15 @@ import pytest
 from groupcent import centrality, closeness, harmonic
 from groupcent.centrality import (DisconnectedFarnessError, base_suffixes,
                                   group_farness_raw, group_harmonic,
-                                  harmonic_sum, patched_distances,
-                                  removal_cost, state_init, swap_rows)
+                                  harmonic_sum, marginal_value,
+                                  patched_distances, removal_cost,
+                                  state_init, swap_rows)
 from groupcent.closeness import _farness_term
 from groupcent.harmonic import _harmonic_term
 from groupcent.generators import (path_graph, random_graph, star_graph,
                                   undirected_connected)
-from groupcent.graph import Graph, UNREACHABLE, multi_source_sssp, sssp
+from groupcent.graph import (Graph, UNREACHABLE, closer_levels,
+                             multi_source_sssp, sssp)
 from groupcent.reporting import AlgoConfig
 from groupcent.generators import directed_strongly_connected
 from reference import suffix_ge
@@ -384,7 +385,8 @@ class TestBaseSuffixes:
     def test_counts_and_sums_match_a_scan(self):
         # per base distance t >= 1: how many vertices are t or more away and
         # c of their distances summed; the last index counts only the
-        # unreachable ones and answers every larger t
+        # unreachable ones, which add c(UNREACHABLE) = 0, and answers every
+        # larger t
         rng = random.Random(44)
         for trial in range(30):
             g = random_graph(rng.randrange(6, 20), rng, directed=bool(trial % 2),
@@ -402,17 +404,20 @@ class TestBaseSuffixes:
                 assert count[i] == len(ds)
                 assert total[i] == pytest.approx(sum(map(_harmonic_term, ds)),
                                                  rel=1e-12, abs=1e-12)
+            assert total[top] == 0
             if UNREACHABLE in dist:
                 far = [d for d in dist if d != UNREACHABLE]
                 assert top == max(far) + 1
-                count, total, cdist = base_suffixes(far, operator.neg)
+                count, total, cdist = base_suffixes(far, _farness_term)
                 for t in range(1, len(count)):
                     assert (count[t], -total[t]) == suffix_ge(far, t)
                 assert cdist == [-d for d in far]
 
 
-    def test_built_once_per_round_on_unit_weights_only(self, monkeypatch):
-        # weighted marginal values are exact and read no suffixes
+    def test_built_once_per_scan_and_once_per_unit_weight_round(self,
+                                                                 monkeypatch):
+        # the start scan builds one for the empty group's base; weighted
+        # rounds are exact and read no suffixes
         built = []
         real = centrality.base_suffixes
         monkeypatch.setattr(centrality, "base_suffixes",
@@ -423,7 +428,43 @@ class TestBaseSuffixes:
             for solve in (harmonic.greedy_harmonic, closeness.greedy_closeness):
                 built.clear()
                 solve(g, 4, AlgoConfig(k=4))
-                assert len(built) == (3 if g.unit_weights else 0)
+                assert len(built) == (4 if g.unit_weights else 1)
+
+
+class TestWeightedLevelBound:
+    @pytest.mark.parametrize("directed", (False, True))
+    def test_bounds_match_a_recount(self, directed):
+        # before each level d > 0 the bound is the value so far plus
+        # c(d) - c(b) for every uncounted vertex whose base b exceeds d,
+        # recounted here from the levels the traversal yields; the graphs
+        # may leave vertices unreached
+        rng = random.Random(48 + directed)
+        checked = 0
+        for _ in range(60):
+            g = random_graph(rng.randrange(6, 20), rng, directed=directed,
+                             p=0.15, weights=(1, 2, 5))
+            group = rng.sample(range(g.n), rng.randrange(1, 4))
+            dist = multi_source_sssp(g, group)
+            for c in (_harmonic_term, _farness_term):
+                suffix = base_suffixes(dist, c)
+                for v in range(g.n):
+                    if not dist[v]:
+                        continue
+                    want, counted, value = [], set(), -c(dist[v])
+                    for d, level in closer_levels(g, dist, (v,)):
+                        if d:
+                            want.append(value + sum(
+                                c(d) - c(b) for x, b in enumerate(dist)
+                                if x not in counted and b > d))
+                            value += sum(c(d) - c(dist[x]) for x in level)
+                        counted.update(level)
+                    rec = []
+                    res = marginal_value(g, dist, v, c, suffix, record=rec)
+                    assert res.is_exact
+                    assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+                    assert rec == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    checked += len(rec)
+        assert checked > 1000
 
 
 class TestGreedyDistances:

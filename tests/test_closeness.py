@@ -1,4 +1,3 @@
-import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -112,7 +111,7 @@ class TestFarnessDecreaseBounds:
             group = sorted(rng.sample(range(g.n), 3))
             st = state_init(g, group)
             dbase = st.dist_nearest
-            suffix = base_suffixes(dbase, operator.neg)
+            suffix = base_suffixes(dbase, _farness_term)
             decs = {}
             for v in range(g.n):
                 if v in group:
@@ -144,7 +143,7 @@ class TestFarnessDecreaseBounds:
                 dbase = multi_source_sssp(g, group)
             else:  # the base of a swap that removes one member
                 dbase = patched_distances(state_init(g, group), group[0])
-            suffix = base_suffixes(dbase, operator.neg)
+            suffix = base_suffixes(dbase, _farness_term)
             decs = [heap_farness_decrease(g, dbase, v)[1] if dbase[v] else 0
                     for v in range(n)]
             for v in range(n):

@@ -16,6 +16,7 @@ import pytest
 from groupcent import (greedy_closeness, greedy_harmonic,
                        local_search_closeness, local_search_harmonic)
 from groupcent.generators import random_graph
+from groupcent.graph import Graph
 
 # name: (directed, weights, n, p, graph hash)
 REGIMES = {
@@ -67,6 +68,16 @@ GOLDEN = {
 }
 
 
+# the undirected unit 6-cycle at k=2: every vertex has the same harmonic
+# centrality and farness, so the start is an exact tie and goes to vertex 0
+CYCLE_GOLDEN = {
+    'greedy-h': ([0, 3], 4.0, None, 11, 2, 2, 0),
+    'ls-h': ([0, 3], 4.0, None, 15, 2, 1, 0),
+    'greedy-c': ([0, 3], 1.5, 4, 11, 2, 2, 0),
+    'ls-c': ([0, 3], 1.5, 4, 15, 2, 1, 0),
+}
+
+
 def regime_graph(name):
     directed, weights, n, p, _ = REGIMES[name]
     seed = 900 + list(REGIMES).index(name)
@@ -85,3 +96,13 @@ def test_reports_match_golden(regime):
                    r.candidates_evaluated, r.traversals_pruned, r.iterations,
                    r.swaps_committed)
             assert got == GOLDEN[regime, k, algo], (regime, k, algo)
+
+
+def test_tied_start_reports_match_golden():
+    g = Graph(6, [(i, (i + 1) % 6, 1) for i in range(6)])
+    for algo, solve in SOLVERS.items():
+        r = solve(g, 2)
+        got = (r.group, r.objective_value, r.raw_farness,
+               r.candidates_evaluated, r.traversals_pruned, r.iterations,
+               r.swaps_committed)
+        assert got == CYCLE_GOLDEN[algo], algo

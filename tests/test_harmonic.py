@@ -1,26 +1,26 @@
 import math
-import operator
 import random
 
 import pytest
 
 from groupcent import harmonic
 from groupcent.centrality import (base_suffixes, best_singleton, group_harmonic,
-                                  singleton_value)
+                                  marginal_value)
 from groupcent.checks import ROUNDING
 from groupcent.generators import (directed_strongly_connected, path_graph,
                                   random_graph, star_graph,
                                   undirected_connected)
-from groupcent.graph import (Graph, UNREACHABLE, multi_source_sssp,
-                            reachable_counts, sssp)
+from groupcent.graph import (Graph, UNREACHABLE, is_connected,
+                             multi_source_sssp, reachable_counts, sssp)
 from groupcent.closeness import (DisconnectedGraphError, _closeness_start_vertex,
-                                 greedy_closeness, local_search_closeness)
+                                 _farness_term, greedy_closeness,
+                                 local_search_closeness)
 from groupcent.harmonic import (PRUNE_MARGIN, _harmonic_term, greedy_harmonic,
                                 harmonic_centralities, local_search_harmonic,
                                 pruned_marginal_gain)
 from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
-from reference import per_pair_harmonic, plain_greedy_harmonic
+from reference import exact_start, per_pair_harmonic, plain_greedy_harmonic
 
 
 def top_harmonic_vertex(g):
@@ -59,76 +59,81 @@ def cycle(n, directed, w):
     return Graph(n, [(i, (i + 1) % n, w) for i in range(n)], directed=directed)
 
 
-class TestPrunedStartVertices:
-    """The pruned start scans pick exactly what the all-sources scans pick:
-    the harmonic_centralities argmax and the sum(sssp) argmin, smallest id
-    on ties."""
+def start_traversal(g, u, c, reach, record=None):
+    """u's start-scan traversal without a stop value: ``marginal_value``
+    over the empty group's base, with ``reach`` as its suffix."""
+    nowhere = [UNREACHABLE] * g.n
+    _, total, cdist = base_suffixes(nowhere, c)
+    return marginal_value(g, nowhere, u, c, ([reach, reach], total, cdist),
+                          record=record)
 
-    @staticmethod
-    def reference(g):
-        values = harmonic_centralities(g)
-        totals = [sum(sssp(g, v)) for v in range(g.n)]
-        return values.index(max(values)), totals.index(min(totals))
+
+class TestPrunedStartVertices:
+    """The pruned start scans pick exactly what exact all-sources scans
+    pick: the argmax of exact harmonic centrality and the sum(sssp) argmin,
+    smallest id on ties."""
 
     @pytest.mark.parametrize("directed", (False, True))
     @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
     def test_match_all_sources_scans(self, directed, weights):
+        # the closeness start only runs on (strongly) connected graphs
         rng = random.Random(33 + 2 * directed + len(weights))
-        disconnected = 0
+        disconnected = connected = 0
         for _ in range(150):
             g = any_graph(rng, directed, weights)
-            want = self.reference(g)
-            assert (top_harmonic_vertex(g),
-                    _closeness_start_vertex(g, reachable_counts(g))) == want
-            disconnected += any(d == UNREACHABLE for d in sssp(g, want[0]))
-        assert disconnected > 20
+            want = exact_start(g)
+            assert top_harmonic_vertex(g) == want
+            disconnected += any(d == UNREACHABLE for d in sssp(g, want))
+            if is_connected(g):
+                totals = [sum(sssp(g, v)) for v in range(g.n)]
+                assert _closeness_start_vertex(g) == totals.index(min(totals))
+                connected += 1
+        assert disconnected > 20 and connected > 10
 
     @pytest.mark.parametrize("directed", (False, True))
     @pytest.mark.parametrize("w", (1, 3))
     def test_all_tie_cycles(self, directed, w):
-        # every vertex of a cycle has the same centrality. Farness totals
-        # are exact integers, so the closeness start is always 0; harmonic
-        # values are float sums in vertex-id order, which differ in the last
-        # bit for many cycle lengths (n=6 picks 1), so the harmonic start
-        # is 0 exactly when the floats tie, and the oracle's pick otherwise
+        # every vertex of a cycle has the same centrality, and the same
+        # distance histogram, so its start value is the same float: the
+        # start is 0 for both objectives
         for n in range(3, 16):
             g = cycle(n, directed, w)
-            want_h, want_c = self.reference(g)
-            assert want_c == 0 and _closeness_start_vertex(g, [n] * n) == 0
-            assert top_harmonic_vertex(g) == want_h
-            if len(set(harmonic_centralities(g))) == 1:
-                assert want_h == 0
+            assert _closeness_start_vertex(g) == 0
+            assert top_harmonic_vertex(g) == 0
 
-    def test_recorded_bounds_dominate_and_values_are_bit_identical(self):
+    def test_values_match_and_recorded_bounds_dominate(self):
         rng = random.Random(37)
         for trial in range(200):
             g = any_graph(rng, bool(trial % 2), (1,) if trial % 4 < 2 else (1, 3))
             values = harmonic_centralities(g)
             reach = reachable_counts(g)
             for u in range(g.n):
+                low = values[u] - ROUNDING * max(1.0, values[u])
                 rec = []
-                assert singleton_value(g, u, _harmonic_term, reach[u],
-                                       record=rec) == (True, values[u])
-                assert all(b >= values[u] - 1e-12 * max(1.0, values[u]) for b in rec)
+                exact, value = start_traversal(g, u, _harmonic_term, reach[u],
+                                               rec)
+                assert exact and abs(value - values[u]) <= values[u] - low
+                assert all(b >= low for b in rec)
 
     @pytest.mark.parametrize("directed", (False, True))
     @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
     def test_no_start_bound_is_nan(self, directed, weights):
-        # the vertices u misses add (n - reach) * c(UNREACHABLE): -inf for
-        # closeness when it misses some, so its first bound is -inf, and
-        # never 0 * -inf when it does not
+        # the vertices u misses add c(UNREACHABLE) = 0 for either objective:
+        # no bound is NaN, and u's farness value is minus the sum of the
+        # distances it reaches
         rng = random.Random(41 + 2 * directed + len(weights))
         missed = reached = 0
         for _ in range(100):
             g = any_graph(rng, directed, weights)
             reach = reachable_counts(g)
-            for c in (_harmonic_term, operator.neg):
+            for c in (_harmonic_term, _farness_term):
                 for u in range(g.n):
                     rec = []
-                    rec.append(singleton_value(g, u, c, reach[u], record=rec)[1])
+                    rec.append(start_traversal(g, u, c, reach[u], rec).value)
                     assert not any(map(math.isnan, rec))
-                    if c is operator.neg and reach[u] < g.n:
-                        assert rec[0] == -math.inf
+                    if c is _farness_term:
+                        assert rec[-1] == -sum(d for d in sssp(g, u)
+                                               if d != UNREACHABLE)
                 assert not any(map(math.isnan, best_singleton(g, c, reach, 0)[1]))
             missed += sum(r < g.n for r in reach)
             reached += sum(r == g.n for r in reach)
@@ -140,15 +145,13 @@ class TestPrunedStartVertices:
                                                    weights):
         # reach counts only tighten start bounds: with every count at n,
         # each solver (or its refusal of a disconnected graph) is the same.
-        # The closeness solvers take every count at n already; the closeness
-        # start scan here takes the counts the harmonic solvers use
+        # The closeness solvers take every count at n already
         rng = random.Random(45 + 2 * directed + len(weights))
         solvers = (greedy_harmonic, local_search_harmonic, greedy_closeness,
                    local_search_closeness)
 
         def outcomes(g, k):
-            out = [top_harmonic_vertex(g),
-                   _closeness_start_vertex(g, harmonic.reachable_counts(g))]
+            out = [top_harmonic_vertex(g)]
             for solve in solvers:
                 try:
                     r = solve(g, k, AlgoConfig(k=k))
