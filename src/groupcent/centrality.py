@@ -1,7 +1,6 @@
 """Group centrality objectives, the incremental group-distance state, and
-the bounded marginal value (which also scores the start scan, greedy's
-first round from the empty group), lazy greedy, removal pass and
-single-swap local search both objectives share, each parameterized by c,
+the bounded marginal value, lazy greedy from the empty group, removal pass
+and single-swap local search both objectives share, each parameterized by c,
 what one vertex at distance d adds (0 when unreachable); ``solve`` runs
 them for the ``Objective`` record that holds what differs.
 
@@ -22,8 +21,8 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple
 
 from .graph import (Graph, UNREACHABLE, closer_levels, lower_distances,
-                    multi_source_sssp)
-from .reporting import AlgoConfig, RunReport, solver_report
+                    multi_source_sssp, reachable_counts)
+from .reporting import AlgoConfig, RunReport, checked_config, solver_report
 
 
 class DisconnectedFarnessError(ValueError):
@@ -394,94 +393,18 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     return Marginal(True, value - c_own)
 
 
-def best_singleton(g: Graph, c, reach, margin):
-    """(vertex, bounds): greedy's first pick from the empty group, the
-    vertex of largest singleton value (its ``marginal_value`` over one
-    all-UNREACHABLE base, shared by the whole scan), the smallest id on
-    ties, and per vertex its value if its traversal completed or its abort
-    bound otherwise, an upper bound either way. ``reach[u]`` is at least
-    the number of vertices u reaches, u included
-    (``graph.reachable_counts``), and enters as the empty base's suffix.
-    Vertices are scanned in descending out-degree order, and a traversal
-    aborts once its bound is below the best value so far by more than
-    ``margin``."""
-    nowhere = [UNREACHABLE] * g.n
-    _, total, cdist = base_suffixes(nowhere, c)
-    bounds = [None] * g.n
-    best, best_u = -math.inf, g.n
-    for u in sorted(range(g.n), key=lambda x: (-g.out_degree(x), x)):
-        r = reach[u]
-        exact, value = marginal_value(g, nowhere, u, c, ([r, r], total, cdist),
-                                      best - margin)
-        bounds[u] = value
-        if exact and (value > best or (value == best and u < best_u)):
-            best, best_u = value, u
-    return best_u, bounds
-
-
-def lazy_greedy(g: Graph, k: int, start: int, bound, c, gain, stats, margin):
-    """Greedy from the group {start} up to k members, with the lazy queue of
-    Leskovec et al. (KDD 2007). Returns (group, best value per round, the
-    group's distances).
-
-    ``gain(g, dist, v, suffix, stop_below)`` is ``marginal_value`` with
-    ``c`` over the group's distances ``dist``, and ``suffix`` is
-    ``base_suffixes(dist, c)``, built once per round on unit weights only.
-    ``dist`` is one list, searched once for {start}; after each round the
-    winner's closer-than-base traversal (``lower_distances``), which visits
-    exactly the vertices whose distance drops, lowers it, so it ends as the
-    final group's distances.
-    v's traversal aborts below what v needs to beat the incumbent (the
-    best value, then the smallest id): for exact integer values (``margin``
-    0) the best value, plus one when v's id is larger; for floats, the best
-    value minus ``margin``. ``bound[v]`` is an upper bound on v's marginal
-    value and keeps the last value computed for v, exact or the first bound
-    below the stop value; marginal values only shrink as the group grows,
-    so it stays one. A round pops candidates by (bound descending, id) and
-    ends once the top one is below the incumbent by more than ``margin``.
-    Evaluations count in ``stats["evaluated"]``, aborts in
-    ``stats["pruned"]``."""
-    group = [start]
-    members = {start}
-    gains = []
-    dist = multi_source_sssp(g, group)
-    while len(group) < k:
-        suffix = base_suffixes(dist, c) if g.unit_weights else None
-        heap = [(-bound[v], v) for v in range(g.n) if v not in members]
-        heapify(heap)
-        best, best_v = -math.inf, g.n
-        while heap and heap[0] < (margin - best, best_v):
-            v = heappop(heap)[1]
-            stop = best - margin if margin else best + (v > best_v)
-            exact, value = gain(g, dist, v, suffix, stop)
-            stats["evaluated"] += 1
-            bound[v] = value
-            if not exact:
-                stats["pruned"] += 1
-            elif value > best or (value == best and v < best_v):
-                best, best_v = value, v
-        group.append(best_v)
-        members.add(best_v)
-        gains.append(best)
-        lower_distances(g, dist, (best_v,))
-    return group, gains, dist
-
-
 class Objective(NamedTuple):
     """What differs between the maximized objectives: what a vertex at
     distance d adds, and what follows from it. ``solve`` and the oracles
     run everything else alike.
 
     ``check(g, k)`` raises on an instance the objective cannot solve.
-    ``start(g)`` is (start vertex, per-vertex upper bounds on the second
-    round's values) for ``lazy_greedy``, which runs ``gain``, ``c`` and
-    ``margin``. ``c`` is also local search's, and is 0 at UNREACHABLE;
-    ``plan(g, k, eps, bounds)`` is local search's plan, given greedy's
-    final bounds.
+    ``greedy`` runs ``gain``, ``c`` and ``margin``. ``c`` is also local
+    search's, and is 0 at UNREACHABLE; ``plan(g, k, eps, bounds)`` is local
+    search's plan, given greedy's final bounds.
     ``report(g, dist, members)`` is (value, raw farness or None) of the
     group whose distances are ``dist``."""
     check: Callable
-    start: Callable
     gain: Callable
     c: Callable
     margin: float
@@ -490,23 +413,81 @@ class Objective(NamedTuple):
 
 
 def greedy(g: Graph, k: int, objective: Objective, stats):
-    """``lazy_greedy`` of ``objective`` from its start vertex. Returns
-    (group, best value per round, the group's distances, final bounds)."""
-    start, bounds = objective.start(g)
-    return (*lazy_greedy(g, k, start, bounds, objective.c, objective.gain,
-                         stats, objective.margin), bounds)
+    """Greedy of ``objective`` from the empty group up to k members, with
+    the lazy queue of Leskovec et al. (KDD 2007). Returns (group, best
+    value per round, the group's distances, final bounds); k = 0 returns
+    the first bounds.
+
+    ``objective.gain(g, dist, v, suffix, stop_below)`` is ``marginal_value``
+    with ``objective.c`` over the group's distances ``dist``: one list, all
+    UNREACHABLE for the empty group, which the winner's closer-than-base
+    traversal (``lower_distances``) lowers after each round, so it ends as
+    the final group's distances. In round 1 ``suffix`` is ([r(v), r(v)],
+    total, cdist) of the empty base, with r(v) the number of vertices v
+    reaches (``reachable_counts``); later rounds pass ``base_suffixes(dist,
+    c)`` on unit weights and no suffix on weighted graphs.
+
+    ``bound[v]`` is an upper bound on v's marginal value. It starts at
+    min(out-degree, r(v) - 1) (c(1) - c(2)) + (r(v) - 1) c(2), the unit
+    level bound after level 0, which holds for every weight: arcs weigh at
+    least 1, so at most v's out-degree vertices end at distance 1 and the
+    others v reaches at 2 or more. It then keeps the last value computed
+    for v, exact or the first bound below the stop value; marginal values
+    only shrink as the group grows, so it stays one. Round 1's values are
+    those of the groups of one; where c(UNREACHABLE) > c(n max_weight), as
+    for -farness, they lie below every later value, so every bound
+    restarts at +inf after round 1.
+
+    A round pops candidates by (bound descending, id) and ends once the
+    top one is below the incumbent (the best value, then the smallest id)
+    by more than ``margin``. v's traversal aborts below what v needs to
+    beat the incumbent: for exact integer values (``margin`` 0) the best
+    value, plus one when v's id is larger; for floats, the best value
+    minus ``margin``. Evaluations count in ``stats["evaluated"]``, aborts
+    in ``stats["pruned"]``."""
+    c, margin, n = objective.c, objective.margin, g.n
+    reach = reachable_counts(g)
+    dist = [UNREACHABLE] * n
+    _, total, cdist = base_suffixes(dist, c)
+    c1, c2 = c(1), c(2)
+    bound = [min(g.out_degree(v), r - 1) * (c1 - c2) + (r - 1) * c2
+             for v, r in enumerate(reach)]
+    group, gains = [], []
+    while len(group) < k:
+        suffix = base_suffixes(dist, c) if group and g.unit_weights else None
+        heap = [(-bound[v], v) for v in range(n) if dist[v]]
+        heapify(heap)
+        best, best_v = -math.inf, n
+        while heap and heap[0] < (margin - best, best_v):
+            v = heappop(heap)[1]
+            if not group:
+                suffix = ([reach[v]] * 2, total, cdist)
+            stop = best - margin if margin else best + (v > best_v)
+            exact, value = objective.gain(g, dist, v, suffix, stop)
+            stats["evaluated"] += 1
+            bound[v] = value
+            if not exact:
+                stats["pruned"] += 1
+            elif value > best or (value == best and v < best_v):
+                best, best_v = value, v
+        if not group and c(UNREACHABLE) > c(n * g.max_weight):
+            bound = [math.inf] * n
+        group.append(best_v)
+        gains.append(best)
+        lower_distances(g, dist, (best_v,))
+    return group, gains, dist, bound
 
 
 def solve(g: Graph, k: int, cfg: AlgoConfig | None, objective: Objective,
           algorithm: str) -> RunReport:
     """Report of ``algorithm``: greedy, then for "ls-*" local search from
     greedy's group. The value is summed over the distances the last phase
-    holds for the final group. The start scan counts n evaluations;
-    ``iterations`` counts greedy's rounds, or local search's passes."""
-    cfg = cfg or AlgoConfig(k=k)
+    holds for the final group; ``iterations`` counts greedy's rounds, or
+    local search's passes. A ``cfg`` of another k raises ValueError."""
+    cfg = checked_config(cfg, k=k)
     objective.check(g, k)
     t0 = time.perf_counter()
-    stats = {"evaluated": g.n, "pruned": 0, "iterations": k}
+    stats = {"evaluated": 0, "pruned": 0, "iterations": k}
     group, gains, dist, bounds = greedy(g, k, objective, stats)
     swaps = ()
     if algorithm.startswith("ls-"):

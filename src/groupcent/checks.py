@@ -1,9 +1,9 @@
 """Property-check suites runnable from the CLI and reused by the test suite.
 
 Three families: diminishing-returns sampling for the harmonic objective,
-instrumented soundness checks for the pruning bounds (marginal-value and
-start-scan upper bounds of either objective never undershoot) and for
-local search's removal pass and swap rows, and greedy/local-search
+instrumented soundness checks for the pruning bounds (marginal-value
+bounds and greedy's first bounds of either objective never undershoot)
+and for local search's removal pass and swap rows, and greedy/local-search
 quality floors against the exhaustive oracle on small sweeps.
 """
 
@@ -13,15 +13,16 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .centrality import (base_suffixes, best_singleton, group_farness_raw,
+from .centrality import (base_suffixes, greedy, group_farness_raw,
                          group_harmonic, marginal_value, patched_distances,
                          removal_cost, state_init, swap_rows)
-from .closeness import _farness_term, farness_decrease, local_search_closeness
+from .closeness import (CLOSENESS, _farness_term, farness_decrease,
+                        local_search_closeness)
 from .generators import (directed_strongly_connected, layered_dag,
                          mixed_regime_graphs, undirected_connected)
 from .graph import UNREACHABLE, is_connected, reachable_counts, sssp
-from .harmonic import (_harmonic_term, greedy_harmonic, local_search_harmonic,
-                       pruned_marginal_gain)
+from .harmonic import (HARMONIC, _harmonic_term, greedy_harmonic,
+                       local_search_harmonic, pruned_marginal_gain)
 from .oracles import exhaustive_best
 from .reporting import AlgoConfig
 
@@ -93,12 +94,13 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
     both weight regimes, as must the farness that v's swap row gives the
     same swap (u, v), and the objectives of the group and of the group
     without u that the removal pass gives for either objective (exactly
-    for farness, to rounding for harmonic). For the added vertex v, every
-    start-scan bound of either objective must be at least v's singleton
-    value (up to float rounding), and the start scan's value of v must
-    match a recomputation; so must those of a vertex of a generated DAG,
-    where no vertex reaches all. Given graphs that are not (strongly)
-    connected or have fewer than 3 vertices are skipped."""
+    for farness, to rounding for harmonic). For the added vertex v,
+    greedy's first bound and every bound of v's first-round traversal, of
+    either objective, must be at least v's singleton value (up to float
+    rounding), and that traversal's value of v must match a recomputation;
+    so must those of a vertex of a generated DAG, where no vertex reaches
+    all. Given graphs that are not (strongly) connected or have fewer than
+    3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
     dag_rng = random.Random(seed + 1)
@@ -201,24 +203,25 @@ def _gain_bounds(g, dbase, v, gain, out):
 
 
 def _singleton_bounds(g, v, out):
-    """Vertex v in the start scan, against its exact singleton values:
-    harmonic centrality, up to float rounding, and -farness, the negated
-    sum of v's finite distances, exactly. The scan's value of v (with no
-    abort) must match it, and every bound v's traversal checks over the
-    empty group's base, with v's reach count as the suffix, must be at
-    least it. A NaN bound fails."""
+    """Vertex v in greedy's first round, against its exact singleton
+    values: harmonic centrality, up to float rounding, and -farness, the
+    negated sum of v's finite distances, exactly. v's traversal over the
+    empty group's base, with v's reach count as the suffix, must give that
+    value, and every bound it checks must be at least it, as must greedy's
+    first bound for v. A NaN bound fails."""
     reach = reachable_counts(g)
     nowhere = [UNREACHABLE] * g.n
     row = sssp(g, v)
-    for name, c, exact, slack in (
-            ("harmonic", _harmonic_term, group_harmonic(g, [v]).value, ROUNDING),
-            ("-farness", _farness_term,
+    for name, objective, exact, slack in (
+            ("harmonic", HARMONIC, group_harmonic(g, [v]).value, ROUNDING),
+            ("-farness", CLOSENESS,
              -sum(d for d in row if d != UNREACHABLE), 0)):
+        c = objective.c
         _, total, cdist = base_suffixes(nowhere, c)
         rec = []
-        marginal_value(g, nowhere, v, c, ([reach[v]] * 2, total, cdist),
-                       record=rec)
-        value = best_singleton(g, c, reach, math.inf)[1][v]
+        value = marginal_value(g, nowhere, v, c, ([reach[v]] * 2, total, cdist),
+                               record=rec).value
+        rec.append(greedy(g, 0, objective, {})[3][v])
         tol = slack * max(1.0, abs(exact))
         out.checked += len(rec) + 1
         if not abs(value - exact) <= tol:

@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .centrality import (Objective, best_singleton, farness_sum,
-                         marginal_value, solve)
+from .centrality import Objective, farness_sum, greedy, marginal_value, solve
 from .graph import Graph, UNREACHABLE, is_connected
 from .reporting import AlgoConfig, RunReport
 
@@ -50,10 +49,11 @@ def farness_decrease(g: Graph, dbase, v: int, suffix=None, stop_below=None,
 
 
 def _closeness_start_vertex(g):
-    """Vertex of least farness, the smallest id on ties. Every reach count
-    is n: the solvers only run on (strongly) connected graphs. On another
-    graph a vertex ranks by the sum of the distances it reaches."""
-    return best_singleton(g, _farness_term, [g.n] * g.n, 0)[0]
+    """Vertex of least farness, the smallest id on ties: greedy's first
+    pick. On a graph that is not (strongly) connected, a vertex ranks by
+    the sum of the distances it reaches, while the reach counts are exact
+    (``graph.reachable_counts``)."""
+    return greedy(g, 1, CLOSENESS, {"evaluated": 0, "pruned": 0})[0][0]
 
 
 def _check(g, k):
@@ -95,7 +95,6 @@ CLOSENESS = Objective(
     check=_check,
     # the kernels are looked up when called, so a patched module attribute
     # (a tracer's span, a test's counter) takes effect
-    start=lambda g: (_closeness_start_vertex(g), [UNREACHABLE] * g.n),
     gain=lambda *args: farness_decrease(*args),
     c=_farness_term, margin=0, plan=_plan, report=_report)
 

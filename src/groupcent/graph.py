@@ -354,8 +354,8 @@ def largest_component(g: Graph) -> Graph:
 
 def reachable_counts(g: Graph):
     """r(u): number of vertices reachable from u, u included, or an upper
-    bound on it no larger than n; the start scan bounds the vertices u
-    misses with it.
+    bound on it no larger than n; greedy's first round bounds u's
+    singleton value with it.
 
     Undirected graphs use component sizes. Directed graphs walk the
     strongly-connected condensation in reverse topological order. While

@@ -2,21 +2,20 @@
 
 ``HARMONIC`` is the ``centrality.Objective`` that ``centrality.solve`` runs:
 a vertex at distance d adds 1/d (``_harmonic_term``). This module adds the
-float margins. The start scan, the lazy rounds and, on unit weights, each
-gain's traversal only stop once a bound is below the incumbent by
-``PRUNE_MARGIN``, so exact ties are always evaluated and go to the
-smallest id, as in a plain exhaustive greedy; the start scan's values and
-abort bounds seed the second round's queue. The gains of weighted rounds
-are exact.
+float margins. A lazy round, and a gain's traversal where it checks a
+bound (on unit weights, and in greedy's first round), only stops once a
+bound is below the incumbent by ``PRUNE_MARGIN``, so exact ties are
+always evaluated and go to the smallest id, as in a plain exhaustive
+greedy; the first round's values and bounds seed the second round's
+queue. The gains of later weighted rounds are exact.
 """
 
 from __future__ import annotations
 
 import math
 
-from .centrality import (Objective, best_singleton, harmonic_sum,
-                         marginal_value, solve)
-from .graph import Graph, UNREACHABLE, reachable_counts, sssp
+from .centrality import Objective, harmonic_sum, marginal_value, solve
+from .graph import Graph, UNREACHABLE, sssp
 from .reporting import AlgoConfig, RunReport
 
 PRUNE_MARGIN = 1e-9
@@ -57,8 +56,8 @@ def _check(g, k):
 
 def _plan(g, k, eps, bounds):
     """Local search scans candidates by descending final greedy gain bound
-    (the last gain or abort bound computed for the vertex, or its
-    start-scan value or abort bound if no round evaluated it); a swap
+    (the last gain or abort bound computed for the vertex, or its first
+    bound if no round evaluated it); a swap
     commits once the new objective clears the multiplicative threshold
     (1 + eps / (k (n - k))), or strictly improves on an objective of zero.
     Removal losses and swap scores are float sums in another order than a
@@ -81,8 +80,6 @@ HARMONIC = Objective(
     check=_check,
     # the kernels are looked up when called, so a patched module attribute
     # (a tracer's span, a test's counter) takes effect
-    start=lambda g: best_singleton(g, _harmonic_term, reachable_counts(g),
-                                   PRUNE_MARGIN),
     gain=lambda *args: pruned_marginal_gain(*args),
     c=_harmonic_term, margin=PRUNE_MARGIN, plan=_plan,
     report=lambda g, dist, members: (harmonic_sum(dist, members), None))

@@ -15,7 +15,7 @@ from itertools import combinations
 from .closeness import CLOSENESS
 from .graph import Graph, UNREACHABLE, multi_source_sssp, sssp
 from .harmonic import HARMONIC
-from .reporting import AlgoConfig, RunReport, solver_report
+from .reporting import AlgoConfig, RunReport, checked_config, solver_report
 
 DEFAULT_ENUM_BUDGET = 5_000_000
 OBJECTIVES = {"harmonic": HARMONIC, "closeness": CLOSENESS}
@@ -62,12 +62,13 @@ def exhaustive_best(g: Graph, k: int, objective: str = "harmonic",
     """Exact optimum by lexicographic enumeration of all k-subsets.
 
     Ties resolve to the first (lexicographically smallest) optimum. Refuses
-    instances whose subset count exceeds the evaluation budget."""
+    instances whose subset count exceeds the evaluation budget, and a
+    ``cfg`` of another k."""
     record = _objective(g, k, objective)
     total = math.comb(g.n, k)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    cfg = cfg or AlgoConfig(k=k)
+    cfg = checked_config(cfg, k=k)
     t0 = time.perf_counter()
     rows = [sssp(g, u) for u in range(g.n)]
     return _best(g, record, f"exact-{objective[0]}", combinations(range(g.n), k),
@@ -78,11 +79,12 @@ def exhaustive_best(g: Graph, k: int, objective: str = "harmonic",
 def best_random(g: Graph, k: int, trials: int = 100, seed: int = 0,
                 objective: str = "harmonic",
                 cfg: AlgoConfig | None = None) -> RunReport:
-    """Best objective over seeded uniform k-subsets, one sample per trial."""
+    """Best objective over seeded uniform k-subsets, one sample per trial.
+    Refuses a ``cfg`` of another k, trials or seed."""
     record = _objective(g, k, objective)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cfg = cfg or AlgoConfig(k=k, trials=trials, seed=seed)
+    cfg = checked_config(cfg, k=k, trials=trials, seed=seed)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     groups = (sorted(rng.sample(range(g.n), k)) for _ in range(trials))

@@ -38,6 +38,18 @@ class AlgoConfig:
         }
 
 
+def checked_config(cfg: AlgoConfig | None, **given) -> AlgoConfig:
+    """``cfg``, which must agree with the arguments ``given`` to a solver,
+    or a config of them when it is None; a report echoes its config."""
+    if cfg is None:
+        return AlgoConfig(**given)
+    for name, value in given.items():
+        if getattr(cfg, name) != value:
+            raise ValueError(f"cfg.{name}={getattr(cfg, name)} differs from "
+                             f"{name}={value}")
+    return cfg
+
+
 def graph_summary(g: Graph) -> dict:
     return {
         "n": g.n,
@@ -62,7 +74,8 @@ class RunReport:
     wall_time_millis: float
     config: dict
     graph: dict
-    # internals for tests and comparisons, not serialized
+    # internals for tests and comparisons, not serialized; round_gains holds
+    # greedy's best marginal value of each of its k rounds
     swap_sequence: list = field(default_factory=list, compare=False, repr=False)
     round_gains: list = field(default_factory=list, compare=False, repr=False)
 

@@ -13,8 +13,10 @@ as ``Fraction``, so exact ties stay ties.
 ``heap_farness_decrease`` is the unit-weight farness decrease with the
 suffix heaps it kept before its bound counted vertices per base distance,
 over suffixes of the base distances scanned by ``suffix_ge``.
+``count_visits`` counts the vertices the solvers' traversals visit.
 """
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -24,6 +26,25 @@ from groupcent.centrality import (greedy, group_farness_raw, harmonic_sum,
 from groupcent.closeness import CLOSENESS, add_estimate, farness_decrease
 from groupcent.graph import UNREACHABLE, closer_levels, multi_source_sssp, sssp
 from groupcent.harmonic import ABS_IMPROVE, HARMONIC, pruned_marginal_gain
+
+
+def count_visits(monkeypatch):
+    """A one-element list counting the vertices ``closer_levels`` yields
+    from now on, through a wrapper put in its place in every groupcent
+    module that bound it; a level counts once yielded, also when its
+    consumer then stops."""
+    visits = [0]
+
+    def counted(g, dbase, seeds):
+        for d, level in closer_levels(g, dbase, seeds):
+            visits[0] += len(level)
+            yield d, level
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("groupcent")
+                and getattr(module, "closer_levels", None) is closer_levels):
+            monkeypatch.setattr(module, "closer_levels", counted)
+    return visits
 
 
 def exact_harmonic(dist, members):

@@ -151,7 +151,7 @@ def test_criterion_07_bound_soundness(monkeypatch):
     detail = (f"({outcome.checked} recorded bounds, "
               f"{len(outcome.violations)} violations)")
 
-    # the suite covers the start-scan bounds of either objective, over the
+    # the suite covers the round-1 bounds of either objective, over the
     # empty group's base, and the weighted bounds over a group's base: an
     # unsound one must fail it (a farness lower bound one too high is an
     # upper bound on -farness one too low)
@@ -183,9 +183,17 @@ def test_criterion_07_bound_soundness(monkeypatch):
         objective, cost = centrality.removal_cost(state, c)
         return objective, {u: x + 1 for u, x in cost.items()}
 
-    # and the reach counts those start-scan bounds rest on
+    # and the reach counts those round-1 bounds rest on
     def understated(g):
         return [r - 1 for r in graph.reachable_counts(g)]
+
+    # and greedy's first bounds: one without the out-degree term,
+    # (r - 1) c(2), must fail it
+    def loose_first_bounds(g, k, objective, stats):
+        group, gains, dist, _ = centrality.greedy(g, k, objective, stats)
+        c2 = objective.c(2)
+        return group, gains, dist, [(r - 1) * c2
+                                    for r in graph.reachable_counts(g)]
 
     # and the harmonic gain bounds: one below the exact gain must fail it
     def undershooting_gain(g, dist, v, suffix=None, stop_below=None, record=None):
@@ -215,14 +223,18 @@ def test_criterion_07_bound_soundness(monkeypatch):
     monkeypatch.setattr(checks, "reachable_counts", understated)
     reach_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
+    monkeypatch.setattr(checks, "greedy", loose_first_bounds)
+    first_gated = not bound_check(cases_per_regime=5).passed
+    monkeypatch.undo()
     monkeypatch.setattr(checks, "pruned_marginal_gain", undershooting_gain)
     gain_gated = not bound_check(cases_per_regime=5).passed
     _criterion(7, "pruning bounds (farness decrease, weighted decrease, "
                "harmonic gain, harmonic start, singleton farness, reach "
-               "counts), the removal pass and swap rows are sound and gated",
+               "counts, greedy's first bounds), the removal pass and swap "
+               "rows are sound and gated",
                outcome.passed and harmonic_gated and farness_gated
                and weighted_gated and rows_gated and pass_gated
-               and reach_gated and gain_gated, detail)
+               and reach_gated and first_gated and gain_gated, detail)
 
 
 def test_criterion_08_pruning_transparency():

@@ -1,12 +1,14 @@
+import io
 import random
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from groupcent import centrality, closeness, harmonic
+from groupcent import centrality, cli, closeness, harmonic
 from groupcent.centrality import (DisconnectedFarnessError, base_suffixes,
                                   group_farness_raw, group_harmonic,
                                   harmonic_sum, marginal_value,
@@ -468,8 +470,8 @@ class TestWeightedLevelBound:
 
 
 class TestGreedyDistances:
-    """lazy_greedy searches once for {start} and lowers that one ``dist``
-    after each round."""
+    """greedy starts from the empty group's distances, all UNREACHABLE, and
+    lowers that one ``dist`` after each round."""
 
     @pytest.mark.parametrize("algo", ("closeness", "harmonic"))
     @pytest.mark.parametrize("directed", (False, True))
@@ -495,15 +497,17 @@ class TestGreedyDistances:
             k = rng.randrange(2, 7)
             seen.clear()
             report = getattr(module, f"greedy_{algo}")(g, k, AlgoConfig(k=k))
-            assert sorted(seen) == list(range(1, k))
+            assert sorted(seen) == list(range(k))
+            assert all(d == [UNREACHABLE] * g.n for d in seen.pop(0))
             for dists in seen.values():
                 group = [x for x, d in enumerate(dists[0]) if d == 0]
                 assert set(group) < set(report.group)
                 assert all(d == multi_source_sssp(g, group) for d in dists)
 
-    def test_a_solve_searches_once(self, monkeypatch):
-        # the reports sum the distances the solvers keep, so lazy_greedy's
-        # search for {start} is the only one, k = 1 included
+    def test_a_solve_searches_once(self, monkeypatch, tmp_path):
+        # the reports sum the distances the solvers keep, so the solvers
+        # run no from-scratch search, k = 1 included; a CLI solve runs one,
+        # to check the report
         calls = []
         real = multi_source_sssp
         for module in list(sys.modules.values()):
@@ -521,18 +525,45 @@ class TestGreedyDistances:
             g = undirected_connected(25, rng, weights=weights)
             calls.clear()
             report = solve(g, k, AlgoConfig(k=k))
-            assert len(calls) == 1, (weights, solve.__name__, k)
+            assert not calls, (weights, solve.__name__, k)
             if report.raw_farness is None:
                 assert report.objective_value == group_harmonic(
                     g, report.group).value
             else:
                 assert report.raw_farness == group_farness_raw(g, report.group)
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v, _ in g.edges()))
+        for algo in ("greedy-h", "ls-h", "greedy-c", "ls-c"):
+            calls.clear()
+            with redirect_stdout(io.StringIO()):
+                assert cli.main(["solve", "--graph", str(path), "--k", "3",
+                                 "--algo", algo]) == 0
+            assert len(calls) == 1, algo
+
+
+    def test_round_gains_sum_to_the_greedy_objective(self):
+        # greedy starts from the empty group, whose objective is 0, so its
+        # k round gains sum to the objective: exactly to -farness, and to
+        # the harmonic value up to float rounding
+        rng = random.Random(49)
+        for trial in range(20):
+            g = undirected_connected(rng.randrange(10, 30), rng,
+                                     weights=(1,) if trial % 2 else (1, 2))
+            k = rng.randrange(1, 6)
+            r = closeness.greedy_closeness(g, k)
+            assert len(r.round_gains) == k
+            assert sum(r.round_gains) == -r.raw_farness
+            r = harmonic.greedy_harmonic(g, k)
+            assert len(r.round_gains) == k
+            assert sum(r.round_gains) == pytest.approx(r.objective_value,
+                                                       rel=1e-12)
 
 
 class TestObjectiveRecords:
     def test_solvers_call_the_patched_module_kernels(self, monkeypatch):
         # a tracer records spans by replacing module attributes, so the
-        # objective records must look their kernels up when called
+        # objective records must look their kernels up when called; round
+        # 1 runs them too, and the closeness start is off the solve path
         calls = Counter()
 
         def count(module, name):
@@ -544,16 +575,15 @@ class TestObjectiveRecords:
         count(closeness, "farness_decrease")
         count(closeness, "_closeness_start_vertex")
         g = undirected_connected(20, random.Random(72))
-        for solve, kernel in (
+        for k, (solve, kernel) in product((1, 4), (
                 (harmonic.greedy_harmonic, "pruned_marginal_gain"),
                 (harmonic.local_search_harmonic, "pruned_marginal_gain"),
                 (closeness.greedy_closeness, "farness_decrease"),
-                (closeness.local_search_closeness, "farness_decrease")):
+                (closeness.local_search_closeness, "farness_decrease"))):
             calls.clear()
-            solve(g, 4, AlgoConfig(k=4))
+            solve(g, k, AlgoConfig(k=k))
             assert calls[kernel] > 0, solve.__name__
-            starts = calls["_closeness_start_vertex"]
-            assert starts == (kernel == "farness_decrease"), solve.__name__
+            assert calls["_closeness_start_vertex"] == 0, solve.__name__
 
 
 class TestSubmodularitySample:

@@ -109,9 +109,9 @@ class TestSolve:
                       (5, 6, 2), (1, 5, 4), (0, 6, 1)])
         pinned = {
             harmonic.greedy_harmonic: "greedy-h,2,2 5,harmonic,3.833333333333333,,"
-            "2,0,13,0,12.5,7,8,False,True,1d9d563af8250ede,0.01,100,0,1,True",
+            "2,0,13,5,12.5,7,8,False,True,1d9d563af8250ede,0.01,100,0,1,True",
             closeness.local_search_closeness: "ls-c,2,2 6,closeness,0.875,8,"
-            "3,2,25,0,12.5,7,8,False,True,1d9d563af8250ede,0.01,100,0,1,True",
+            "3,2,25,5,12.5,7,8,False,True,1d9d563af8250ede,0.01,100,0,1,True",
         }
         for solve, row in pinned.items():
             report = solve(g, 2, AlgoConfig(k=2))

@@ -1,10 +1,11 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from groupcent import harmonic
-from groupcent.centrality import (base_suffixes, best_singleton, group_harmonic,
+from groupcent import centrality
+from groupcent.centrality import (base_suffixes, greedy, group_harmonic,
                                   marginal_value)
 from groupcent.checks import ROUNDING
 from groupcent.generators import (directed_strongly_connected, path_graph,
@@ -12,22 +13,22 @@ from groupcent.generators import (directed_strongly_connected, path_graph,
                                   undirected_connected)
 from groupcent.graph import (Graph, UNREACHABLE, is_connected,
                              multi_source_sssp, reachable_counts, sssp)
-from groupcent.closeness import (DisconnectedGraphError, _closeness_start_vertex,
-                                 _farness_term, greedy_closeness,
-                                 local_search_closeness)
-from groupcent.harmonic import (PRUNE_MARGIN, _harmonic_term, greedy_harmonic,
+from groupcent.closeness import (CLOSENESS, DisconnectedGraphError,
+                                 _closeness_start_vertex, _farness_term,
+                                 greedy_closeness, local_search_closeness)
+from groupcent.harmonic import (HARMONIC, _harmonic_term, greedy_harmonic,
                                 harmonic_centralities, local_search_harmonic,
                                 pruned_marginal_gain)
 from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
-from reference import exact_start, per_pair_harmonic, plain_greedy_harmonic
+from reference import (count_visits, exact_start, per_pair_harmonic,
+                       plain_greedy_harmonic)
 
 
 def top_harmonic_vertex(g):
-    """The harmonic start vertex: largest harmonic centrality, the smallest
-    id on ties, with the reach counts the harmonic solvers use."""
-    return best_singleton(g, _harmonic_term, harmonic.reachable_counts(g),
-                          PRUNE_MARGIN)[0]
+    """The harmonic start vertex, greedy's first pick: largest harmonic
+    centrality, the smallest id on ties."""
+    return greedy(g, 1, HARMONIC, Counter())[0][0]
 
 
 class TestTopVertex:
@@ -119,14 +120,16 @@ class TestPrunedStartVertices:
     @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
     def test_no_start_bound_is_nan(self, directed, weights):
         # the vertices u misses add c(UNREACHABLE) = 0 for either objective:
-        # no bound is NaN, and u's farness value is minus the sum of the
-        # distances it reaches
+        # no bound is NaN, greedy's first ones and those after round 1
+        # included, and u's farness value is minus the sum of the distances
+        # it reaches
         rng = random.Random(41 + 2 * directed + len(weights))
         missed = reached = 0
         for _ in range(100):
             g = any_graph(rng, directed, weights)
             reach = reachable_counts(g)
-            for c in (_harmonic_term, _farness_term):
+            for objective in (HARMONIC, CLOSENESS):
+                c = objective.c
                 for u in range(g.n):
                     rec = []
                     rec.append(start_traversal(g, u, c, reach[u], rec).value)
@@ -134,7 +137,9 @@ class TestPrunedStartVertices:
                     if c is _farness_term:
                         assert rec[-1] == -sum(d for d in sssp(g, u)
                                                if d != UNREACHABLE)
-                assert not any(map(math.isnan, best_singleton(g, c, reach, 0)[1]))
+                for k in (0, 1):
+                    bounds = greedy(g, k, objective, Counter())[3]
+                    assert not any(map(math.isnan, bounds))
             missed += sum(r < g.n for r in reach)
             reached += sum(r == g.n for r in reach)
         assert missed > 100 and reached > 100
@@ -143,9 +148,9 @@ class TestPrunedStartVertices:
     @pytest.mark.parametrize("weights", ((1,), (1, 2, 5)))
     def test_reach_counts_never_change_a_selection(self, monkeypatch, directed,
                                                    weights):
-        # reach counts only tighten start bounds: with every count at n,
-        # each solver (or its refusal of a disconnected graph) is the same.
-        # The closeness solvers take every count at n already
+        # reach counts only tighten greedy's round-1 bounds: with every
+        # count at n, each solver (or its refusal of a disconnected graph)
+        # is the same
         rng = random.Random(45 + 2 * directed + len(weights))
         solvers = (greedy_harmonic, local_search_harmonic, greedy_closeness,
                    local_search_closeness)
@@ -167,7 +172,8 @@ class TestPrunedStartVertices:
             if g.n > 2:
                 cases.append((g, rng.randrange(1, min(5, g.n - 1))))
         real = [outcomes(g, k) for g, k in cases]
-        monkeypatch.setattr(harmonic, "reachable_counts", lambda g: [g.n] * g.n)
+        monkeypatch.setattr(centrality, "reachable_counts",
+                            lambda g: [g.n] * g.n)
         assert [outcomes(g, k) for g, k in cases] == real
         reach = [reachable_counts(g) for g, _ in cases]
         assert sum(min(r) < g.n for r, (g, _) in zip(reach, cases)) > 30
@@ -253,7 +259,7 @@ class TestGreedy:
 
     def test_lazy_and_plain_select_identical_groups(self):
         rng = random.Random(24)
-        unit_aborts = 0
+        unit_aborts = weighted_aborts = 0
         for trial in range(40):
             weights = (1,) if trial % 2 else (1, 2)
             g = random_graph(rng.randrange(8, 30), rng, directed=bool(trial % 3 == 0),
@@ -263,9 +269,25 @@ class TestGreedy:
             assert lazy.group == plain_greedy_harmonic(g, k)
             if weights == (1,):
                 unit_aborts += lazy.traversals_pruned
-            else:  # weighted gains are exact
-                assert lazy.traversals_pruned == 0
-        assert unit_aborts
+            else:  # only round 1 checks a weighted bound; later gains are exact
+                first = greedy_harmonic(g, 1, AlgoConfig(k=1)).traversals_pruned
+                assert lazy.traversals_pruned == first
+                weighted_aborts += first
+        assert unit_aborts and weighted_aborts
+
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 3)))
+    def test_round_1_on_a_star_stays_linear(self, weights, monkeypatch):
+        # every leaf's first bound, 1/2 + (n - 1)/2, is below the hub's
+        # centrality (1,999 on unit weights, 1,234.3 here on weights 1-3),
+        # so round 1 evaluates the hub alone, though it has the largest id:
+        # n visits, and n more to lower the distances to the hub's
+        n = 2000
+        rng = random.Random(52)
+        g = Graph(n, [(leaf, n - 1, rng.choice(weights)) for leaf in range(n - 1)])
+        visits = count_visits(monkeypatch)
+        r = greedy_harmonic(g, 1)
+        assert r.group == [n - 1] and r.candidates_evaluated == 1
+        assert visits[0] <= 2 * n
 
     def test_weight_scaling_keeps_selection(self):
         # doubling every weight halves every reciprocal exactly (power-of-two

@@ -5,13 +5,16 @@ from itertools import combinations, product
 import pytest
 
 from groupcent.centrality import group_farness_raw, group_harmonic
-from groupcent.closeness import DisconnectedGraphError
+from groupcent.closeness import (DisconnectedGraphError, greedy_closeness,
+                                 local_search_closeness)
 from groupcent.generators import (layered_dag, path_graph, random_graph,
-                                  undirected_connected)
+                                  star_graph, undirected_connected)
 from groupcent.graph import Graph
+from groupcent.harmonic import greedy_harmonic, local_search_harmonic
 from groupcent.oracles import (BudgetExceededError, best_random,
                                build_harmonic_model, evaluate_assignment,
                                exhaustive_best, export_ilp_harmonic)
+from groupcent.reporting import AlgoConfig
 
 
 def weighted_path_l2():
@@ -99,8 +102,6 @@ class TestExhaustive:
         assert err.value.count == math.comb(30, 10)
 
     def test_dominates_greedy(self):
-        from groupcent.harmonic import greedy_harmonic
-        from groupcent.reporting import AlgoConfig
         rng = random.Random(1)
         for trial in range(15):
             g = random_graph(8, rng, directed=bool(trial % 2))
@@ -212,6 +213,27 @@ class TestBestRandom:
         g = Graph(4, [(0, 1, 1), (2, 3, 1)])
         with pytest.raises(ValueError):
             best_random(g, 1, trials=3, seed=0, objective="closeness")
+
+
+def test_a_config_must_agree_with_the_arguments():
+    # a report echoes its config, so the solvers and the oracles refuse a
+    # config of another k, trials or seed than they run with
+    g = star_graph(6)
+    for solve in (greedy_harmonic, local_search_harmonic, greedy_closeness,
+                  local_search_closeness):
+        with pytest.raises(ValueError, match="k=4"):
+            solve(g, 2, AlgoConfig(k=4))
+    for objective in ("harmonic", "closeness"):
+        with pytest.raises(ValueError, match="k=4"):
+            exhaustive_best(g, 2, objective, cfg=AlgoConfig(k=4))
+        for cfg in (AlgoConfig(k=4, trials=5, seed=3), AlgoConfig(k=2, seed=3),
+                    AlgoConfig(k=2, trials=6, seed=3)):
+            with pytest.raises(ValueError):
+                best_random(g, 2, 5, 3, objective, cfg=cfg)
+    cfg = AlgoConfig(k=2, eps=0.5, trials=5, seed=3)
+    assert best_random(g, 2, 5, 3, cfg=cfg).config == cfg.echo()
+    assert exhaustive_best(g, 2, cfg=cfg).config == cfg.echo()
+    assert greedy_harmonic(g, 2, cfg).config == cfg.echo()
 
 
 class TestIlpModel:
