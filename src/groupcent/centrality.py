@@ -83,10 +83,13 @@ def _validate_group(g, members):
 class GroupDistanceState:
     """Nearest / second-nearest member distances for a current group.
 
-    ``dist_second[x]`` is the distance from the group without x's nearest
-    member, so one O(n) pass (``removal_cost``) scores every removal and
-    one traversal per candidate (``swap_rows``) every swap. A vertex no
-    member reaches has nearest member -1.
+    ``nearest_member[x]`` is the member nearest to x, the smallest id at
+    equal distance, and -1 when no member reaches x. ``dist_second[x]`` is
+    the distance from the group without that member, so one O(n) pass
+    (``removal_cost``) scores every removal and one traversal per
+    candidate (``swap_rows``) every swap. ``state_init`` builds all three
+    lists in one traversal: a BFS, O(n + m), on unit weights, a heap
+    otherwise.
     """
 
     graph: Graph = field(repr=False)
@@ -100,28 +103,61 @@ class GroupDistanceState:
 def state_init(g: Graph, group) -> GroupDistanceState:
     """Single traversal keeping the best two labels with distinct origins.
 
-    Labels pop in (distance, origin) order, so at ties the nearest member
-    recorded for a vertex is the one with the smallest id.
+    A label (d, origin) reaches a vertex from one member; a vertex keeps
+    its first label as nearest and the next from another origin as second,
+    and passes on only the labels it keeps, so each vertex relays at most
+    two. Every vertex receives its labels in (distance, origin) order, so
+    at ties the nearest member recorded is the one with the smallest id.
+    Unit weights run a level-synchronous BFS, O(n + m): level 0 labels the
+    sorted members with themselves, and each level is expanded in order,
+    keeping the origins of a level ascending. Weighted graphs pop labels
+    from a heap.
     """
     members = sorted(set(group))
     _validate_group(g, members)
-    n, arcs = g.n, g.arcs
+    n = g.n
     nearest = [UNREACHABLE] * n
     rep = [-1] * n
     second = [UNREACHABLE] * n
-    heap = [(0, s, s) for s in members]
-    while heap:
-        d, r, x = heappop(heap)
-        if rep[x] == r or second[x] != UNREACHABLE:
-            continue
-        if rep[x] == -1:
-            rep[x] = r
-            nearest[x] = d
-        else:
-            second[x] = d
-        for y, w in arcs[x]:
-            if second[y] == UNREACHABLE and rep[y] != r:
-                heappush(heap, (d + w, r, y))
+    if g.unit_weights:
+        adj = g.adj
+        full = bytearray(n)  # both labels kept
+        for s in members:
+            rep[s] = s
+            nearest[s] = 0
+        labels = [(s, s) for s in members]
+        d = 0
+        while labels:
+            d += 1
+            kept = []
+            for r, x in labels:
+                for y in adj[x]:
+                    if not full[y]:
+                        m = rep[y]
+                        if m == -1:
+                            rep[y] = r
+                            nearest[y] = d
+                            kept.append((r, y))
+                        elif m != r:
+                            second[y] = d
+                            full[y] = 1
+                            kept.append((r, y))
+            labels = kept
+    else:
+        arcs = g.arcs
+        heap = [(0, s, s) for s in members]
+        while heap:
+            d, r, x = heappop(heap)
+            if rep[x] == r or second[x] != UNREACHABLE:
+                continue
+            if rep[x] == -1:
+                rep[x] = r
+                nearest[x] = d
+            else:
+                second[x] = d
+            for y, w in arcs[x]:
+                if second[y] == UNREACHABLE and rep[y] != r:
+                    heappush(heap, (d + w, r, y))
     return GroupDistanceState(
         graph=g,
         members=tuple(members),

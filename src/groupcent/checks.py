@@ -3,8 +3,9 @@
 Three families: diminishing-returns sampling for the harmonic objective,
 instrumented soundness checks for the pruning bounds (marginal-value
 bounds and greedy's first bounds of either objective never undershoot)
-and for local search's removal pass and swap rows, and greedy/local-search
-quality floors against the exhaustive oracle on small sweeps.
+and for local search's nearest/second-nearest state, removal pass and swap
+rows, and greedy/local-search quality floors against the exhaustive oracle
+on small sweeps.
 """
 
 from __future__ import annotations
@@ -89,18 +90,19 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
     suffixes (after each BFS level on unit weights, before each level past
     v's on weighted graphs), must dominate the exact value: the farness
     decrease the completed traversal reports, and v's harmonic gain up to
-    float rounding. Both completed traversals must match an independent
-    recomputation from group values (exact integers for the decrease) in
-    both weight regimes, as must the farness that v's swap row gives the
-    same swap (u, v), and the objectives of the group and of the group
-    without u that the removal pass gives for either objective (exactly
-    for farness, to rounding for harmonic). For the added vertex v,
-    greedy's first bound and every bound of v's first-round traversal, of
-    either objective, must be at least v's singleton value (up to float
-    rounding), and that traversal's value of v must match a recomputation;
-    so must those of a vertex of a generated DAG, where no vertex reaches
-    all. Given graphs that are not (strongly) connected or have fewer than
-    3 vertices are skipped."""
+    float rounding. The group's nearest/second-nearest state must match one
+    ``sssp`` per member in both weight regimes. Both completed traversals
+    must match an independent recomputation from group values (exact
+    integers for the decrease) in both weight regimes, as must the farness
+    that v's swap row gives the same swap (u, v), and the objectives of
+    the group and of the group without u that the removal pass gives for
+    either objective (exactly for farness, to rounding for harmonic). For
+    the added vertex v, greedy's first bound and every bound of v's
+    first-round traversal, of either objective, must be at least v's
+    singleton value (up to float rounding), and that traversal's value of
+    v must match a recomputation; so must those of a vertex of a generated
+    DAG, where no vertex reaches all. Given graphs that are not (strongly)
+    connected or have fewer than 3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
     dag_rng = random.Random(seed + 1)
@@ -123,6 +125,7 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
             k = rng.randrange(2, min(4, g.n))
             group = sorted(rng.sample(range(g.n), k))
             state = state_init(g, group)
+            _state_lists(state, out)
             u = rng.choice(group)  # connected: the others still cover every vertex
             dbase = patched_distances(state, u)
             v = rng.choice([x for x in range(g.n) if x not in group])
@@ -165,6 +168,29 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
                                   dag_rng.randrange(2, 5), weights=weights)
                 _singleton_bounds(dag, dag_rng.randrange(dag.n), out)
     return out
+
+
+def _state_lists(state, out):
+    """The state's three lists against one ``sssp`` per member: at every
+    vertex the nearest distance, the nearest member (the smallest id at
+    that distance, -1 when none reaches it) and the smallest distance from
+    the other members."""
+    g = state.graph
+    tables = [(u, sssp(g, u)) for u in state.members]
+    lists = state.dist_nearest, state.nearest_member, state.dist_second
+    out.checked += len(lists)
+    for x in range(g.n):
+        d, u = min((t[x], u) for u, t in tables)
+        if d == UNREACHABLE:
+            u = -1
+        second = min((t[x] for m, t in tables if m != u), default=UNREACHABLE)
+        got = tuple(a[x] for a in lists)
+        if got != (d, u, second):
+            out.passed = False
+            out.violations.append(
+                f"state (nearest, member, second) {got} != oracle "
+                f"{(d, u, second)} at x={x} S={list(state.members)} "
+                f"edges={g.edges()}")
 
 
 def _removal_pass(state, u, c, want, slack, out):

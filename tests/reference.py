@@ -14,6 +14,8 @@ as ``Fraction``, so exact ties stay ties.
 suffix heaps it kept before its bound counted vertices per base distance,
 over suffixes of the base distances scanned by ``suffix_ge``.
 ``count_visits`` counts the vertices the solvers' traversals visit.
+``per_member_state`` is ``state_init``'s three lists from one ``sssp`` per
+member.
 """
 
 import sys
@@ -45,6 +47,23 @@ def count_visits(monkeypatch):
                 and getattr(module, "closer_levels", None) is closer_levels):
             monkeypatch.setattr(module, "closer_levels", counted)
     return visits
+
+
+def per_member_state(g, group):
+    """(dist_nearest, nearest_member, dist_second) of ``group``: x's nearest
+    member has the smallest (distance, id), -1 when no member reaches x,
+    and the second distance is the smallest over the other members."""
+    tables = {u: sssp(g, u) for u in set(group)}
+    nearest, rep, second = [], [], []
+    for x in range(g.n):
+        d, u = min((t[x], u) for u, t in tables.items())
+        if d == UNREACHABLE:
+            u = -1
+        nearest.append(d)
+        rep.append(u)
+        second.append(min((t[x] for m, t in tables.items() if m != u),
+                          default=UNREACHABLE))
+    return nearest, rep, second
 
 
 def exact_harmonic(dist, members):

@@ -228,13 +228,28 @@ def test_criterion_07_bound_soundness(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(checks, "pruned_marginal_gain", undershooting_gain)
     gain_gated = not bound_check(cases_per_regime=5).passed
+    monkeypatch.undo()
+
+    # and the state: one that gives a vertex tied between members the
+    # largest of them must fail it (the removal pass and rows cannot tell)
+    def largest_id_ties(g, group):
+        state = centrality.state_init(g, group)
+        tables = [(graph.sssp(g, u), u) for u in state.members]
+        for x, (a, b) in enumerate(zip(state.dist_nearest, state.dist_second)):
+            if a == b != graph.UNREACHABLE:
+                state.nearest_member[x] = max(u for t, u in tables if t[x] == a)
+        return state
+
+    monkeypatch.setattr(checks, "state_init", largest_id_ties)
+    state_gated = not bound_check(cases_per_regime=5).passed
     _criterion(7, "pruning bounds (farness decrease, weighted decrease, "
                "harmonic gain, harmonic start, singleton farness, reach "
-               "counts, greedy's first bounds), the removal pass and swap "
-               "rows are sound and gated",
+               "counts, greedy's first bounds), the nearest/second-nearest "
+               "state, the removal pass and swap rows are sound and gated",
                outcome.passed and harmonic_gated and farness_gated
                and weighted_gated and rows_gated and pass_gated
-               and reach_gated and first_gated and gain_gated, detail)
+               and reach_gated and first_gated and gain_gated
+               and state_gated, detail)
 
 
 def test_criterion_08_pruning_transparency():

@@ -22,7 +22,7 @@ from groupcent.graph import (Graph, UNREACHABLE, closer_levels,
                              multi_source_sssp, sssp)
 from groupcent.reporting import AlgoConfig
 from groupcent.generators import directed_strongly_connected
-from reference import suffix_ge
+from reference import per_member_state, suffix_ge
 
 
 def weighted_path_l2():
@@ -119,20 +119,72 @@ class TestState:
         assert all(d == UNREACHABLE for d in st.dist_second)
 
     def test_second_distance_matches_per_source_oracle(self):
+        # all three lists, exactly, in all four regimes, with k from 1 to 4;
+        # every other graph is sparse random arcs, so directed ones are
+        # mostly not strongly connected and leave vertices unreached
         rng = random.Random(12)
-        for trial in range(40):
-            g = random_graph(10, rng, directed=bool(trial % 2), weights=(1, 2, 3))
-            group = sorted(rng.sample(range(g.n), 3))
+        unreached = tied = 0
+        for trial in range(400):
+            directed = bool(trial % 2)
+            weights = (1,) if trial % 4 < 2 else (1, 2, 3)
+            n = rng.randrange(2, 14)
+            if trial % 8 < 4:
+                g = random_graph(n, rng, directed=directed, weights=weights)
+            else:
+                edges = [(rng.randrange(n), rng.randrange(n), rng.choice(weights))
+                         for _ in range(n + 2)]
+                g = Graph(n, edges, directed=directed, check_isolated=False)
+            group = rng.sample(range(n), rng.randrange(1, min(4, n) + 1))
             st = state_init(g, group)
-            tables = {u: sssp(g, u) for u in group}
-            for x in range(g.n):
-                rep = st.nearest_member[x]
-                if rep == -1:
-                    assert st.dist_nearest[x] == UNREACHABLE
-                    continue
-                assert tables[rep][x] == st.dist_nearest[x]
-                expected = min(tables[u][x] for u in group if u != rep)
-                assert st.dist_second[x] == expected
+            lists = st.dist_nearest, st.nearest_member, st.dist_second
+            assert lists == per_member_state(g, group)
+            unreached += -1 in st.nearest_member
+            tied += any(a == b != UNREACHABLE
+                        for a, b in zip(st.dist_nearest, st.dist_second))
+        assert unreached and tied
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_tie_heavy_graphs_keep_the_smallest_id(self, directed, w):
+        # cycles, stars and grids put many vertices at equal distance from
+        # several members; the nearest member must be the smallest id
+        side = 4
+        grid = [(r * side + c, r * side + c + 1, w)
+                for r in range(side) for c in range(side - 1)]
+        grid += [(r * side + c, (r + 1) * side + c, w)
+                 for r in range(side - 1) for c in range(side)]
+        graphs = [
+            Graph(8, [(i, (i + 1) % 8, w) for i in range(8)], directed=directed),
+            Graph(7, [(0, i, w) for i in range(1, 7)], directed=directed),
+            Graph(side * side, grid, directed=directed),
+        ]
+        rng = random.Random(15)
+        for g in graphs:
+            for k in range(1, 5):
+                for _ in range(25):
+                    group = rng.sample(range(g.n), k)
+                    st = state_init(g, group)
+                    assert ((st.dist_nearest, st.nearest_member, st.dist_second)
+                            == per_member_state(g, group))
+
+    def test_unit_weights_make_no_heap_operations(self, monkeypatch):
+        ops = Counter()
+
+        def counted(name):
+            real = getattr(centrality, name)
+
+            def op(*args):
+                ops[name] += 1
+                return real(*args)
+            return op
+
+        for name in ("heappush", "heappop"):
+            monkeypatch.setattr(centrality, name, counted(name))
+        rng = random.Random(16)
+        state_init(undirected_connected(30, rng), [0, 7, 19])
+        assert not ops
+        state_init(undirected_connected(30, rng, weights=(1, 2)), [0, 7, 19])
+        assert ops["heappush"] and ops["heappop"]
 
     def test_raw_farness_matches_scratch(self):
         # from the removal pass: farness exactly, and harmonic bit for bit,
