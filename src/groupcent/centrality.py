@@ -2,7 +2,9 @@
 the bounded marginal value, lazy greedy from the empty group, removal pass
 and single-swap local search both objectives share, each parameterized by c,
 what one vertex at distance d adds (0 when unreachable); ``solve`` runs
-them for the ``Objective`` record that holds what differs.
+them for the ``Objective`` record that holds what differs. On unit weights
+greedy scores candidates exactly from a table of bitset balls, with no
+traversal per candidate, while that table fits its bit budget.
 
 Group-harmonic centrality of a group S sums reciprocal distances from S to
 every outside vertex (unreachable vertices contribute zero). Group farness
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple
 
-from .graph import (Graph, UNREACHABLE, closer_levels, lower_distances,
-                    multi_source_sssp, reachable_counts)
+from .graph import (Graph, UNREACHABLE, ball_table, closer_levels,
+                    lower_distances, multi_source_sssp, reachable_counts)
 from .reporting import AlgoConfig, RunReport, checked_config, solver_report
 
 
@@ -291,9 +293,41 @@ def local_search(g: Graph, group, c, plan, stats):
 
 class Marginal(NamedTuple):
     """What ``marginal_value`` returns; ``bench/tracing.py`` counts the
-    aborted traversals of both objectives by ``is_exact``."""
+    aborted traversals of both objectives by ``is_exact``, which is always
+    true from a ``BallSuffix``."""
     is_exact: bool
     value: float  # the exact change, or an upper bound on it once aborted
+
+
+class BallSuffix(NamedTuple):
+    """``marginal_value``'s suffix from a ball table (``graph.ball_table``)
+    and a group, from ``ball_suffix``. For d = 1, 2, ...: ``balls[d-1]`` is
+    the table's level d, ``beyond[d-1]`` the bitset of the vertices farther
+    than d from every member (all of them for the empty group), and
+    ``weight[d-1]`` is c(d) - c(d+1), or c(L) at the table's last level L;
+    levels where nothing is beyond are left out."""
+    balls: list
+    beyond: list
+    weight: list
+
+
+def ball_suffix(table, group, c) -> BallSuffix:
+    """The ``BallSuffix`` of ``group`` over ``table``, in O(L k) bitset
+    operations for L levels and k members."""
+    everyone = (1 << len(table[0])) - 1
+    top = len(table) - 1
+    balls, beyond, weight = [], [], []
+    for d in range(1, top + 1):
+        level = table[d]
+        near = 0
+        for m in group:
+            near |= level[m]
+        if near == everyone:
+            break
+        balls.append(level)
+        beyond.append(everyone ^ near)
+        weight.append(c(d) if d == top else c(d) - c(d + 1))
+    return BallSuffix(balls, beyond, weight)
 
 
 def base_suffixes(dist, c):
@@ -349,7 +383,17 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     most c(d) - c(b), and only if b > d; a counted vertex leaves the
     counted tally once d reaches its base. Without a suffix they return
     the exact value: a bound checked in every greedy round cost more than
-    the evaluations it saved."""
+    the evaluations it saved.
+
+    Given a ``BallSuffix`` of the group behind ``dist`` on unit weights,
+    no traversal runs and the value is exact, with one AND and one
+    popcount per level: a vertex x at base b that v reaches at e < b gains
+    c(e) - c(b), the sum of c(d) - c(d+1) over the levels e <= d < b, where
+    x lies in v's ball and beyond d; an unreached x (b = UNREACHABLE, c(b)
+    = 0) lies beyond every level, and the last level's weight c(L) closes
+    its sum at c(e). v itself lies in every ball and beyond each level
+    below its base, so the levels count it as moved from its base to
+    distance 1; it joins the group instead, so c(1) is taken back."""
     own = dist[v]
     if not own:
         return Marginal(True, 0)
@@ -388,6 +432,10 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
                     heappush(bases, b)
                     osum += cb
         return Marginal(True, value - c_own)
+    if isinstance(suffix, BallSuffix):
+        for balls, far, w in zip(*suffix):
+            value += w * (balls[v] & far).bit_count()
+        return Marginal(True, value - c(1))
     count, total, cdist = suffix or base_suffixes(dist, c)
     top = len(count) - 1
     adj = g.adj
@@ -458,10 +506,15 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
     with ``objective.c`` over the group's distances ``dist``: one list, all
     UNREACHABLE for the empty group, which the winner's closer-than-base
     traversal (``lower_distances``) lowers after each round, so it ends as
-    the final group's distances. In round 1 ``suffix`` is ([r(v), r(v)],
-    total, cdist) of the empty base, with r(v) the number of vertices v
-    reaches (``reachable_counts``); later rounds pass ``base_suffixes(dist,
-    c)`` on unit weights and no suffix on weighted graphs.
+    the final group's distances. On unit weights, while the graph's ball
+    table (``graph.ball_table``) fits its budget, every round passes the
+    group's ``ball_suffix``, so every value is exact and no candidate runs
+    a traversal; the table is local to this call, and r(v), the number of
+    vertices v reaches, is the popcount of v's last ball. Otherwise, in
+    round 1 ``suffix`` is ([r(v), r(v)], total, cdist) of the empty base,
+    with r(v) from ``reachable_counts``, and later rounds pass
+    ``base_suffixes(dist, c)`` on unit weights and no suffix on weighted
+    graphs.
 
     ``bound[v]`` is an upper bound on v's marginal value. It starts at
     min(out-degree, r(v) - 1) (c(1) - c(2)) + (r(v) - 1) c(2), the unit
@@ -482,21 +535,28 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
     minus ``margin``. Evaluations count in ``stats["evaluated"]``, aborts
     in ``stats["pruned"]``."""
     c, margin, n = objective.c, objective.margin, g.n
-    reach = reachable_counts(g)
     dist = [UNREACHABLE] * n
-    _, total, cdist = base_suffixes(dist, c)
+    table = ball_table(g) if g.unit_weights else None
+    if table:
+        reach = [ball.bit_count() for ball in table[-1]]
+    else:
+        reach = reachable_counts(g)
+        _, total, cdist = base_suffixes(dist, c)
     c1, c2 = c(1), c(2)
     bound = [min(g.out_degree(v), r - 1) * (c1 - c2) + (r - 1) * c2
              for v, r in enumerate(reach)]
     group, gains = [], []
     while len(group) < k:
-        suffix = base_suffixes(dist, c) if group and g.unit_weights else None
+        if table:
+            suffix = ball_suffix(table, group, c)
+        else:
+            suffix = base_suffixes(dist, c) if group and g.unit_weights else None
         heap = [(-bound[v], v) for v in range(n) if dist[v]]
         heapify(heap)
         best, best_v = -math.inf, n
         while heap and heap[0] < (margin - best, best_v):
             v = heappop(heap)[1]
-            if not group:
+            if not (group or table):
                 suffix = ([reach[v]] * 2, total, cdist)
             stop = best - margin if margin else best + (v > best_v)
             exact, value = objective.gain(g, dist, v, suffix, stop)

@@ -2,10 +2,11 @@
 
 Three families: diminishing-returns sampling for the harmonic objective,
 instrumented soundness checks for the pruning bounds (marginal-value
-bounds and greedy's first bounds of either objective never undershoot)
-and for local search's nearest/second-nearest state, removal pass and swap
-rows, and greedy/local-search quality floors against the exhaustive oracle
-on small sweeps.
+bounds and greedy's first bounds of either objective never undershoot),
+for the values from the unit-weight ball table and for local search's
+nearest/second-nearest state, removal pass and swap rows, and
+greedy/local-search quality floors against the exhaustive oracle on small
+sweeps.
 """
 
 from __future__ import annotations
@@ -14,14 +15,16 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .centrality import (base_suffixes, greedy, group_farness_raw,
-                         group_harmonic, marginal_value, patched_distances,
-                         removal_cost, state_init, swap_rows)
+from .centrality import (ball_suffix, base_suffixes, greedy,
+                         group_farness_raw, group_harmonic, marginal_value,
+                         patched_distances, removal_cost, state_init,
+                         swap_rows)
 from .closeness import (CLOSENESS, _farness_term, farness_decrease,
                         local_search_closeness)
 from .generators import (directed_strongly_connected, layered_dag,
                          mixed_regime_graphs, undirected_connected)
-from .graph import UNREACHABLE, is_connected, reachable_counts, sssp
+from .graph import (UNREACHABLE, ball_table, is_connected, reachable_counts,
+                    sssp)
 from .harmonic import (HARMONIC, _harmonic_term, greedy_harmonic,
                        local_search_harmonic, pruned_marginal_gain)
 from .oracles import exhaustive_best
@@ -93,15 +96,17 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
     float rounding. The group's nearest/second-nearest state must match one
     ``sssp`` per member in both weight regimes. Both completed traversals
     must match an independent recomputation from group values (exact
-    integers for the decrease) in both weight regimes, as must the farness
+    integers for the decrease) in both weight regimes, as must v's values
+    of either objective from the ball table on unit weights, the farness
     that v's swap row gives the same swap (u, v), and the objectives of
     the group and of the group without u that the removal pass gives for
     either objective (exactly for farness, to rounding for harmonic). For
     the added vertex v, greedy's first bound and every bound of v's
     first-round traversal, of either objective, must be at least v's
     singleton value (up to float rounding), and that traversal's value of
-    v must match a recomputation; so must those of a vertex of a generated
-    DAG, where no vertex reaches all. Given graphs that are not (strongly)
+    v, and on unit weights the table's over the empty group, must match a
+    recomputation; so must those of a vertex of a generated DAG, where no
+    vertex reaches all. Given graphs that are not (strongly)
     connected or have fewer than 3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
@@ -162,6 +167,9 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
                           ROUNDING, out)
             gain = group_harmonic(g, with_v).value - harmonic_without
             _gain_bounds(g, dbase, v, gain, out)
+            _table_value(g, dbase, without_u, v, _farness_term, oracle, 0, out)
+            _table_value(g, dbase, without_u, v, _harmonic_term, gain, ROUNDING,
+                         out)
             _singleton_bounds(g, v, out)
             if graphs is None:
                 dag = layered_dag(dag_rng, dag_rng.randrange(2, 5),
@@ -228,6 +236,21 @@ def _gain_bounds(g, dbase, v, gain, out):
                                   f"base={dbase} edges={g.edges()}")
 
 
+def _table_value(g, dist, group, v, c, exact, slack, out):
+    """On a unit-weight graph, v's value from the ball table over the base
+    of ``group``, whose distances are ``dist``, against ``exact``, its
+    recomputation from group values: equal up to the relative ``slack``."""
+    table = ball_table(g) if g.unit_weights else None
+    if table is None:
+        return
+    value = marginal_value(g, dist, v, c, ball_suffix(table, group, c)).value
+    out.checked += 1
+    if not abs(value - exact) <= slack * max(1.0, abs(exact)):
+        out.passed = False
+        out.violations.append(f"table value {value} != oracle {exact} for "
+                              f"v={v} S={list(group)} edges={g.edges()}")
+
+
 def _singleton_bounds(g, v, out):
     """Vertex v in greedy's first round, against its exact singleton
     values: harmonic centrality, up to float rounding, and -farness, the
@@ -248,6 +271,7 @@ def _singleton_bounds(g, v, out):
         value = marginal_value(g, nowhere, v, c, ([reach[v]] * 2, total, cdist),
                                record=rec).value
         rec.append(greedy(g, 0, objective, {})[3][v])
+        _table_value(g, nowhere, (), v, c, exact, slack, out)
         tol = slack * max(1.0, abs(exact))
         out.checked += len(rec) + 1
         if not abs(value - exact) <= tol:

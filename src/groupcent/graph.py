@@ -20,7 +20,8 @@ from heapq import heappop, heappush
 
 UNREACHABLE = math.inf
 # reachable_counts keeps exact vertex bitsets while components x vertices
-# stays within this many bits (8 MB); past it the counts are upper bounds
+# stays within this many bits (8 MB); past it the counts are upper bounds.
+# ball_table keeps at most this many bits of balls, n per ball.
 REACH_MASK_BITS = 1 << 26
 
 
@@ -261,6 +262,41 @@ def closer_levels(g: Graph, dbase, seeds):
             if ny == tentative[y]:
                 d = ny
                 level.append(y)
+
+
+def ball_table(g: Graph):
+    """Every vertex's out-balls on a unit-weight graph, as bitsets:
+    ``table[d][v]`` is an int whose bit x is set iff dist(v, x) <= d, for
+    d = 0..L, with L >= 1 the largest finite distance (1 on a graph without
+    arcs), so ``table[-1][v]`` is all v reaches. Built level by level,
+    ``table[d+1][v] = table[d][v] | OR(table[d][u] for u in adj[v])``; a ball
+    that stops growing never grows again, and its later levels reuse the
+    same int. Returns None as soon as the balls built would pass
+    ``REACH_MASK_BITS``, counting n bits per ball."""
+    n, adj = g.n, g.adj
+    bits = n * n
+    if bits > REACH_MASK_BITS:
+        return None
+    level = [1 << v for v in range(n)]
+    table = [level]
+    growing = range(n)
+    while True:
+        nxt = level.copy()
+        grew = []
+        for v in growing:
+            ball = old = level[v]
+            for u in adj[v]:
+                ball |= level[u]
+            if ball != old:
+                bits += n
+                if bits > REACH_MASK_BITS:
+                    return None
+                nxt[v] = ball
+                grew.append(v)
+        if not grew and len(table) > 1:
+            return table
+        table.append(nxt)
+        level, growing = nxt, grew
 
 
 def strongly_connected_components(g: Graph):

@@ -7,7 +7,8 @@ bound (on unit weights, and in greedy's first round), only stops once a
 bound is below the incumbent by ``PRUNE_MARGIN``, so exact ties are
 always evaluated and go to the smallest id, as in a plain exhaustive
 greedy; the first round's values and bounds seed the second round's
-queue. The gains of later weighted rounds are exact.
+queue. The gains of later weighted rounds, and unit-weight gains from
+the ball table, are never abort bounds.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ def pruned_marginal_gain(g: Graph, dist, u: int, suffix=None, stop_below=None,
     """Marginal harmonic gain of adding u to the group whose distances are
     ``dist``: ``marginal_value`` with c = 1/d, (exact, gain) or (False,
     bound) once a bound drops below ``stop_below``, on weighted graphs only
-    when ``suffix``, ``base_suffixes(dist, _harmonic_term)``, is given."""
+    when ``suffix``, ``base_suffixes(dist, _harmonic_term)``, is given;
+    always exact given a ``ball_suffix``."""
     return marginal_value(g, dist, u, _harmonic_term, suffix, stop_below, record)
 
 

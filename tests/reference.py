@@ -14,6 +14,7 @@ as ``Fraction``, so exact ties stay ties.
 suffix heaps it kept before its bound counted vertices per base distance,
 over suffixes of the base distances scanned by ``suffix_ge``.
 ``count_visits`` counts the vertices the solvers' traversals visit.
+``without_ball_table`` makes unit-weight greedy run its BFS kernel.
 ``per_member_state`` is ``state_init``'s three lists from one ``sssp`` per
 member.
 """
@@ -23,6 +24,7 @@ from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
 
+from groupcent import graph
 from groupcent.centrality import (greedy, group_farness_raw, harmonic_sum,
                                   patched_distances, state_init)
 from groupcent.closeness import CLOSENESS, add_estimate, farness_decrease
@@ -47,6 +49,14 @@ def count_visits(monkeypatch):
                 and getattr(module, "closer_levels", None) is closer_levels):
             monkeypatch.setattr(module, "closer_levels", counted)
     return visits
+
+
+def without_ball_table(monkeypatch):
+    """A bit budget of 0: ``graph.ball_table`` refuses every graph, so
+    unit-weight greedy scores candidates with the BFS kernel and its level
+    bound, as on graphs over the budget (and directed reach counts become
+    upper bounds)."""
+    monkeypatch.setattr(graph, "REACH_MASK_BITS", 0)
 
 
 def per_member_state(g, group):

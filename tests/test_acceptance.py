@@ -230,6 +230,19 @@ def test_criterion_07_bound_soundness(monkeypatch):
     gain_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
 
+    # and the values from the ball table: one off by one must fail it
+    def off_by_one_table(g, dist, v, c, suffix=None, stop_below=None,
+                         record=None):
+        res = centrality.marginal_value(g, dist, v, c, suffix, stop_below,
+                                        record)
+        if isinstance(suffix, centrality.BallSuffix):
+            return res._replace(value=res.value + 1)
+        return res
+
+    monkeypatch.setattr(checks, "marginal_value", off_by_one_table)
+    table_gated = not bound_check(cases_per_regime=5).passed
+    monkeypatch.undo()
+
     # and the state: one that gives a vertex tied between members the
     # largest of them must fail it (the removal pass and rows cannot tell)
     def largest_id_ties(g, group):
@@ -244,12 +257,13 @@ def test_criterion_07_bound_soundness(monkeypatch):
     state_gated = not bound_check(cases_per_regime=5).passed
     _criterion(7, "pruning bounds (farness decrease, weighted decrease, "
                "harmonic gain, harmonic start, singleton farness, reach "
-               "counts, greedy's first bounds), the nearest/second-nearest "
-               "state, the removal pass and swap rows are sound and gated",
+               "counts, greedy's first bounds), the ball-table values, the "
+               "nearest/second-nearest state, the removal pass and swap "
+               "rows are sound and gated",
                outcome.passed and harmonic_gated and farness_gated
                and weighted_gated and rows_gated and pass_gated
                and reach_gated and first_gated and gain_gated
-               and state_gated, detail)
+               and table_gated and state_gated, detail)
 
 
 def test_criterion_08_pruning_transparency():

@@ -9,20 +9,22 @@ from itertools import product
 import pytest
 
 from groupcent import centrality, cli, closeness, harmonic
-from groupcent.centrality import (DisconnectedFarnessError, base_suffixes,
-                                  group_farness_raw, group_harmonic,
-                                  harmonic_sum, marginal_value,
-                                  patched_distances, removal_cost,
-                                  state_init, swap_rows)
+from groupcent.centrality import (DisconnectedFarnessError, ball_suffix,
+                                  base_suffixes, greedy, group_farness_raw,
+                                  group_harmonic, harmonic_sum,
+                                  marginal_value, patched_distances,
+                                  removal_cost, state_init, swap_rows)
+from groupcent.closeness import CLOSENESS
 from groupcent.closeness import _farness_term
-from groupcent.harmonic import _harmonic_term
+from groupcent.harmonic import HARMONIC, _harmonic_term
 from groupcent.generators import (path_graph, random_graph, star_graph,
                                   undirected_connected)
-from groupcent.graph import (Graph, UNREACHABLE, closer_levels,
+from groupcent.graph import (Graph, UNREACHABLE, ball_table, closer_levels,
                              multi_source_sssp, sssp)
 from groupcent.reporting import AlgoConfig
 from groupcent.generators import directed_strongly_connected
-from reference import per_member_state, suffix_ge
+from reference import (count_visits, per_member_state, suffix_ge,
+                       without_ball_table)
 
 
 def weighted_path_l2():
@@ -436,6 +438,13 @@ class TestSwapRows:
 
 
 class TestBaseSuffixes:
+    """The BFS kernel's suffixes; unit-weight greedy reads them only past
+    the ball table's budget, so these tests run there."""
+
+    @pytest.fixture(autouse=True)
+    def bfs_kernel(self, monkeypatch):
+        without_ball_table(monkeypatch)
+
     def test_counts_and_sums_match_a_scan(self):
         # per base distance t >= 1: how many vertices are t or more away and
         # c of their distances summed; the last index counts only the
@@ -483,6 +492,64 @@ class TestBaseSuffixes:
                 built.clear()
                 solve(g, 4, AlgoConfig(k=4))
                 assert len(built) == (4 if g.unit_weights else 1)
+
+
+class TestBallSuffix:
+    @pytest.mark.parametrize("directed", (False, True))
+    def test_table_values_match_the_traversal(self, directed):
+        # over the base of a group of 0-4 members, on unit-weight graphs
+        # that may leave vertices unreached, the value from the ball table
+        # is the traversal's exact one: equal for farness, to rounding for
+        # harmonic
+        rng = random.Random(50 + directed)
+        cases = empty = unreached = 0
+        for _ in range(150):
+            n = rng.randrange(2, 25)
+            p = rng.choice((0.03, 0.1, 0.3))
+            g = Graph(n, [(u, v, 1) for u in range(n) for v in range(n)
+                          if u != v and rng.random() < p],
+                      directed=directed, check_isolated=False)
+            table = ball_table(g)
+            group = rng.sample(range(n), rng.randrange(0, min(4, n) + 1))
+            dist = multi_source_sssp(g, group) if group else [UNREACHABLE] * n
+            empty += not group
+            unreached += bool(group) and UNREACHABLE in dist
+            for c in (_farness_term, _harmonic_term):
+                suffix = ball_suffix(table, group, c)
+                for v in range(n):
+                    got = marginal_value(g, dist, v, c, suffix)
+                    exact, want = marginal_value(g, dist, v, c)
+                    assert got.is_exact and exact
+                    if c is _farness_term:
+                        assert got.value == want
+                    else:
+                        assert got.value == pytest.approx(want, rel=1e-12,
+                                                          abs=1e-12)
+                    cases += 1
+        assert cases > 2500 and empty > 15 and unreached > 50
+
+    @pytest.mark.parametrize("directed", (False, True))
+    def test_greedy_traverses_only_to_lower_the_distances(self, directed,
+                                                          monkeypatch):
+        # under the budget, unit-weight greedy runs no traversal per
+        # candidate: ``closer_levels`` yields only the vertices each
+        # winner's ``lower_distances`` lowers
+        visits = count_visits(monkeypatch)
+        rng = random.Random(51 + directed)
+        for trial in range(20):
+            g = random_graph(rng.randrange(10, 40), rng, directed=directed,
+                             p=0.1)
+            k = rng.randrange(1, 6)
+            for objective in (HARMONIC, CLOSENESS):
+                visits[0] = 0
+                group = greedy(g, k, objective, Counter())[0]
+                seen, lowered = visits[0], 0
+                before = [UNREACHABLE] * g.n
+                for i in range(k):
+                    after = multi_source_sssp(g, group[:i + 1])
+                    lowered += sum(a < b for a, b in zip(after, before))
+                    before = after
+                assert seen == lowered
 
 
 class TestWeightedLevelBound:

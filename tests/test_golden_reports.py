@@ -11,7 +11,12 @@ never evaluated. Every pruned count moved; so did the evaluations of the
 undirected unit-weight harmonic rows, on a graph that leaves vertices
 unreached, and some visits counts, none of them up. Kernels that visit
 vertices in another order, or check another bound, move a work counter
-here even when the group and the objective value stay the same.
+here even when the group and the objective value stay the same. When
+unit-weight greedy came to score candidates from a ball table, with exact
+values and no traversal per candidate, the unit and 6-cycle rows'
+evaluations, pruned traversals and visits went down; ``BFS_WORK`` keeps
+their earlier counters, which the BFS kernel still gives past the table's
+budget.
 """
 
 import random
@@ -22,7 +27,7 @@ from groupcent import (greedy_closeness, greedy_harmonic,
                        local_search_closeness, local_search_harmonic)
 from groupcent.generators import random_graph
 from groupcent.graph import Graph
-from reference import count_visits
+from reference import count_visits, without_ball_table
 
 # name: (directed, weights, n, p, graph hash)
 REGIMES = {
@@ -38,17 +43,17 @@ SOLVERS = {"greedy-h": greedy_harmonic, "ls-h": local_search_harmonic,
 #  candidatesEvaluated, traversalsPruned, iterations, swapsCommitted,
 #  visits), where visits counts the vertices ``graph.closer_levels`` yields
 #  during the solve, a measure of traversal work independent of the host;
-# every run aborts traversals, weighted ones in round 1 only, and two
-# local searches swap
+# weighted runs abort traversals in round 1 only, unit-weight ones never,
+# and two local searches swap
 GOLDEN = {
-    ('undirected-unit', 3, 'greedy-h'): ([1, 6, 44], 41.5, None, 122, 110, 3, 0, 871),
-    ('undirected-unit', 3, 'ls-h'): ([1, 6, 44], 41.5, None, 179, 110, 1, 0, 1363),
-    ('undirected-unit', 3, 'greedy-c'): ([1, 34, 44], 0.6741573033707865, 89, 173, 164, 3, 0, 1322),
-    ('undirected-unit', 3, 'ls-c'): ([1, 34, 44], 0.6741573033707865, 89, 229, 164, 1, 0, 1953),
-    ('undirected-unit', 5, 'greedy-h'): ([1, 6, 23, 25, 44], 46.0, None, 180, 160, 5, 0, 1067),
-    ('undirected-unit', 5, 'ls-h'): ([1, 6, 23, 25, 44], 46.0, None, 235, 160, 1, 0, 1392),
-    ('undirected-unit', 5, 'greedy-c'): ([1, 6, 31, 34, 44], 0.8108108108108109, 74, 263, 249, 5, 0, 1547),
-    ('undirected-unit', 5, 'ls-c'): ([1, 6, 31, 34, 44], 0.8108108108108109, 74, 317, 249, 1, 0, 1854),
+    ('undirected-unit', 3, 'greedy-h'): ([1, 6, 44], 41.5, None, 101, 0, 3, 0, 88),
+    ('undirected-unit', 3, 'ls-h'): ([1, 6, 44], 41.5, None, 158, 0, 1, 0, 580),
+    ('undirected-unit', 3, 'greedy-c'): ([1, 34, 44], 0.6741573033707865, 89, 149, 0, 3, 0, 86),
+    ('undirected-unit', 3, 'ls-c'): ([1, 34, 44], 0.6741573033707865, 89, 205, 0, 1, 0, 717),
+    ('undirected-unit', 5, 'greedy-h'): ([1, 6, 23, 25, 44], 46.0, None, 140, 0, 5, 0, 100),
+    ('undirected-unit', 5, 'ls-h'): ([1, 6, 23, 25, 44], 46.0, None, 195, 0, 1, 0, 425),
+    ('undirected-unit', 5, 'greedy-c'): ([1, 6, 31, 34, 44], 0.8108108108108109, 74, 197, 0, 5, 0, 100),
+    ('undirected-unit', 5, 'ls-c'): ([1, 6, 31, 34, 44], 0.8108108108108109, 74, 251, 0, 1, 0, 407),
     ('undirected-weighted', 3, 'greedy-h'): ([7, 37, 84], 44.069047619047645, None, 255, 119, 3, 0, 6120),
     ('undirected-weighted', 3, 'ls-h'): ([7, 37, 84], 44.069047619047645, None, 372, 119, 1, 0, 9009),
     ('undirected-weighted', 3, 'greedy-c'): ([7, 28, 37], 0.3053435114503817, 393, 272, 119, 3, 0, 8564),
@@ -57,14 +62,14 @@ GOLDEN = {
     ('undirected-weighted', 5, 'ls-h'): ([11, 12, 23, 37, 84], 51.77619047619049, None, 609, 119, 3, 2, 10813),
     ('undirected-weighted', 5, 'greedy-c'): ([7, 28, 37, 44, 98], 0.3582089552238806, 335, 318, 119, 5, 0, 9030),
     ('undirected-weighted', 5, 'ls-c'): ([7, 28, 37, 44, 98], 0.3582089552238806, 335, 433, 119, 1, 0, 10614),
-    ('directed-unit', 3, 'greedy-h'): ([1, 17, 55], 51.75000000000004, None, 255, 245, 3, 0, 2430),
-    ('directed-unit', 3, 'ls-h'): ([1, 17, 55], 51.75000000000004, None, 352, 245, 1, 0, 4247),
-    ('directed-unit', 3, 'greedy-c'): ([1, 17, 55], 0.4716981132075472, 212, 294, 280, 3, 0, 3999),
-    ('directed-unit', 3, 'ls-c'): ([1, 17, 55], 0.4716981132075472, 212, 391, 280, 1, 0, 5816),
-    ('directed-unit', 5, 'greedy-h'): ([1, 17, 55, 75, 80], 59.000000000000036, None, 348, 328, 5, 0, 2913),
-    ('directed-unit', 5, 'ls-h'): ([1, 17, 55, 75, 80], 59.000000000000036, None, 443, 328, 1, 0, 4030),
-    ('directed-unit', 5, 'greedy-c'): ([1, 17, 19, 55, 75], 0.5555555555555556, 180, 411, 383, 5, 0, 4651),
-    ('directed-unit', 5, 'ls-c'): ([1, 17, 19, 55, 75], 0.5555555555555556, 180, 506, 383, 1, 0, 5789),
+    ('directed-unit', 3, 'greedy-h'): ([1, 17, 55], 51.75000000000004, None, 217, 0, 3, 0, 155),
+    ('directed-unit', 3, 'ls-h'): ([1, 17, 55], 51.75000000000004, None, 314, 0, 1, 0, 1972),
+    ('directed-unit', 3, 'greedy-c'): ([1, 17, 55], 0.4716981132075472, 212, 238, 0, 3, 0, 156),
+    ('directed-unit', 3, 'ls-c'): ([1, 17, 55], 0.4716981132075472, 212, 335, 0, 1, 0, 1973),
+    ('directed-unit', 5, 'greedy-h'): ([1, 17, 55, 75, 80], 59.000000000000036, None, 268, 0, 5, 0, 177),
+    ('directed-unit', 5, 'ls-h'): ([1, 17, 55, 75, 80], 59.000000000000036, None, 363, 0, 1, 0, 1294),
+    ('directed-unit', 5, 'greedy-c'): ([1, 17, 19, 55, 75], 0.5555555555555556, 180, 312, 0, 5, 0, 179),
+    ('directed-unit', 5, 'ls-c'): ([1, 17, 19, 55, 75], 0.5555555555555556, 180, 407, 0, 1, 0, 1317),
     ('directed-weighted', 3, 'greedy-h'): ([28, 32, 76], 34.027380952380945, None, 170, 76, 3, 0, 4132),
     ('directed-weighted', 3, 'ls-h'): ([28, 32, 76], 34.027380952380945, None, 247, 76, 1, 0, 5324),
     ('directed-weighted', 3, 'greedy-c'): ([2, 28, 32], 0.3333333333333333, 240, 190, 78, 3, 0, 5426),
@@ -79,10 +84,37 @@ GOLDEN = {
 # the undirected unit 6-cycle at k=2: every vertex has the same harmonic
 # centrality and farness, so the start is an exact tie and goes to vertex 0
 CYCLE_GOLDEN = {
-    'greedy-h': ([0, 3], 4.0, None, 11, 2, 2, 0, 56),
-    'ls-h': ([0, 3], 4.0, None, 15, 2, 1, 0, 72),
-    'greedy-c': ([0, 3], 1.5, 4, 11, 7, 2, 0, 40),
-    'ls-c': ([0, 3], 1.5, 4, 15, 7, 1, 0, 56),
+    'greedy-h': ([0, 3], 4.0, None, 11, 0, 2, 0, 9),
+    'ls-h': ([0, 3], 4.0, None, 15, 0, 1, 0, 25),
+    'greedy-c': ([0, 3], 1.5, 4, 11, 0, 2, 0, 9),
+    'ls-c': ([0, 3], 1.5, 4, 15, 0, 1, 0, 25),
+}
+
+
+# (candidatesEvaluated, traversalsPruned, visits) of the unit-weight rows
+# and the 6-cycle's with the BFS kernel, past the ball table's budget; the
+# other fields are GOLDEN's and CYCLE_GOLDEN's
+BFS_WORK = {
+    ('undirected-unit', 3, 'greedy-h'): (122, 110, 871),
+    ('undirected-unit', 3, 'ls-h'): (179, 110, 1363),
+    ('undirected-unit', 3, 'greedy-c'): (173, 164, 1322),
+    ('undirected-unit', 3, 'ls-c'): (229, 164, 1953),
+    ('undirected-unit', 5, 'greedy-h'): (180, 160, 1067),
+    ('undirected-unit', 5, 'ls-h'): (235, 160, 1392),
+    ('undirected-unit', 5, 'greedy-c'): (263, 249, 1547),
+    ('undirected-unit', 5, 'ls-c'): (317, 249, 1854),
+    ('directed-unit', 3, 'greedy-h'): (255, 245, 2430),
+    ('directed-unit', 3, 'ls-h'): (352, 245, 4247),
+    ('directed-unit', 3, 'greedy-c'): (294, 280, 3999),
+    ('directed-unit', 3, 'ls-c'): (391, 280, 5816),
+    ('directed-unit', 5, 'greedy-h'): (348, 328, 2913),
+    ('directed-unit', 5, 'ls-h'): (443, 328, 4030),
+    ('directed-unit', 5, 'greedy-c'): (411, 383, 4651),
+    ('directed-unit', 5, 'ls-c'): (506, 383, 5789),
+    ('6-cycle', 2, 'greedy-h'): (11, 2, 56),
+    ('6-cycle', 2, 'ls-h'): (15, 2, 72),
+    ('6-cycle', 2, 'greedy-c'): (11, 7, 40),
+    ('6-cycle', 2, 'ls-c'): (15, 7, 56),
 }
 
 
@@ -121,3 +153,17 @@ def test_tied_start_reports_match_golden(pinned):
     g = Graph(6, [(i, (i + 1) % 6, 1) for i in range(6)])
     for algo, solve in SOLVERS.items():
         assert pinned(solve, g, 2) == CYCLE_GOLDEN[algo], algo
+
+
+def test_bfs_kernel_reports_match_golden(pinned, monkeypatch):
+    # the same groups, values and swaps as with the table
+    without_ball_table(monkeypatch)
+    cycle = Graph(6, [(i, (i + 1) % 6, 1) for i in range(6)])
+    for regime, k, algo in BFS_WORK:
+        if regime == "6-cycle":
+            g, want = cycle, CYCLE_GOLDEN[algo]
+        else:
+            g, want = regime_graph(regime), GOLDEN[regime, k, algo]
+        evaluated, pruned, visits = BFS_WORK[regime, k, algo]
+        want = want[:3] + (evaluated, pruned) + want[5:7] + (visits,)
+        assert pinned(SOLVERS[algo], g, k) == want, (regime, k, algo)

@@ -292,6 +292,42 @@ class TestReachableCounts:
         assert within(10, reachable_counts, g) == [n] * n
 
 
+class TestBallTable:
+    @pytest.mark.parametrize("directed", (False, True))
+    def test_balls_are_the_distance_classes(self, directed):
+        # bit x of table[d][v] is set iff dist(v, x) <= d; the last level is
+        # the largest finite distance (1 without arcs), and a ball that
+        # stopped growing keeps its int
+        rng = random.Random(8 + directed)
+        for trial in range(40):
+            n = rng.randrange(1, 25)
+            edges = [(rng.randrange(n), rng.randrange(n), 1)
+                     for _ in range(rng.randrange(0, 2 * n))]
+            g = Graph(n, edges, directed=directed, check_isolated=False)
+            table = graph.ball_table(g)
+            rows = [sssp(g, v) for v in range(n)]
+            top = max([d for row in rows for d in row if d != UNREACHABLE] + [1])
+            assert len(table) == top + 1
+            for d, level in enumerate(table):
+                assert len(level) == n
+                for v, row in enumerate(rows):
+                    assert level[v] == sum(1 << x for x, dx in enumerate(row)
+                                           if dx <= d)
+                    if d and level[v] == table[d - 1][v]:
+                        assert level[v] is table[d - 1][v]
+
+    def test_none_past_the_budget(self, monkeypatch):
+        # n bits per ball: a 10-cycle keeps 10 levels of 10 balls each,
+        # 1,000 bits, and one bit fewer refuses it
+        g = Graph(10, [(i, (i + 1) % 10, 1) for i in range(10)], directed=True)
+        monkeypatch.setattr(graph, "REACH_MASK_BITS", 1000)
+        assert len(graph.ball_table(g)) == 10
+        monkeypatch.setattr(graph, "REACH_MASK_BITS", 999)
+        assert graph.ball_table(g) is None
+        monkeypatch.setattr(graph, "REACH_MASK_BITS", 0)
+        assert graph.ball_table(g) is None
+
+
 def test_is_connected():
     assert is_connected(Graph(3, [(0, 1, 1), (1, 2, 1)]))
     assert not is_connected(Graph(4, [(0, 1, 1), (2, 3, 1)]))

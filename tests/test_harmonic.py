@@ -22,7 +22,7 @@ from groupcent.harmonic import (HARMONIC, _harmonic_term, greedy_harmonic,
 from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
 from reference import (count_visits, exact_start, per_pair_harmonic,
-                       plain_greedy_harmonic)
+                       plain_greedy_harmonic, without_ball_table)
 
 
 def top_harmonic_vertex(g):
@@ -257,7 +257,9 @@ class TestGreedy:
         with pytest.raises(ValueError):
             greedy_harmonic(g, 4)
 
-    def test_lazy_and_plain_select_identical_groups(self):
+    def test_lazy_and_plain_select_identical_groups(self, monkeypatch):
+        # unit weights score candidates from the ball table, whose values
+        # are exact, and, past its budget, with the BFS kernel, which aborts
         rng = random.Random(24)
         unit_aborts = weighted_aborts = 0
         for trial in range(40):
@@ -268,7 +270,12 @@ class TestGreedy:
             lazy = greedy_harmonic(g, k, AlgoConfig(k=k))
             assert lazy.group == plain_greedy_harmonic(g, k)
             if weights == (1,):
-                unit_aborts += lazy.traversals_pruned
+                assert lazy.traversals_pruned == 0
+                with monkeypatch.context() as patch:
+                    without_ball_table(patch)
+                    bfs = greedy_harmonic(g, k, AlgoConfig(k=k))
+                assert bfs.group == lazy.group
+                unit_aborts += bfs.traversals_pruned
             else:  # only round 1 checks a weighted bound; later gains are exact
                 first = greedy_harmonic(g, 1, AlgoConfig(k=1)).traversals_pruned
                 assert lazy.traversals_pruned == first
@@ -280,10 +287,12 @@ class TestGreedy:
         # every leaf's first bound, 1/2 + (n - 1)/2, is below the hub's
         # centrality (1,999 on unit weights, 1,234.3 here on weights 1-3),
         # so round 1 evaluates the hub alone, though it has the largest id:
-        # n visits, and n more to lower the distances to the hub's
+        # n visits, and n more to lower the distances to the hub's; unit
+        # weights run the BFS kernel, as past the ball table's budget
         n = 2000
         rng = random.Random(52)
         g = Graph(n, [(leaf, n - 1, rng.choice(weights)) for leaf in range(n - 1)])
+        without_ball_table(monkeypatch)
         visits = count_visits(monkeypatch)
         r = greedy_harmonic(g, 1)
         assert r.group == [n - 1] and r.candidates_evaluated == 1
