@@ -363,27 +363,24 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     level is the same c(d), so the value depends only on how many vertices
     each level holds.
 
-    Both bounds read ``suffix``, the suffixes of ``base_suffixes(dist,
-    c)``; over the empty group's base, ([r, r], total, cdist) with r the
-    number of vertices v reaches (``graph.reachable_counts``) or more, so
-    that only r - counted uncounted vertices can gain.
-
-    Unit weights check the level bound of Bergamini et al. (TKDD 2019)
-    after each BFS level d, written in c. An uncounted x gains only if it
-    ends closer than its base distance b: at most the level's fan-out of
-    those with b >= d+2 sit at d+1, and every other one gains at most
-    c(d+2) - c(b), which is positive only for b >= d+3. A vertex at level
-    d' has b >= d'+1, so once level d is counted, the counted vertices
-    with b <= d+1 are final, and the suffixes (built here when not given)
-    minus the running totals over the counted vertices give the uncounted
-    ones.
-
-    Weighted graphs check a bound only when ``suffix`` is given, before
-    each level d > 0: an uncounted x ends at least d away, so it gains at
-    most c(d) - c(b), and only if b > d; a counted vertex leaves the
-    counted tally once d reaches its base. Without a suffix they return
-    the exact value: a bound checked in every greedy round cost more than
-    the evaluations it saved.
+    Given ``stop_below`` or ``record``, the loop checks the level bound
+    of Bergamini et al. (TKDD 2019), written in c, after each level d, in
+    both weight regimes, over ``suffix``, ``base_suffixes(dist, c)``;
+    otherwise it only sums the terms, over cdist. Either is built here
+    when not given. Over the empty group's base the suffix is ([r, r],
+    total, cdist), r the number of vertices v reaches or more. An
+    uncounted x gains only if it ends closer than its base distance b, at
+    d+1 or more: at most a cap of those with b >= d+2 end at d+1, and
+    every other one gains at most c(d+2) - c(b), positive only for b >=
+    d+3. A vertex first reached at d+1 has a counted shortest-path
+    predecessor x (the cut is exact), so the cap is the number of arcs
+    (x, w) out of counted vertices with d_x + w = d+1: level d's fan-out
+    on unit weights, less one parent arc per vertex of a level d > 0 when
+    undirected; otherwise a tally by d_x + w of each counted vertex's
+    ``Graph.weight_counts``, one entry per distinct weight. Once level d
+    is counted, the counted vertices with b <= d+1 are final (a vertex at
+    level d' has b > d'), and the suffixes minus the running totals over
+    the counted vertices give the uncounted ones.
 
     Given a ``BallSuffix`` of the group behind ``dist`` on unit weights,
     no traversal runs and the value is exact, with one AND and one
@@ -398,73 +395,65 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     if not own:
         return Marginal(True, 0)
     value = 0
-    if not g.unit_weights:
-        c_own = c(own)
-        levels = closer_levels(g, dist, (v,))
-        next(levels)  # (0, [v])
-        if suffix is not None:
-            count, total, cdist = suffix
-            top = len(count) - 1
-            # counted vertices with base beyond d: how many, c of the bases
-            # summed, and the finite bases as a heap
-            over, osum = 1, c_own
-            bases = [] if own == UNREACHABLE else [own]
-        for d, level in levels:
-            cd = c(d)
-            if suffix is None:
-                for x in level:
-                    value += cd - c(dist[x])
-                continue
-            while bases and bases[0] <= d:
-                over -= 1
-                osum -= c(heappop(bases))
-            t = d + 1 if d + 1 < top else top
-            bound = value - c_own + (count[t] - over) * cd - (total[t] - osum)
-            if record is not None:
-                record.append(bound)
-            if stop_below is not None and bound < stop_below:
-                return Marginal(False, bound)
-            over += len(level)
-            for x in level:
-                b, cb = dist[x], cdist[x]
-                value += cd - cb
-                if b != UNREACHABLE:
-                    heappush(bases, b)
-                    osum += cb
-        return Marginal(True, value - c_own)
     if isinstance(suffix, BallSuffix):
         for balls, far, w in zip(*suffix):
             value += w * (balls[v] & far).bit_count()
         return Marginal(True, value - c(1))
-    count, total, cdist = suffix or base_suffixes(dist, c)
-    top = len(count) - 1
-    adj = g.adj
-    back = 0 if g.directed else 1  # undirected: one arc leads to the parent
+    bounded = stop_below is not None or record is not None
+    count, total, cdist = suffix or (base_suffixes(dist, c) if bounded else
+                                     (None, None, [c(d) for d in dist]))
     c_own = cdist[v]
+    levels = closer_levels(g, dist, (v,))
+    if not bounded:
+        next(levels)  # (0, [v])
+        for d, level in levels:
+            cd = c(d)
+            for x in level:
+                value += cd - cdist[x]
+        return Marginal(True, value - c_own)
+    top = len(count) - 1
+    unit, adj = g.unit_weights, g.adj
+    back = 0 if g.directed else 1  # undirected: one arc leads to the parent
+    weight_counts = None if unit else g.weight_counts()
+    due = {}             # weighted: arcs (x, w) out of counted x, by d_x + w
     at = {}              # counted vertices per finite base distance
     counted = csum = 0   # all counted: how many, sum of c over their bases
     final = fsum = 0     # counted at base distance d+1 or less
     # v's own term cancels at level 0; then cd, c1, c2 = c(d), c(d+1), c(d+2)
     cd, c1, c2 = c_own, c(1), c(2)
-    for d, level in closer_levels(g, dist, (v,)):
-        fanout = 0
+    for d, level in levels:
+        cap = -back * len(level) if d else 0  # unit: fan-out less parent arcs
         if d:
-            cd, c1, c2 = c1, c2, c(d + 2)
-            fanout -= back * len(level)
+            if unit:
+                cd, c1, c2 = c1, c2, c(d + 2)
+            else:
+                cd, c1, c2 = c(d), c(d + 1), c(d + 2)
         for x in level:
             b, cb = dist[x], cdist[x]
             value += cd - cb
             if b < top:
                 at[b] = at.get(b, 0) + 1
             csum += cb
-            fanout += len(adj[x])
+            cap += len(adj[x])
         counted += len(level)
-        m = at.get(d + 1, 0)
-        final += m
-        fsum += m * c1
+        if unit:
+            m = at.get(d + 1, 0)
+            final += m
+            fsum += m * c1
+        else:
+            # the cap is every arc due at d+1, not level d's fan-out
+            for x in level:
+                for w, m in weight_counts[x]:
+                    due[d + w] = due.get(d + w, 0) + m
+            cap = due.pop(d + 1, 0)
+            if at:  # levels may skip distances: pop the bases now final
+                for t in [t for t in at if t <= d + 1]:
+                    m = at.pop(t)
+                    final += m
+                    fsum += m * c(t)
         beyond = counted - final  # counted at base distance d+2 or more
         avail = count[d + 2 if d + 2 < top else top] - beyond
-        promoted = fanout if fanout < avail else avail
+        promoted = cap if cap < avail else avail
         m = at.get(d + 2, 0)
         t = d + 3 if d + 3 < top else top
         # every uncounted vertex at base distance d+3 or more, put at d+2
@@ -512,9 +501,10 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
     a traversal; the table is local to this call, and r(v), the number of
     vertices v reaches, is the popcount of v's last ball. Otherwise, in
     round 1 ``suffix`` is ([r(v), r(v)], total, cdist) of the empty base,
-    with r(v) from ``reachable_counts``, and later rounds pass
-    ``base_suffixes(dist, c)`` on unit weights and no suffix on weighted
-    graphs.
+    with r(v) from ``reachable_counts``; later unit-weight rounds pass
+    ``base_suffixes(dist, c)``. Later weighted rounds are exact (an abort
+    leaves a bound that a later round evaluates again): they pass no stop
+    value, and only c of each base distance, (None, None, cdist).
 
     ``bound[v]`` is an upper bound on v's marginal value. It starts at
     min(out-degree, r(v) - 1) (c(1) - c(2)) + (r(v) - 1) c(2), the unit
@@ -547,10 +537,13 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
              for v, r in enumerate(reach)]
     group, gains = [], []
     while len(group) < k:
+        bounded = g.unit_weights or not group
         if table:
             suffix = ball_suffix(table, group, c)
-        else:
-            suffix = base_suffixes(dist, c) if group and g.unit_weights else None
+        elif not bounded:  # counts would cost O(largest distance), not O(n)
+            suffix = None, None, [c(d) for d in dist]
+        elif group:
+            suffix = base_suffixes(dist, c)
         heap = [(-bound[v], v) for v in range(n) if dist[v]]
         heapify(heap)
         best, best_v = -math.inf, n
@@ -559,7 +552,8 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
             if not (group or table):
                 suffix = ([reach[v]] * 2, total, cdist)
             stop = best - margin if margin else best + (v > best_v)
-            exact, value = objective.gain(g, dist, v, suffix, stop)
+            exact, value = objective.gain(g, dist, v, suffix,
+                                          stop if bounded else None)
             stats["evaluated"] += 1
             bound[v] = value
             if not exact:

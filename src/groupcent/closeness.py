@@ -43,8 +43,8 @@ def farness_decrease(g: Graph, dbase, v: int, suffix=None, stop_below=None,
     """Raw-farness decrease from adding v to the group behind ``dbase``:
     ``marginal_value`` with c = ``_farness_term``, whose bounds are exact
     integer arithmetic. ``suffix`` is ``base_suffixes(dbase,
-    _farness_term)`` or a ``ball_suffix``; with ``stop_below=None``, or
-    from a ``ball_suffix``, the result is exact."""
+    _farness_term)``, built when not given, or a ``ball_suffix``; with
+    ``stop_below=None``, or from a ``ball_suffix``, the result is exact."""
     return marginal_value(g, dbase, v, _farness_term, suffix, stop_below,
                           record)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
+from collections import Counter
 from heapq import heappop, heappush
 
 UNREACHABLE = math.inf
@@ -51,7 +52,7 @@ class Graph:
 
     __slots__ = (
         "n", "directed", "adj", "arcs", "num_edges",
-        "min_weight", "max_weight", "unit_weights",
+        "min_weight", "max_weight", "unit_weights", "_weight_counts",
     )
 
     def __init__(self, n: int, edges, directed: bool = False, check_isolated: bool = True):
@@ -104,6 +105,7 @@ class Graph:
         self.min_weight = min(ws) if ws else 1
         self.max_weight = max(ws) if ws else 1
         self.unit_weights = self.max_weight == 1
+        self._weight_counts = None
 
     @property
     def lambda_ratio(self) -> float:
@@ -112,6 +114,13 @@ class Graph:
 
     def out_degree(self, u: int) -> int:
         return len(self.adj[u])
+
+    def weight_counts(self):
+        """Per vertex, its out-arcs' (weight, how many) pairs; O(m), once."""
+        if self._weight_counts is None:
+            self._weight_counts = [list(Counter(w for _, w in a).items())
+                                   for a in self.arcs]
+        return self._weight_counts
 
     def edges(self):
         """Canonical edge triples (u, v, w), sorted; one per undirected

@@ -2,13 +2,13 @@
 
 ``HARMONIC`` is the ``centrality.Objective`` that ``centrality.solve`` runs:
 a vertex at distance d adds 1/d (``_harmonic_term``). This module adds the
-float margins. A lazy round, and a gain's traversal where it checks a
-bound (on unit weights, and in greedy's first round), only stops once a
-bound is below the incumbent by ``PRUNE_MARGIN``, so exact ties are
-always evaluated and go to the smallest id, as in a plain exhaustive
-greedy; the first round's values and bounds seed the second round's
-queue. The gains of later weighted rounds, and unit-weight gains from
-the ball table, are never abort bounds.
+float margins. A lazy round, and a gain's traversal where it checks the
+level bound (greedy's round 1, and every unit-weight round past the ball
+table's budget), only stops once a bound is below the incumbent by
+``PRUNE_MARGIN``, so exact ties are always evaluated and go to the
+smallest id, as in a plain exhaustive greedy; round 1's values and
+bounds seed round 2's queue. Later weighted rounds, and unit-weight
+gains from the ball table, give exact gains, never abort bounds.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ def pruned_marginal_gain(g: Graph, dist, u: int, suffix=None, stop_below=None,
                          record=None):
     """Marginal harmonic gain of adding u to the group whose distances are
     ``dist``: ``marginal_value`` with c = 1/d, (exact, gain) or (False,
-    bound) once a bound drops below ``stop_below``, on weighted graphs only
-    when ``suffix``, ``base_suffixes(dist, _harmonic_term)``, is given;
-    always exact given a ``ball_suffix``."""
+    bound) once a bound drops below ``stop_below``; from a ``ball_suffix``
+    the gain is always exact."""
     return marginal_value(g, dist, u, _harmonic_term, suffix, stop_below, record)
 
 

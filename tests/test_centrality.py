@@ -479,8 +479,9 @@ class TestBaseSuffixes:
 
     def test_built_once_per_scan_and_once_per_unit_weight_round(self,
                                                                  monkeypatch):
-        # the start scan builds one for the empty group's base; weighted
-        # rounds are exact and read no suffixes
+        # the start scan builds one for the empty group's base, and every
+        # later unit-weight round one for its group's; later weighted
+        # rounds are exact and read only c of each base distance
         built = []
         real = centrality.base_suffixes
         monkeypatch.setattr(centrality, "base_suffixes",
@@ -552,18 +553,25 @@ class TestBallSuffix:
                 assert seen == lowered
 
 
-class TestWeightedLevelBound:
+class TestLevelBound:
     @pytest.mark.parametrize("directed", (False, True))
-    def test_bounds_match_a_recount(self, directed):
-        # before each level d > 0 the bound is the value so far plus
-        # c(d) - c(b) for every uncounted vertex whose base b exceeds d,
-        # recounted here from the levels the traversal yields; the graphs
-        # may leave vertices unreached
-        rng = random.Random(48 + directed)
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 5), (1, 1000)))
+    def test_bounds_match_a_recount(self, directed, weights):
+        # after each level d the bound is the value so far, plus c(d+1) -
+        # c(d+2) for as many uncounted vertices at base b >= d+2 as the cap
+        # allows, plus c(d+2) - c(b) for every uncounted one at b >= d+3;
+        # the cap counts the arcs (x, w) out of counted vertices x with
+        # d_x + w = d+1, less one parent arc per vertex of level d > 0 on
+        # undirected unit weights. Recounted here from the levels the
+        # traversal yields, over bases that may leave vertices unreached;
+        # a suffix left out is built by the kernel. Weights 1 and 1,000
+        # make levels skip many distances at once
+        rng = random.Random(48 + directed + 2 * len(weights))
         checked = 0
         for _ in range(60):
             g = random_graph(rng.randrange(6, 20), rng, directed=directed,
-                             p=0.15, weights=(1, 2, 5))
+                             p=0.15, weights=weights)
+            back = g.unit_weights and not directed
             group = rng.sample(range(g.n), rng.randrange(1, 4))
             dist = multi_source_sssp(g, group)
             for c in (_harmonic_term, _farness_term):
@@ -571,19 +579,28 @@ class TestWeightedLevelBound:
                 for v in range(g.n):
                     if not dist[v]:
                         continue
-                    want, counted, value = [], set(), -c(dist[v])
+                    want, at, value = [], {}, -c(dist[v])
                     for d, level in closer_levels(g, dist, (v,)):
+                        at.update(dict.fromkeys(level, d))
                         if d:
-                            want.append(value + sum(
-                                c(d) - c(b) for x, b in enumerate(dist)
-                                if x not in counted and b > d))
                             value += sum(c(d) - c(dist[x]) for x in level)
-                        counted.update(level)
+                        cap = sum(1 for x, e in at.items()
+                                  for _, w in g.arcs[x] if e + w == d + 1)
+                        cap -= back * bool(d) * len(level)
+                        rest = [b for x, b in enumerate(dist)
+                                if x not in at and b >= d + 2]
+                        want.append(
+                            value + min(cap, len(rest)) * (c(d + 1) - c(d + 2))
+                            + sum(c(d + 2) - c(b) for b in rest if b >= d + 3))
                     rec = []
-                    res = marginal_value(g, dist, v, c, suffix, record=rec)
+                    res = marginal_value(g, dist, v, c, suffix if v % 2 else None,
+                                         record=rec)
                     assert res.is_exact
                     assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
-                    assert rec == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    if c is _farness_term:
+                        assert (res.value, rec) == (value, want)
+                    else:
+                        assert rec == pytest.approx(want, rel=1e-12, abs=1e-12)
                     checked += len(rec)
         assert checked > 1000
 

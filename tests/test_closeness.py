@@ -94,14 +94,13 @@ class TestFarnessDecreaseBounds:
             oracle = (group_farness_raw(g, reduced)
                       - group_farness_raw(g, sorted(reduced + [v])))
             assert res.value == oracle
+            # without a suffix the kernel builds one, in both weight
+            # regimes, and checks a bound after every level
+            assert rec
             for bound in rec:
                 assert bound >= res.value
-            if not g.unit_weights:
-                # weighted decreases are exact: no bound is checked, so a
-                # threshold above the decrease aborts nothing
-                assert rec == []
-                assert farness_decrease(g, dbase, v,
-                                        stop_below=res.value + 1) == (True, oracle)
+            assert farness_decrease(g, dbase, v, stop_below=rec[0] + 1) == (
+                False, rec[0])
 
     def test_aborts_below_threshold_with_valid_bound(self):
         rng = random.Random(43)

@@ -22,7 +22,8 @@ from groupcent.harmonic import (HARMONIC, _harmonic_term, greedy_harmonic,
 from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
 from reference import (count_visits, exact_start, per_pair_harmonic,
-                       plain_greedy_harmonic, without_ball_table)
+                       plain_greedy_closeness, plain_greedy_harmonic,
+                       without_ball_table)
 
 
 def top_harmonic_vertex(g):
@@ -297,6 +298,39 @@ class TestGreedy:
         r = greedy_harmonic(g, 1)
         assert r.group == [n - 1] and r.candidates_evaluated == 1
         assert visits[0] <= 2 * n
+
+    @pytest.mark.parametrize("shape", ("star", "K_2,n"))
+    def test_weighted_round_1_stays_linear(self, shape, monkeypatch):
+        # weights 1-3, hubs at the largest ids: once a leaf's traversal has
+        # counted a hub, the hub's arcs cap how many vertices can sit one
+        # step further, and the leaf's bound drops below the best value, so
+        # each leaf visits O(1) vertices in round 1 of either objective: at
+        # most 5n visits over all evaluations, and n more to lower the
+        # distances to the winner's
+        visits = count_visits(monkeypatch)
+        for n in (2000, 4000):
+            rng = random.Random(53)
+            hubs = (n - 1,) if shape == "star" else (n - 2, n - 1)
+            g = Graph(n, [(leaf, hub, rng.choice((1, 2, 3)))
+                          for leaf in range(n - len(hubs)) for hub in hubs])
+            for objective in (HARMONIC, CLOSENESS):
+                visits[0] = 0
+                greedy(g, 1, objective, Counter())
+                assert visits[0] <= 6 * n, (n, objective.c)
+
+    def test_huge_weights_cost_no_step_per_distance(self):
+        # weights of 10**12 put distances far past n; greedy's exact
+        # weighted rounds, and exact gains without a suffix, read only c of
+        # each base distance, so nothing is sized by the distances
+        rng = random.Random(54)
+        for _ in range(5):
+            g = undirected_connected(30, rng, extra=0.02, weights=(1, 10**12))
+            assert max(multi_source_sssp(g, [0])) > 10**12
+            k = 4
+            assert (greedy_harmonic(g, k, AlgoConfig(k=k)).group
+                    == plain_greedy_harmonic(g, k))
+            assert (greedy_closeness(g, k, AlgoConfig(k=k)).group
+                    == plain_greedy_closeness(g, k))
 
     def test_weight_scaling_keeps_selection(self):
         # doubling every weight halves every reciprocal exactly (power-of-two
