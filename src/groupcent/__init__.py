@@ -2,8 +2,8 @@
 
 Greedy and swap-based local-search solvers with pruned shortest-path
 evaluation, plus exhaustive and random baselines that make every quality
-claim checkable on small instances. Kernels, bounds and the LP export stay
-importable from their own modules.
+claim checkable on small instances. Kernels and bounds stay importable
+from their own modules.
 """
 
 from .centrality import (DisconnectedFarnessError, ObjectiveValue,

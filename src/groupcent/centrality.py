@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
@@ -331,22 +332,26 @@ def ball_suffix(table, group, c) -> BallSuffix:
 
 
 def base_suffixes(dist, c):
-    """(count, total, cdist) for ``marginal_value``'s bounds, from one
-    counting pass over ``dist``: for each base distance t >= 1, ``count[t]``
-    vertices are at distance t or more and c of their distances sums to
-    ``total[t]``; the last index holds only the unreachable vertices, and
-    any larger t reads it. ``cdist[x]`` is c(dist[x]). c(UNREACHABLE) is
-    0, so the unreachable vertices add nothing to any total."""
+    """(bases, count, total, cdist) for ``marginal_value``'s bounds, from
+    one counting pass over ``dist`` and a sort of its distinct values, so
+    O(n log n) time and O(n) memory whatever the weights: ``bases`` lists
+    the distinct finite base distances t >= 1 ascending, and ``count[i]``
+    vertices are at distance ``bases[i]`` or more, c of their distances
+    summing to ``total[i]``; the last index holds only the unreachable
+    vertices. A threshold t reads index ``bisect_left(bases, t)``.
+    ``cdist[x]`` is c(dist[x]). c(UNREACHABLE) is 0, so the unreachable
+    vertices add nothing to any total."""
     at = Counter(dist)
     far = at.pop(UNREACHABLE, 0)
-    top = max(at, default=0) + 1
-    count = [far] * (top + 1)
-    total = [far * c(UNREACHABLE)] * (top + 1)
-    for t in range(top - 1, 0, -1):
-        m = at.get(t, 0)
-        count[t] = count[t + 1] + m
-        total[t] = total[t + 1] + m * c(t)
-    return count, total, [c(d) for d in dist]
+    at.pop(0, None)
+    bases = sorted(at)
+    count = [far] * (len(bases) + 1)
+    total = [far * c(UNREACHABLE)] * (len(bases) + 1)
+    for i in range(len(bases) - 1, -1, -1):
+        t = bases[i]
+        count[i] = count[i + 1] + at[t]
+        total[i] = total[i + 1] + at[t] * c(t)
+    return bases, count, total, [c(d) for d in dist]
 
 
 def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
@@ -367,7 +372,7 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     of Bergamini et al. (TKDD 2019), written in c, after each level d, in
     both weight regimes, over ``suffix``, ``base_suffixes(dist, c)``;
     otherwise it only sums the terms, over cdist. Either is built here
-    when not given. Over the empty group's base the suffix is ([r, r],
+    when not given. Over the empty group's base the suffix is ([], [r],
     total, cdist), r the number of vertices v reaches or more. An
     uncounted x gains only if it ends closer than its base distance b, at
     d+1 or more: at most a cap of those with b >= d+2 end at d+1, and
@@ -400,8 +405,9 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
             value += w * (balls[v] & far).bit_count()
         return Marginal(True, value - c(1))
     bounded = stop_below is not None or record is not None
-    count, total, cdist = suffix or (base_suffixes(dist, c) if bounded else
-                                     (None, None, [c(d) for d in dist]))
+    bases, count, total, cdist = suffix or (
+        base_suffixes(dist, c) if bounded
+        else (None, None, None, [c(d) for d in dist]))
     c_own = cdist[v]
     levels = closer_levels(g, dist, (v,))
     if not bounded:
@@ -411,7 +417,6 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
             for x in level:
                 value += cd - cdist[x]
         return Marginal(True, value - c_own)
-    top = len(count) - 1
     unit, adj = g.unit_weights, g.adj
     back = 0 if g.directed else 1  # undirected: one arc leads to the parent
     weight_counts = None if unit else g.weight_counts()
@@ -431,7 +436,7 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
         for x in level:
             b, cb = dist[x], cdist[x]
             value += cd - cb
-            if b < top:
+            if b != UNREACHABLE:
                 at[b] = at.get(b, 0) + 1
             csum += cb
             cap += len(adj[x])
@@ -452,12 +457,13 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
                     final += m
                     fsum += m * c(t)
         beyond = counted - final  # counted at base distance d+2 or more
-        avail = count[d + 2 if d + 2 < top else top] - beyond
+        i = bisect_left(bases, d + 2)
+        avail = count[i] - beyond
         promoted = cap if cap < avail else avail
         m = at.get(d + 2, 0)
-        t = d + 3 if d + 3 < top else top
+        i = bisect_left(bases, d + 3, i)
         # every uncounted vertex at base distance d+3 or more, put at d+2
-        rest = (count[t] - beyond + m) * c2 - (total[t] - csum + fsum + m * c2)
+        rest = (count[i] - beyond + m) * c2 - (total[i] - csum + fsum + m * c2)
         bound = value - c_own + promoted * (c1 - c2) + rest
         if record is not None:
             record.append(bound)
@@ -500,11 +506,11 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
     group's ``ball_suffix``, so every value is exact and no candidate runs
     a traversal; the table is local to this call, and r(v), the number of
     vertices v reaches, is the popcount of v's last ball. Otherwise, in
-    round 1 ``suffix`` is ([r(v), r(v)], total, cdist) of the empty base,
+    round 1 ``suffix`` is ([], [r(v)], total, cdist) of the empty base,
     with r(v) from ``reachable_counts``; later unit-weight rounds pass
     ``base_suffixes(dist, c)``. Later weighted rounds are exact (an abort
     leaves a bound that a later round evaluates again): they pass no stop
-    value, and only c of each base distance, (None, None, cdist).
+    value, and only c of each base distance, (None, None, None, cdist).
 
     ``bound[v]`` is an upper bound on v's marginal value. It starts at
     min(out-degree, r(v) - 1) (c(1) - c(2)) + (r(v) - 1) c(2), the unit
@@ -531,7 +537,7 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
         reach = [ball.bit_count() for ball in table[-1]]
     else:
         reach = reachable_counts(g)
-        _, total, cdist = base_suffixes(dist, c)
+        bases, _, total, cdist = base_suffixes(dist, c)
     c1, c2 = c(1), c(2)
     bound = [min(g.out_degree(v), r - 1) * (c1 - c2) + (r - 1) * c2
              for v, r in enumerate(reach)]
@@ -540,8 +546,8 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
         bounded = g.unit_weights or not group
         if table:
             suffix = ball_suffix(table, group, c)
-        elif not bounded:  # counts would cost O(largest distance), not O(n)
-            suffix = None, None, [c(d) for d in dist]
+        elif not bounded:  # exact rounds read only c of each base distance
+            suffix = None, None, None, [c(d) for d in dist]
         elif group:
             suffix = base_suffixes(dist, c)
         heap = [(-bound[v], v) for v in range(n) if dist[v]]
@@ -550,7 +556,7 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
         while heap and heap[0] < (margin - best, best_v):
             v = heappop(heap)[1]
             if not (group or table):
-                suffix = ([reach[v]] * 2, total, cdist)
+                suffix = (bases, [reach[v]], total, cdist)
             stop = best - margin if margin else best + (v > best_v)
             exact, value = objective.gain(g, dist, v, suffix,
                                           stop if bounded else None)

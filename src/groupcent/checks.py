@@ -263,9 +263,10 @@ def _singleton_bounds(g, v, out):
             ("-farness", CLOSENESS,
              -sum(d for d in row if d != UNREACHABLE), 0)):
         c = objective.c
-        _, total, cdist = base_suffixes(nowhere, c)
+        bases, _, total, cdist = base_suffixes(nowhere, c)
         rec = []
-        value = marginal_value(g, nowhere, v, c, ([reach[v]] * 2, total, cdist),
+        value = marginal_value(g, nowhere, v, c,
+                               (bases, [reach[v]], total, cdist),
                                record=rec).value
         rec.append(greedy(g, 0, objective, {})[3][v])
         _table_value(g, nowhere, (), v, c, exact, slack, out)

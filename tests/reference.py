@@ -16,7 +16,8 @@ over suffixes of the base distances scanned by ``suffix_ge``.
 ``count_visits`` counts the vertices the solvers' traversals visit.
 ``without_ball_table`` makes unit-weight greedy run its BFS kernel.
 ``per_member_state`` is ``state_init``'s three lists from one ``sssp`` per
-member.
+member. ``radius_milp`` is an exact optimum of either objective from a
+mixed-integer program, where scipy is installed.
 """
 
 import sys
@@ -255,3 +256,75 @@ def per_pair_harmonic(g, k, eps):
             return sorted(group), swaps
         swaps.append(committed)
         group = sorted(set(group) - {committed[0]} | {committed[1]})
+
+
+def radius_milp(g, k, c, fixed=None):
+    """(group, value): a k-group of largest sum of c(dist(S, x)) over the
+    outside vertices x, with c as in ``swap_rows``, from the radius
+    formulation of p-median (Garcia, Labbe & Marin, INFORMS J. Computing
+    2011) solved by scipy's HiGHS with no optimality gap; ``fixed`` pins the
+    group, so the value is the model's for that group.
+
+    For each vertex i, t_1 < ... < t_m are the distinct finite distances
+    to i from the other vertices. z_{i,a} is 1 when i is outside the group
+    and within t_a of it: z_{i,a} - z_{i,a-1} <= the sum of y_j over the j
+    at t_a, and z_{i,a} + y_i <= 1. i adds the telescoped sum over a of
+    (c(t_a) - c(t_{a+1})) z_{i,a} plus base_i (1 - y_i), where c(t_{m+1})
+    is base_i = min(c(UNREACHABLE), c(t_m)): 0 for harmonic, whose
+    unreached vertices add 0, and c(t_m) for -farness, whose members reach
+    every vertex within t_m. Given y, the best z are 0 or 1, so only y is
+    integral. The value sums the coefficients over the rounded solution:
+    exact integers for -farness."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    n = g.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range")
+    if fixed is not None and (len(set(fixed)) != k
+                              or not set(fixed) <= set(range(n))):
+        raise ValueError(f"{fixed} is not a group of k={k} vertices")
+    rows = [sssp(g, j) for j in range(n)]
+    gain = [0] * n       # objective coefficient per variable: y, then z
+    constant = 0
+    entries, lower, upper = [], [], []
+
+    def constrain(terms, lo, hi):
+        entries.extend((len(lower), var, coef) for var, coef in terms)
+        lower.append(lo)
+        upper.append(hi)
+
+    for i in range(n):
+        at = {}
+        for j in range(n):
+            if j != i and rows[j][i] != UNREACHABLE:
+                at.setdefault(rows[j][i], []).append(j)
+        ts = sorted(at)
+        base = min(c(UNREACHABLE), c(ts[-1])) if ts else c(UNREACHABLE)
+        constant += base
+        gain[i] -= base
+        prev = []
+        for a, t in enumerate(ts):
+            z = len(gain)
+            gain.append(c(t) - (c(ts[a + 1]) if a + 1 < len(ts) else base))
+            constrain([(z, 1)] + prev + [(j, -1) for j in at[t]], -np.inf, 0)
+            constrain([(z, 1), (i, 1)], -np.inf, 1)
+            prev = [(z, -1)]
+    constrain([(j, 1) for j in range(n)], k, k)
+    r, col, coef = zip(*entries)
+    a = coo_array((coef, (r, col)), shape=(len(lower), len(gain))).tocsr()
+    lo, hi = np.zeros(len(gain)), np.ones(len(gain))
+    if fixed is not None:
+        lo[:n] = hi[:n] = [j in set(fixed) for j in range(n)]
+    integral = np.zeros(len(gain))
+    integral[:n] = 1
+    res = milp(-np.array(gain, dtype=float),
+               constraints=LinearConstraint(a, lower, upper),
+               integrality=integral, bounds=Bounds(lo, hi),
+               options={"mip_rel_gap": 0})
+    assert res.success, res.message
+    x = [round(v) for v in res.x]
+    value = constant + sum(w * v for w, v in zip(gain, x) if v)
+    assert abs(value - constant + res.fun) <= 1e-9 * max(1.0, abs(value))
+    return [j for j in range(n) if x[j]], value

@@ -20,11 +20,11 @@ from groupcent.generators import (directed_strongly_connected, path_graph,
 from groupcent.graph import Graph
 from groupcent.harmonic import greedy_harmonic, local_search_harmonic
 from groupcent.closeness import greedy_closeness, local_search_closeness
-from groupcent.oracles import (evaluate_assignment, exhaustive_best,
-                               export_ilp_harmonic)
+from groupcent.oracles import exhaustive_best
 from groupcent.reporting import AlgoConfig
 from reference import (per_pair_closeness, per_pair_harmonic,
-                       plain_greedy_closeness, plain_greedy_harmonic)
+                       plain_greedy_closeness, plain_greedy_harmonic,
+                       radius_milp)
 
 FLOOR_SLACK = 1e-9
 
@@ -326,7 +326,10 @@ def test_criterion_08_pruning_transparency():
                "50 ls-c and 50 ls-h swap instances)")
 
 
-def test_criterion_09_ilp_self_check(tmp_path):
+def test_criterion_09_ilp_self_check():
+    # the radius MILP's optimum is the exhaustive one: the same raw
+    # farness, and the same harmonic value up to float rounding
+    pytest.importorskip("scipy.optimize")
     rng = random.Random(900)
     ok = True
     worst = 0.0
@@ -337,16 +340,14 @@ def test_criterion_09_ilp_self_check(tmp_path):
         g = (directed_strongly_connected(n, rng, weights=weights) if directed
              else undirected_connected(n, rng, weights=weights))
         k = rng.randrange(1, 4)
-        model = export_ilp_harmonic(g, k, tmp_path / f"m{trial}.lp")
-        opt = exhaustive_best(g, k, "harmonic")
-        plugged = evaluate_assignment(model, opt.group)
-        scale = max(1.0, abs(opt.objective_value))
-        err = abs(plugged - opt.objective_value) / scale
-        worst = max(worst, err)
-        if err > 1e-12:
+        opt = exhaustive_best(g, k, "harmonic").objective_value
+        err = abs(radius_milp(g, k, harmonic._harmonic_term)[1] - opt)
+        worst = max(worst, err / max(1.0, opt))
+        raw = exhaustive_best(g, k, "closeness").raw_farness
+        if worst > 1e-9 or radius_milp(g, k, closeness._farness_term)[1] != -raw:
             ok = False
-    _criterion(9, "exported model reproduces optimum objective",
-               ok, f"(30 instances, worst relative error {worst:.2e})")
+    _criterion(9, "MILP optimum equals the exhaustive optimum, both objectives",
+               ok, f"(30 instances, worst harmonic relative error {worst:.2e})")
 
 
 def test_criterion_10_non_monotonicity_regression():

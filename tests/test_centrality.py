@@ -1,6 +1,7 @@
 import io
 import random
 import sys
+from bisect import bisect_left
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -446,10 +447,11 @@ class TestBaseSuffixes:
         without_ball_table(monkeypatch)
 
     def test_counts_and_sums_match_a_scan(self):
-        # per base distance t >= 1: how many vertices are t or more away and
-        # c of their distances summed; the last index counts only the
-        # unreachable ones, which add c(UNREACHABLE) = 0, and answers every
-        # larger t
+        # per distinct finite base distance t >= 1, ascending: how many
+        # vertices are t or more away and c of their distances summed; the
+        # last index counts only the unreachable ones, which add
+        # c(UNREACHABLE) = 0. A threshold t reads the index of the first
+        # base at t or more, the last one past every base
         rng = random.Random(44)
         for trial in range(30):
             g = random_graph(rng.randrange(6, 20), rng, directed=bool(trial % 2),
@@ -458,24 +460,36 @@ class TestBaseSuffixes:
             dist = multi_source_sssp(g, group)
             if trial % 3 == 0:  # vertices the group does not reach
                 dist[rng.randrange(g.n)] = UNREACHABLE
-            count, total, cdist = base_suffixes(dist, _harmonic_term)
+            bases, count, total, cdist = base_suffixes(dist, _harmonic_term)
             assert cdist == [_harmonic_term(d) for d in dist]
-            top = len(count) - 1
-            for t in range(1, top + 3):
+            far = [d for d in dist if d != UNREACHABLE]
+            assert bases == sorted(set(far) - {0})
+            assert len(count) == len(total) == len(bases) + 1
+            for t in range(1, max(far) + 3):
                 ds = [d for d in dist if d >= t]
-                i = min(t, top)
+                i = bisect_left(bases, t)
                 assert count[i] == len(ds)
                 assert total[i] == pytest.approx(sum(map(_harmonic_term, ds)),
                                                  rel=1e-12, abs=1e-12)
-            assert total[top] == 0
+            assert total[-1] == 0
             if UNREACHABLE in dist:
-                far = [d for d in dist if d != UNREACHABLE]
-                assert top == max(far) + 1
-                count, total, cdist = base_suffixes(far, _farness_term)
-                for t in range(1, len(count)):
-                    assert (count[t], -total[t]) == suffix_ge(far, t)
+                bases, count, total, cdist = base_suffixes(far, _farness_term)
+                for t in range(1, max(far) + 3):
+                    i = bisect_left(bases, t)
+                    assert (count[i], -total[i]) == suffix_ge(far, t)
                 assert cdist == [-d for d in far]
 
+    def test_size_is_linear_in_n_whatever_the_weights(self):
+        # lists as long as the distinct bases, not the largest one: bases
+        # of 10^12 and more cost what bases of 1 to 3 do
+        huge = 10 ** 12
+        dist = [0, huge, 2 * huge, 3 * huge, 2 * huge, UNREACHABLE]
+        for c in (_harmonic_term, _farness_term):
+            bases, count, total, _ = base_suffixes(dist, c)
+            assert bases == [huge, 2 * huge, 3 * huge]
+            assert count == [5, 4, 2, 1]
+            assert total[-1] == 0
+        assert total == [-8 * huge, -7 * huge, -3 * huge, 0]
 
     def test_built_once_per_scan_and_once_per_unit_weight_round(self,
                                                                  monkeypatch):

@@ -332,6 +332,17 @@ class TestCheck:
         assert code == 0
         assert out.startswith("PASS submodularity")
 
+    def test_bounds_on_huge_weights(self, capsys, tmp_path):
+        # the bounds' suffixes grow with the number of distinct distances,
+        # not with the largest one
+        p = tmp_path / "huge.txt"
+        w = 10 ** 12
+        p.write_text(f"0 1 {w}\n1 2 {w}\n2 3 {w}\n3 0 {2 * w}\n")
+        code, out, _ = within(60, run, capsys, "check", "--suite", "bounds",
+                              "--graph", str(p), "--weighted")
+        assert code == 0
+        assert out.startswith("PASS bounds")
+
     @pytest.mark.parametrize("suite", ("bounds", "submodularity"))
     def test_single_edge_graph_falls_back_to_generated(self, capsys,
                                                        single_edge, suite):

@@ -65,8 +65,8 @@ def start_traversal(g, u, c, reach, record=None):
     """u's start-scan traversal without a stop value: ``marginal_value``
     over the empty group's base, with ``reach`` as its suffix."""
     nowhere = [UNREACHABLE] * g.n
-    _, total, cdist = base_suffixes(nowhere, c)
-    return marginal_value(g, nowhere, u, c, ([reach, reach], total, cdist),
+    bases, _, total, cdist = base_suffixes(nowhere, c)
+    return marginal_value(g, nowhere, u, c, (bases, [reach], total, cdist),
                           record=record)
 
 

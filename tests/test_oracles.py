@@ -5,16 +5,17 @@ from itertools import combinations, product
 import pytest
 
 from groupcent.centrality import group_farness_raw, group_harmonic
-from groupcent.closeness import (DisconnectedGraphError, greedy_closeness,
-                                 local_search_closeness)
+from groupcent.checks import DIRECTED_FLOOR, UNDIRECTED_FLOOR
+from groupcent.closeness import (DisconnectedGraphError, _farness_term,
+                                 greedy_closeness, local_search_closeness)
 from groupcent.generators import (layered_dag, path_graph, random_graph,
-                                  star_graph, undirected_connected)
-from groupcent.graph import Graph
-from groupcent.harmonic import greedy_harmonic, local_search_harmonic
-from groupcent.oracles import (BudgetExceededError, best_random,
-                               build_harmonic_model, evaluate_assignment,
-                               exhaustive_best, export_ilp_harmonic)
+                                  star_graph)
+from groupcent.graph import UNREACHABLE, Graph, multi_source_sssp
+from groupcent.harmonic import (_harmonic_term, greedy_harmonic,
+                                local_search_harmonic)
+from groupcent.oracles import BudgetExceededError, best_random, exhaustive_best
 from groupcent.reporting import AlgoConfig
+from reference import radius_milp
 
 
 def weighted_path_l2():
@@ -24,57 +25,6 @@ def weighted_path_l2():
 def fan_with_source():
     """Directed 0->1, 0->2, 0->3 and 4->0: nothing reaches 4."""
     return Graph(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 0, 1)], directed=True)
-
-
-def solve_lp_file(path):
-    """(group, value): an optimum of a model written by ``write_lp``, solved
-    as read back from its text by scipy's MILP solver."""
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    index = {}
-
-    def linear(expr):
-        coeffs, sign, coef = {}, 1.0, 1.0
-        for tok in expr.split():
-            if tok in ("+", "-"):
-                sign = -1.0 if tok == "-" else 1.0
-            elif tok[0].isdigit():
-                coef = float(tok)
-            else:
-                j = index.setdefault(tok, len(index))
-                coeffs[j] = coeffs.get(j, 0.0) + sign * coef
-                sign, coef = 1.0, 1.0
-        return coeffs
-
-    section, objective, rows = None, {}, []
-    for line in path.read_text().splitlines():
-        if line.startswith("\\"):
-            continue
-        if not line.startswith(" "):
-            section = line
-        elif section == "Maximize":
-            objective = linear(line.split(":", 1)[1])
-        elif section == "Subject To":
-            lhs, op, rhs = line.split(":", 1)[1].rsplit(None, 2)
-            rows.append((linear(lhs), op, float(rhs)))
-        elif section == "Binary":
-            index.setdefault(line.strip(), len(index))
-    a = np.zeros((len(rows), len(index)))
-    lo, hi = [], []
-    for r, (coeffs, op, rhs) in enumerate(rows):
-        for j, v in coeffs.items():
-            a[r, j] = v
-        lo.append(rhs if op in ("=", ">=") else -np.inf)
-        hi.append(rhs if op in ("=", "<=") else np.inf)
-    c = np.zeros(len(index))
-    for j, v in objective.items():
-        c[j] = -v  # milp minimizes
-    res = milp(c, constraints=LinearConstraint(a, lo, hi),
-               integrality=np.ones(len(index)), bounds=Bounds(0, 1))
-    assert res.success
-    group = sorted(int(name[2:]) for name, j in index.items()
-                   if name.startswith("y_") and res.x[j] > 0.5)
-    return group, -res.fun
 
 
 class TestExhaustive:
@@ -236,95 +186,159 @@ def test_a_config_must_agree_with_the_arguments():
     assert greedy_harmonic(g, 2, cfg).config == cfg.echo()
 
 
+REGIMES = tuple(product((False, True), ((1,), (1, 2, 3))))  # (directed, weights)
+
+
+def close(value, want):
+    """Equal up to float rounding: harmonic values sum in another order."""
+    return abs(value - want) <= 1e-9 * max(1.0, abs(want))
+
+
 class TestIlpModel:
-    def test_path_model_shape(self, tmp_path):
-        g = path_graph([1, 1])
-        lp = tmp_path / "m.lp"
-        model = export_ilp_harmonic(g, 1, lp)
-        assert len(model.dist) == 6
-        text = lp.read_text()
-        assert text.count("assign_") == 3
-        assert text.count("link_") == 6
-        assert "budget:" in text
-        for section in ("Maximize", "Subject To", "Binary", "End"):
-            assert section in text
-        # objective coefficients are exactly 1 and 0.5 on a 3-path
-        obj = next(line for line in text.splitlines() if line.startswith(" obj:"))
-        assert "1 x_0_1" in obj and "0.5 x_0_2" in obj
+    """The radius MILP of ``reference.radius_milp``: exact optima of both
+    objectives past exhaustive enumeration's reach, where scipy is
+    installed."""
 
-    def test_constraint_count_formula(self, tmp_path):
-        g = undirected_connected(6, random.Random(5))
-        lp = tmp_path / "m.lp"
-        export_ilp_harmonic(g, 2, lp)
-        lines = [l for l in lp.read_text().splitlines()
-                 if l.startswith((" assign_", " budget:", " link_"))]
-        n = g.n
-        assert len(lines) == n + 1 + n * (n - 1)
-
-    def test_assignment_reproduces_optimum_value(self, tmp_path):
-        rng = random.Random(6)
-        for trial in range(10):
-            g = random_graph(rng.randrange(5, 9), rng,
-                             weights=(1, 2) if trial % 2 else (1,))
-            k = rng.randrange(1, 4)
-            model = export_ilp_harmonic(g, k, tmp_path / f"m{trial}.lp")
-            opt = exhaustive_best(g, k, "harmonic")
-            plugged = evaluate_assignment(model, opt.group)
-            scale = max(1.0, abs(opt.objective_value))
-            assert abs(plugged - opt.objective_value) <= 1e-12 * scale
+    @pytest.fixture(autouse=True)
+    def scipy(self):
+        pytest.importorskip("scipy.optimize")
 
     def test_two_vertex_group_value(self):
         g = Graph(2, [(0, 1, 1)])
-        model = build_harmonic_model(g, 1)
-        assert evaluate_assignment(model, [0]) == 1.0
+        assert radius_milp(g, 1, _harmonic_term, fixed=[0]) == ([0], 1.0)
+        assert radius_milp(g, 1, _farness_term, fixed=[1]) == ([1], -1)
 
     def test_wrong_group_size_rejected(self):
-        model = build_harmonic_model(path_graph([1, 1]), 1)
-        with pytest.raises(ValueError):
-            evaluate_assignment(model, [0, 1])
+        g = path_graph([1, 1])
+        for k, fixed in ((1, [0, 1]), (2, [0, 0]), (1, [3]), (4, None),
+                         (0, None)):
+            with pytest.raises(ValueError):
+                radius_milp(g, k, _harmonic_term, fixed=fixed)
 
-    def test_unreachable_vertex_scores_zero(self, tmp_path):
+    def test_unreachable_vertex_scores_zero(self):
         # {0} misses vertex 4, which harmonic scores 0: the group stays
         # feasible and wins
-        model = export_ilp_harmonic(fan_with_source(), 1, tmp_path / "f.lp")
-        assert evaluate_assignment(model, [0]) == 3.0
-        assert evaluate_assignment(model, [4]) == 2.5
-        assert " assign_4: y_4 <= 1" in (tmp_path / "f.lp").read_text()
+        g = fan_with_source()
+        assert radius_milp(g, 1, _harmonic_term, fixed=[0])[1] == 3.0
+        assert radius_milp(g, 1, _harmonic_term, fixed=[4])[1] == 2.5
+        assert radius_milp(g, 1, _harmonic_term) == ([0], 3.0)
+        assert group_harmonic(g, [0]).value == 3.0
 
-    def test_milp_optimum_matches_exhaustive(self, tmp_path):
-        pytest.importorskip("scipy.optimize")
-        rng = random.Random(8)
-        cases = [(fan_with_source(), 1)]
-        for trial in range(10):
-            g = (layered_dag(rng, rng.randrange(2, 4), rng.randrange(2, 4),
-                             weights=(1, 2)) if trial % 2 else
-                 random_graph(rng.randrange(5, 9), rng, directed=trial % 4 == 0,
-                              weights=(1, 3)))
-            cases.append((g, rng.randrange(1, 4)))
-        for i, (g, k) in enumerate(cases):
-            model = export_ilp_harmonic(g, k, tmp_path / f"m{i}.lp")
-            group, value = solve_lp_file(tmp_path / f"m{i}.lp")
-            opt = exhaustive_best(g, k, "harmonic").objective_value
-            assert len(group) == k
-            assert abs(value - opt) <= 1e-9 * max(1.0, opt)
-            assert abs(evaluate_assignment(model, group) - opt) <= 1e-9 * max(1.0, opt)
-        assert solve_lp_file(tmp_path / "m0.lp")[0] == [0]
+    def test_assignment_reproduces_optimum_value(self):
+        # the model's value of the exhaustive optimum is its value
+        rng = random.Random(6)
+        for trial in range(8):
+            directed, weights = REGIMES[trial % 4]
+            g = random_graph(rng.randrange(5, 9), rng, directed=directed,
+                             weights=weights)
+            k = rng.randrange(1, 4)
+            opt = exhaustive_best(g, k, "harmonic")
+            assert close(radius_milp(g, k, _harmonic_term, opt.group)[1],
+                         opt.objective_value)
+            opt = exhaustive_best(g, k, "closeness")
+            assert radius_milp(g, k, _farness_term, opt.group)[1] == -opt.raw_farness
 
-    def test_directed_model_matches_group_objective(self, tmp_path):
-        from groupcent.generators import directed_strongly_connected
+    def test_directed_model_matches_group_objective(self):
+        # a pinned group's model value is its group value in every regime,
+        # and on DAGs, where members miss vertices
         rng = random.Random(7)
-        g = directed_strongly_connected(7, rng, weights=(1, 2))
-        model = export_ilp_harmonic(g, 2, tmp_path / "d.lp")
-        opt = exhaustive_best(g, 2, "harmonic")
-        assert evaluate_assignment(model, opt.group) == pytest.approx(
-            group_harmonic(g, opt.group).value, rel=1e-12)
+        missed = 0
+        for trial in range(12):
+            directed, weights = REGIMES[trial % 4]
+            g = random_graph(rng.randrange(6, 11), rng, directed=directed,
+                             weights=weights)
+            group = rng.sample(range(g.n), rng.randrange(1, 4))
+            assert radius_milp(g, len(group), _farness_term, group) == (
+                sorted(group), -group_farness_raw(g, group))
+            dag = layered_dag(rng, 3, 3, weights=weights)
+            for graph in (g, dag):
+                group = rng.sample(range(graph.n), rng.randrange(1, 4))
+                members, value = radius_milp(graph, len(group), _harmonic_term,
+                                             group)
+                assert members == sorted(group)
+                assert close(value, group_harmonic(graph, group).value)
+            missed += UNREACHABLE in multi_source_sssp(dag, group)
+        assert missed
 
-    def test_coefficients_round_trip(self, tmp_path):
-        g = path_graph([3, 7])
-        lp = tmp_path / "w.lp"
-        export_ilp_harmonic(g, 1, lp)
-        obj = next(line for line in lp.read_text().splitlines()
-                   if line.startswith(" obj:"))
-        for token in obj.replace(" obj: ", "").split(" + "):
-            coeff = float(token.split()[0])
-            assert coeff > 0
+    def test_milp_optimum_matches_exhaustive(self):
+        # 40 graphs, ten per regime, n 8 to 12: the same raw farness and
+        # the same harmonic value, which DAGs also check where some vertex
+        # stays unreached
+        rng = random.Random(8)
+        for trial in range(40):
+            directed, weights = REGIMES[trial % 4]
+            g = random_graph(rng.randrange(8, 13), rng, directed=directed,
+                             p=0.2, weights=weights)
+            k = 1 + trial % 3
+            opt = exhaustive_best(g, k, "harmonic").objective_value
+            group, value = radius_milp(g, k, _harmonic_term)
+            assert len(group) == k
+            assert close(value, opt)
+            assert close(group_harmonic(g, group).value, opt)
+            opt = exhaustive_best(g, k, "closeness").raw_farness
+            group, value = radius_milp(g, k, _farness_term)
+            assert value == -opt == -group_farness_raw(g, group)
+            if trial % 4 == 1:
+                dag = layered_dag(rng, 3, 4, p=0.3, weights=weights)
+                opt = exhaustive_best(dag, k, "harmonic").objective_value
+                assert close(radius_milp(dag, k, _harmonic_term)[1], opt)
+
+    def test_solvers_against_the_optimum_at_n_30_to_40(self):
+        # past exhaustive enumeration: greedy <= local search <= OPT for
+        # both objectives, and greedy-h above the proven floor, lambda (1 -
+        # 2/e) OPT on directed graphs and lambda (1 - 1/e) / 2 OPT on
+        # undirected ones
+        rng = random.Random(9)
+        for trial in range(8):
+            directed, weights = REGIMES[trial % 4]
+            n = rng.randrange(30, 41)
+            g = random_graph(n, rng, directed=directed, p=3 / n, weights=weights)
+            k = 2 + trial % 3
+            cfg = AlgoConfig(k=k)
+            opt = radius_milp(g, k, _harmonic_term)[1]
+            greedy = greedy_harmonic(g, k, cfg).objective_value
+            ls = local_search_harmonic(g, k, cfg).objective_value
+            assert greedy <= ls <= opt * (1 + 1e-9)
+            floor = DIRECTED_FLOOR if directed else UNDIRECTED_FLOOR
+            assert greedy >= g.lambda_ratio * floor * opt
+            opt = -radius_milp(g, k, _farness_term)[1]
+            greedy = greedy_closeness(g, k, cfg).raw_farness
+            assert greedy >= local_search_closeness(g, k, cfg).raw_farness >= opt
+
+
+class TestNetworkxObjectives:
+    """Both objectives against networkx, an independent implementation,
+    where it is installed. networkx sums distances to a vertex, so a
+    directed graph is passed reversed."""
+
+    @pytest.fixture(autouse=True)
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    def graphs(self, nx):
+        rng = random.Random(10)
+        for trial in range(12):
+            directed, weights = REGIMES[trial % 4]
+            g = (layered_dag(rng, 3, 3, weights=weights) if trial >= 8 else
+                 random_graph(rng.randrange(6, 15), rng, directed=directed,
+                              p=0.2, weights=weights))
+            h = nx.DiGraph() if g.directed else nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_weighted_edges_from((u, v, w) for u in range(g.n)
+                                      for v, w in g.arcs[u])
+            yield rng, g, h.reverse() if g.directed else h
+
+    def test_harmonic_centrality(self, nx):
+        for _, g, h in self.graphs(nx):
+            want = nx.harmonic_centrality(h, distance="weight")
+            for v in range(g.n):
+                assert close(group_harmonic(g, [v]).value, want[v])
+
+    def test_group_closeness(self, nx):
+        for rng, g, h in self.graphs(nx):
+            if g.directed and not nx.is_strongly_connected(h):
+                continue  # farness needs every vertex reached
+            for size in (1, 2, 3):
+                group = rng.sample(range(g.n), size)
+                assert (g.n - size) / group_farness_raw(g, group) == \
+                    nx.group_closeness_centrality(h, group, weight="weight")
