@@ -1,12 +1,12 @@
 """Property-check suites runnable from the CLI and reused by the test suite.
 
 Three families: diminishing-returns sampling for the harmonic objective,
-instrumented soundness checks for the pruning bounds (marginal-value
-bounds and greedy's first bounds of either objective never undershoot),
-for the values from the unit-weight ball table and for local search's
-nearest/second-nearest state, removal pass and swap rows, and
-greedy/local-search quality floors against the exhaustive oracle on small
-sweeps.
+instrumented soundness checks run alike for each ``oracles.OBJECTIVES``
+record (marginal-value bounds and greedy's first bounds never undershoot;
+marginal values, from a traversal or the unit-weight ball table, swap
+rows and the removal pass match a from-scratch recomputation) and for
+local search's nearest/second-nearest state, and greedy/local-search
+quality floors against the exhaustive oracle on small sweeps.
 """
 
 from __future__ import annotations
@@ -15,19 +15,16 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .centrality import (ball_suffix, base_suffixes, greedy,
-                         group_farness_raw, group_harmonic, marginal_value,
-                         patched_distances, removal_cost, state_init,
+from .centrality import (ball_suffix, base_suffixes, greedy, group_harmonic,
+                         marginal_value, removal_cost, state_init,
                          swap_rows)
-from .closeness import (CLOSENESS, _farness_term, farness_decrease,
-                        local_search_closeness)
+from .closeness import local_search_closeness
 from .generators import (directed_strongly_connected, layered_dag,
                          mixed_regime_graphs, undirected_connected)
-from .graph import (UNREACHABLE, ball_table, is_connected, reachable_counts,
-                    sssp)
-from .harmonic import (HARMONIC, _harmonic_term, greedy_harmonic,
-                       local_search_harmonic, pruned_marginal_gain)
-from .oracles import exhaustive_best
+from .graph import (UNREACHABLE, ball_table, is_connected, multi_source_sssp,
+                    reachable_counts, sssp)
+from .harmonic import greedy_harmonic, local_search_harmonic
+from .oracles import OBJECTIVES, exhaustive_best, outside_sum
 from .reporting import AlgoConfig
 
 DIRECTED_FLOOR = 1 - 2 / math.e
@@ -89,23 +86,22 @@ def submodularity_check(num_graphs: int = 50, min_triples: int = 1000,
 
 def bound_check(cases_per_regime: int = 200, seed: int = 2,
                 graphs=None) -> CheckOutcome:
-    """Every marginal-value bound a traversal checks after each level,
-    given the base's suffixes, must dominate the exact value: the farness
-    decrease the completed traversal reports, and v's harmonic gain up to
-    float rounding. The group's nearest/second-nearest state must match one
-    ``sssp`` per member in both weight regimes. Both completed traversals
-    must match an independent recomputation from group values (exact
-    integers for the decrease) in both weight regimes, as must v's values
-    of either objective from the ball table on unit weights, the farness
-    that v's swap row gives the same swap (u, v), and the objectives of
-    the group and of the group without u that the removal pass gives for
-    either objective (exactly for farness, to rounding for harmonic). For
-    the added vertex v, greedy's first bound and every bound of v's
-    first-round traversal, of either objective, must be at least v's
-    singleton value (up to float rounding), and that traversal's value of
-    v, and on unit weights the table's over the empty group, must match a
-    recomputation; so must those of a vertex of a generated DAG, where no
-    vertex reaches all. Given graphs that are not (strongly)
+    """Each case draws a group S, a member u and an outside vertex v. For
+    every record of ``oracles.OBJECTIVES``, what the solvers compute must
+    match the objective recomputed by ``oracles.outside_sum`` over a
+    from-scratch ``multi_source_sssp``: exactly for closeness's integer
+    -farness, and up to the relative ``ROUNDING`` for harmonic's floats
+    (the records with a nonzero ``margin``). v's marginal value over the
+    base of S - u, from the record's ``gain`` and on unit weights from the
+    ball table, must match the recomputed one, and every bound the gain's
+    traversal checks must be at least it; v's swap row must give the
+    objective of S - u + v, and the removal pass those of S and of S - u.
+    The group's nearest/second-nearest state must match one ``sssp`` per
+    member. For v in greedy's first round, greedy's first bound and every
+    bound of v's traversal over the empty group's base must be at least
+    v's singleton value, and that traversal's value, and on unit weights
+    the table's, must match it; so must those of a vertex of a generated
+    DAG, where no vertex reaches all. Given graphs that are not (strongly)
     connected or have fewer than 3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
@@ -132,48 +128,33 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
             state = state_init(g, group)
             _state_lists(state, out)
             u = rng.choice(group)  # connected: the others still cover every vertex
-            dbase = patched_distances(state, u)
             v = rng.choice([x for x in range(g.n) if x not in group])
-            rec = []
-            res = farness_decrease(g, dbase, v, record=rec)
-            without_u = [m for m in group if m != u]
-            with_v = sorted(set(without_u) | {v})
-            farness_without = group_farness_raw(g, without_u)
-            farness_swapped = group_farness_raw(g, with_v)
-            oracle = farness_without - farness_swapped
-            common, entry = swap_rows(state, _farness_term)(v)
-            scored = farness_without - common - entry.get(u, 0)
             done += 1
-            out.checked += len(rec) + 2
-            if (res.value, scored) != (oracle, farness_swapped):
-                out.passed = False
-                out.violations.append(
-                    f"decrease {res.value} (oracle {oracle}), swap row farness "
-                    f"{scored} (oracle {farness_swapped}) for u={u} v={v} "
-                    f"S={group} edges={g.edges()}")
-            for b in rec:
-                if b < res.value:
-                    out.passed = False
-                    out.violations.append(
-                        f"decrease bound {b} < exact {res.value} for u={u} v={v} "
-                        f"S={group} edges={g.edges()}")
-            harmonic_without = group_harmonic(g, without_u).value
-            _removal_pass(state, u, _farness_term,
-                          (-group_farness_raw(g, group), -farness_without), 0, out)
-            _removal_pass(state, u, _harmonic_term,
-                          (group_harmonic(g, group).value, harmonic_without),
-                          ROUNDING, out)
-            gain = group_harmonic(g, with_v).value - harmonic_without
-            _gain_bounds(g, dbase, v, gain, out)
-            _table_value(g, dbase, without_u, v, _farness_term, oracle, 0, out)
-            _table_value(g, dbase, without_u, v, _harmonic_term, gain, ROUNDING,
-                         out)
+            table = ball_table(g) if g.unit_weights else None
+            for name, objective in OBJECTIVES.items():
+                _swap_case(state, u, v, table, name, objective, out)
             _singleton_bounds(g, v, out)
             if graphs is None:
                 dag = layered_dag(dag_rng, dag_rng.randrange(2, 5),
                                   dag_rng.randrange(2, 5), weights=weights)
                 _singleton_bounds(dag, dag_rng.randrange(dag.n), out)
     return out
+
+
+def _expect(out, objective, values, bounds, exact, where):
+    """Each (what, got, want) of ``values`` must have got equal to want,
+    and each of ``bounds`` must be at least ``exact``: exactly for a record
+    of ``margin`` 0, else up to the relative ``ROUNDING``. A NaN fails."""
+    slack = ROUNDING if objective.margin else 0
+    out.checked += len(values) + len(bounds)
+    for what, got, want in values:
+        if not abs(got - want) <= slack * max(1.0, abs(want)):
+            out.passed = False
+            out.violations.append(f"{where}: {what} {got} != oracle {want}")
+    for b in bounds:
+        if not b >= exact - slack * max(1.0, abs(exact)):
+            out.passed = False
+            out.violations.append(f"{where}: bound {b} < exact {exact}")
 
 
 def _state_lists(state, out):
@@ -199,88 +180,55 @@ def _state_lists(state, out):
                 f"edges={g.edges()}")
 
 
-def _removal_pass(state, u, c, want, slack, out):
-    """The removal pass with ``c`` against ``want``, the objective of the
-    group and of the group without member u recomputed from group values:
-    it must give both up to the relative ``slack``."""
-    objective, cost = removal_cost(state, c)
-    got = (objective, objective - cost[u])
-    out.checked += 2
-    if not all(abs(a - b) <= slack * max(1.0, abs(b)) for a, b in zip(got, want)):
-        out.passed = False
-        out.violations.append(f"removal pass {got} != oracle {want} for u={u} "
-                              f"S={list(state.members)} "
-                              f"edges={state.graph.edges()}")
-
-
-def _gain_bounds(g, dbase, v, gain, out):
-    """v's harmonic gain over the base ``dbase`` against ``gain``, its
-    recomputation from two group values: the completed traversal must match
-    it and every bound the traversal checks must be at least it, both up to
-    float rounding."""
+def _swap_case(state, u, v, table, name, objective, out):
+    """One case for one objective: v's marginal value over the base of S -
+    u, from ``objective.gain``, whose bounds are recorded, and from
+    ``table`` unless it is None; v's swap row for (u, v); and the removal
+    pass."""
+    g, c, members = state.graph, objective.c, state.members
+    without_u = [m for m in members if m != u]
+    dbase = multi_source_sssp(g, without_u)
+    before = outside_sum(c, dbase, without_u)
+    after, whole = (outside_sum(c, multi_source_sssp(g, s), s)
+                    for s in (without_u + [v], members))
+    gain = after - before
     rec = []
-    res = pruned_marginal_gain(g, dbase, v, record=rec)
-    slack = ROUNDING * max(1.0, abs(gain))
-    out.checked += len(rec) + 1
-    if not abs(res.value - gain) <= slack:
-        out.passed = False
-        out.violations.append(f"gain {res.value} != oracle {gain} for v={v} "
-                              f"base={dbase} edges={g.edges()}")
-    for b in rec:
-        if not b >= gain - slack:
-            out.passed = False
-            out.violations.append(f"gain bound {b} < exact {gain} for v={v} "
-                                  f"base={dbase} edges={g.edges()}")
-
-
-def _table_value(g, dist, group, v, c, exact, slack, out):
-    """On a unit-weight graph, v's value from the ball table over the base
-    of ``group``, whose distances are ``dist``, against ``exact``, its
-    recomputation from group values: equal up to the relative ``slack``."""
-    table = ball_table(g) if g.unit_weights else None
-    if table is None:
-        return
-    value = marginal_value(g, dist, v, c, ball_suffix(table, group, c)).value
-    out.checked += 1
-    if not abs(value - exact) <= slack * max(1.0, abs(exact)):
-        out.passed = False
-        out.violations.append(f"table value {value} != oracle {exact} for "
-                              f"v={v} S={list(group)} edges={g.edges()}")
+    common, entry = swap_rows(state, c)(v)
+    value, cost = removal_cost(state, c)
+    values = [("gain", objective.gain(g, dbase, v, None, None, rec).value, gain),
+              ("swap row", before + common + entry.get(u, 0), after),
+              ("removal pass", value, whole),
+              ("removal pass without u", value - cost[u], before)]
+    if table:
+        values.append(("table value", marginal_value(
+            g, dbase, v, c, ball_suffix(table, without_u, c)).value, gain))
+    _expect(out, objective, values, rec, gain,
+            f"{name} u={u} v={v} S={list(members)} edges={g.edges()}")
 
 
 def _singleton_bounds(g, v, out):
-    """Vertex v in greedy's first round, against its exact singleton
-    values: harmonic centrality, up to float rounding, and -farness, the
-    negated sum of v's finite distances, exactly. v's traversal over the
+    """Vertex v in greedy's first round, against its singleton value of
+    each objective, recomputed as in ``_swap_case``. v's traversal over the
     empty group's base, with v's reach count as the suffix, must give that
-    value, and every bound it checks must be at least it, as must greedy's
-    first bound for v. A NaN bound fails."""
+    value, as must the ball table on unit weights, and every bound it
+    checks must be at least it, as must greedy's first bound for v."""
     reach = reachable_counts(g)
     nowhere = [UNREACHABLE] * g.n
-    row = sssp(g, v)
-    for name, objective, exact, slack in (
-            ("harmonic", HARMONIC, group_harmonic(g, [v]).value, ROUNDING),
-            ("-farness", CLOSENESS,
-             -sum(d for d in row if d != UNREACHABLE), 0)):
+    table = ball_table(g) if g.unit_weights else None
+    for name, objective in OBJECTIVES.items():
         c = objective.c
+        exact = outside_sum(c, sssp(g, v), (v,))
         bases, _, total, cdist = base_suffixes(nowhere, c)
         rec = []
-        value = marginal_value(g, nowhere, v, c,
-                               (bases, [reach[v]], total, cdist),
-                               record=rec).value
+        values = [("singleton", marginal_value(
+            g, nowhere, v, c, (bases, [reach[v]], total, cdist),
+            record=rec).value, exact)]
         rec.append(greedy(g, 0, objective, {})[3][v])
-        _table_value(g, nowhere, (), v, c, exact, slack, out)
-        tol = slack * max(1.0, abs(exact))
-        out.checked += len(rec) + 1
-        if not abs(value - exact) <= tol:
-            out.passed = False
-            out.violations.append(f"singleton {name} {value} != oracle {exact} "
-                                  f"for v={v} edges={g.edges()}")
-        for b in rec:
-            if not b >= exact - tol:
-                out.passed = False
-                out.violations.append(f"singleton {name} bound {b} < exact "
-                                      f"{exact} for v={v} edges={g.edges()}")
+        if table:
+            values.append(("singleton table value", marginal_value(
+                g, nowhere, v, c, ball_suffix(table, (), c)).value, exact))
+        _expect(out, objective, values, rec, exact,
+                f"{name} v={v} edges={g.edges()}")
 
 
 def harmonic_sweep(directed: bool, graphs_per_n: int = 24, ns=(5, 6, 7, 8, 9),

@@ -15,8 +15,8 @@ import sys
 from .checks import ALL_SUITES
 from .closeness import (DisconnectedGraphError, greedy_closeness,
                         local_search_closeness)
-from .graph import (GraphError, is_connected, largest_component,
-                    load_edge_list, multi_source_sssp)
+from .graph import (GraphError, largest_component, load_edge_list,
+                    multi_source_sssp)
 from .harmonic import greedy_harmonic, local_search_harmonic
 from .oracles import (OBJECTIVES, BudgetExceededError, best_random,
                       exhaustive_best)
@@ -93,17 +93,20 @@ def build_parser():
 
 def _prepare_graph(args, path):
     g = load_edge_list(path, directed=args.directed, weighted=args.weighted)
-    if args.algo.endswith("-c"):
-        if is_connected(g):
-            return g
-        if args.scc:
-            return largest_component(g)
+    return largest_component(g) if args.scc else g
+
+
+def _solve(algo, g, cfg, path):
+    """``algo``'s verified report on g, the graph of ``path``. The solver
+    checks its own input; a refused disconnected graph names the file."""
+    try:
+        report = SOLVERS[algo](g, cfg)
+    except DisconnectedGraphError:
         raise DisconnectedGraphError(
             f"{path}: closeness algorithms need a (strongly) connected graph; "
-            f"pass --scc to use the largest component")
-    if args.scc:
-        return largest_component(g)
-    return g
+            f"pass --scc to use the largest component") from None
+    _verify_report(g, report)
+    return report
 
 
 def _verify_report(g, report):
@@ -129,9 +132,8 @@ def _cmd_solve(args):
     if len(args.graph) != 1:
         raise UsageError("solve takes exactly one --graph")
     cfg = _config_from_args(args)
-    g = _prepare_graph(args, args.graph[0])
-    report = SOLVERS[args.algo](g, cfg)
-    _verify_report(g, report)
+    path = args.graph[0]
+    report = _solve(args.algo, _prepare_graph(args, path), cfg, path)
     _emit(report, args.output)
     return EXIT_OK
 
@@ -151,10 +153,8 @@ def _cmd_compare(args):
     speeds = []
     for path in args.graph:
         g = _prepare_graph(args, path)
-        target = SOLVERS[args.algo](g, cfg)
-        base = SOLVERS[baseline_algo](g, cfg)
-        _verify_report(g, target)
-        _verify_report(g, base)
+        target = _solve(args.algo, g, cfg, path)
+        base = _solve(baseline_algo, g, cfg, path)
         # maximization framing for both objectives: higher is better
         if closeness:
             ratio = base.raw_farness / target.raw_farness

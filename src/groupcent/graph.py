@@ -190,7 +190,8 @@ def load_edge_list(path, directed: bool = False, weighted: bool = False,
         n = len(keep)
         if n == 0:
             raise GraphError(f"{path}: empty graph")
-    return Graph(n, triples, directed=directed)
+    # every vertex left has an edge: the Graph need not scan for isolated ones
+    return Graph(n, triples, directed=directed, check_isolated=False)
 
 
 def sssp(g: Graph, source: int):

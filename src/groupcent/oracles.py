@@ -33,18 +33,24 @@ def _objective(g, k, name):
     return OBJECTIVES[name]
 
 
+def outside_sum(c, dist, group):
+    """``c`` summed over the distances ``dist`` of the vertices outside
+    ``group``, in id order: the objective of ``group`` when ``dist`` are
+    its distances."""
+    members = set(group)
+    value = 0
+    for v, d in enumerate(dist):
+        if v not in members:
+            value += c(d)
+    return value
+
+
 def _best(g, objective, algorithm, groups, distances, cfg, t0, count):
-    """Report of the first of ``groups`` whose objective, ``objective.c``
-    summed over the outside vertices of ``distances(group)`` in id order,
-    is largest."""
-    c = objective.c
+    """Report of the first of ``groups`` whose objective, ``outside_sum``
+    of ``objective.c`` over ``distances(group)``, is largest."""
     best = best_group = None
     for group in groups:
-        members = set(group)
-        value = 0
-        for v, d in enumerate(distances(group)):
-            if v not in members:
-                value += c(d)
+        value = outside_sum(objective.c, distances(group), group)
         if best is None or value > best:
             best, best_group = value, list(group)
     value, raw = objective.report(g, multi_source_sssp(g, best_group),

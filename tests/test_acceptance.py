@@ -178,6 +178,17 @@ def test_criterion_07_bound_soundness(monkeypatch):
             return common + 1, entry
         return corrupted
 
+    # and a harmonic row off by far less, whose farness rows are right
+    def harmonic_off(state, c):
+        row = centrality.swap_rows(state, c)
+        if c is not harmonic._harmonic_term:
+            return row
+
+        def corrupted(v):
+            common, entry = row(v)
+            return common + 1e-6, entry
+        return corrupted
+
     # and the removal pass: one whose costs are off by one must fail it
     def off_by_one_pass(state, c):
         objective, cost = centrality.removal_cost(state, c)
@@ -197,7 +208,7 @@ def test_criterion_07_bound_soundness(monkeypatch):
 
     # and the harmonic gain bounds: one below the exact gain must fail it
     def undershooting_gain(g, dist, v, suffix=None, stop_below=None, record=None):
-        res = harmonic.pruned_marginal_gain(g, dist, v)
+        res = centrality.marginal_value(g, dist, v, harmonic._harmonic_term)
         if record is not None:
             record.append(res.value - 0.5)
         return res
@@ -217,6 +228,9 @@ def test_criterion_07_bound_soundness(monkeypatch):
     monkeypatch.setattr(checks, "swap_rows", off_by_one)
     rows_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
+    monkeypatch.setattr(checks, "swap_rows", harmonic_off)
+    harmonic_rows_gated = not bound_check(cases_per_regime=5).passed
+    monkeypatch.undo()
     monkeypatch.setattr(checks, "removal_cost", off_by_one_pass)
     pass_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
@@ -226,7 +240,7 @@ def test_criterion_07_bound_soundness(monkeypatch):
     monkeypatch.setattr(checks, "greedy", loose_first_bounds)
     first_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
-    monkeypatch.setattr(checks, "pruned_marginal_gain", undershooting_gain)
+    monkeypatch.setattr(harmonic, "pruned_marginal_gain", undershooting_gain)
     gain_gated = not bound_check(cases_per_regime=5).passed
     monkeypatch.undo()
 
@@ -259,10 +273,10 @@ def test_criterion_07_bound_soundness(monkeypatch):
                "harmonic gain, harmonic start, singleton farness, reach "
                "counts, greedy's first bounds), the ball-table values, the "
                "nearest/second-nearest state, the removal pass and swap "
-               "rows are sound and gated",
+               "rows of both objectives are sound and gated",
                outcome.passed and harmonic_gated and farness_gated
-               and weighted_gated and rows_gated and pass_gated
-               and reach_gated and first_gated and gain_gated
+               and weighted_gated and rows_gated and harmonic_rows_gated
+               and pass_gated and reach_gated and first_gated and gain_gated
                and table_gated and state_gated, detail)
 
 

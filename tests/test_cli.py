@@ -230,10 +230,35 @@ class TestExitCodes:
         assert "eps" in err and not out
 
     def test_closeness_on_disconnected_without_scc(self, capsys, disconnected):
-        code, _, err = run(capsys, "solve", "--graph", disconnected, "--k", "1",
-                           "--algo", "greedy-c")
+        for algo in ("greedy-c", "ls-c", "exact-c", "random-c"):
+            code, _, err = run(capsys, "solve", "--graph", disconnected,
+                               "--k", "1", "--algo", algo)
+            assert code == 2
+            assert err.startswith(f"error: {disconnected}: ") and "--scc" in err
+
+    def test_compare_names_the_disconnected_file(self, capsys, path3,
+                                                 disconnected):
+        code, out, err = run(capsys, "compare", "--graph", path3, "--graph",
+                             disconnected, "--k", "1", "--algo", "greedy-c",
+                             "--baseline", "exact")
         assert code == 2
-        assert "--scc" in err
+        assert json.loads(out)["graph"] == path3
+        assert err.startswith(f"error: {disconnected}: ") and "--scc" in err
+
+    @pytest.mark.parametrize("algo", ("greedy-h", "ls-c"))
+    def test_scc_on_a_connected_graph_changes_nothing(self, capsys, tmp_path,
+                                                      algo):
+        p = tmp_path / "g.txt"
+        p.write_text("".join(f"{u} {v} {1 + (u * v) % 3}\n" for u, v in
+                             [(i, (i + 1) % 9) for i in range(9)] + [(0, 4)]))
+        argv = ("solve", "--graph", str(p), "--k", "2", "--algo", algo,
+                "--weighted", "--directed")
+        reports = []
+        for extra in ((), ("--scc",)):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            reports.append(re.sub(r'"wallTimeMillis":[^,}]*', "", out))
+        assert reports[0] == reports[1]
 
     def test_closeness_with_scc_extracts_component(self, capsys, disconnected):
         code, out, _ = run(capsys, "solve", "--graph", disconnected, "--k", "1",
@@ -373,9 +398,13 @@ class TestCheck:
     def test_all_suites(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "all")
         assert code == 0
-        lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 3
-        assert all(l.startswith("PASS") for l in lines)
+        assert out.splitlines() == [
+            "PASS submodularity: 1000 checks, 0 violations",
+            "PASS bounds: 24628 checks, 0 violations",
+            "PASS oracle: 90 checks, 0 violations",
+            "  note: directed greedy/opt mean ratio 0.9889 over 36 instances",
+            "  note: undirected greedy/opt mean ratio 0.9954 over 36 instances",
+        ]
 
     def test_failing_suite_fails_the_process(self, capsys, monkeypatch):
         failing = lambda seed: checks.CheckOutcome(
