@@ -2,9 +2,10 @@
 the bounded marginal value, lazy greedy from the empty group, removal pass
 and single-swap local search both objectives share, each parameterized by c,
 what one vertex at distance d adds (0 when unreachable); ``solve`` runs
-them for the ``Objective`` record that holds what differs. On unit weights
-greedy scores candidates exactly from a table of bitset balls, with no
-traversal per candidate, while that table fits its bit budget.
+them for the ``Objective`` record that holds what differs. On unit weights,
+while a table of bitset balls fits its bit budget, ``solve`` builds it
+once: greedy scores candidates exactly from it, and local search scores
+swaps from it, with no traversal per candidate or per swap row.
 
 Group-harmonic centrality of a group S sums reciprocal distances from S to
 every outside vertex (unreachable vertices contribute zero). Group farness
@@ -89,10 +90,10 @@ class GroupDistanceState:
     ``nearest_member[x]`` is the member nearest to x, the smallest id at
     equal distance, and -1 when no member reaches x. ``dist_second[x]`` is
     the distance from the group without that member, so one O(n) pass
-    (``removal_cost``) scores every removal and one traversal per
-    candidate (``swap_rows``) every swap. ``state_init`` builds all three
-    lists in one traversal: a BFS, O(n + m), on unit weights, a heap
-    otherwise.
+    (``removal_cost``) scores every removal and one row per candidate
+    (``swap_rows``), from the ball table or one traversal, every swap.
+    ``state_init`` builds all three lists in one traversal: a BFS, O(n +
+    m), on unit weights, a heap otherwise.
     """
 
     graph: Graph = field(repr=False)
@@ -208,7 +209,7 @@ def patched_distances(state: GroupDistanceState, u: int) -> list:
     return out
 
 
-def swap_rows(state: GroupDistanceState, c):
+def swap_rows(state: GroupDistanceState, c, table=None):
     """``row(v)`` scores swapping candidate v for each member u: the
     objective of S - u + v is that of S - u (0 for S = {u}) plus
     ``common + entry.get(u, 0)``. ``c(d)`` is what an outside vertex at
@@ -222,7 +223,12 @@ def swap_rows(state: GroupDistanceState, c):
     against ``dist_second[x]`` to the entry of its nearest member; v
     itself, now a member, adds -c(dist_nearest[v]). Only nonzero entries
     are kept.
+
+    Given the graph's ball table (``graph.ball_table``), rows run no
+    traversal; see ``_table_rows``.
     """
+    if table:
+        return _table_rows(state, c, table)
     g = state.graph
     rep = state.nearest_member
     d2 = state.dist_second
@@ -252,8 +258,78 @@ def swap_rows(state: GroupDistanceState, c):
     return row
 
 
-def local_search(g: Graph, group, c, plan, stats):
+def _table_rows(state: GroupDistanceState, c, table):
+    """``swap_rows`` from the ball table of ``state``'s graph, with no
+    traversal per row. Per level d = 1..L of the table, the pass builds
+    beyond_d, the vertices farther than d from every member, and each
+    member u's cell_d(u), the vertices within d of u and of no other
+    member: those whose nearest member is u, with dist_nearest <= d <
+    dist_second, u itself included. x lies within d of two members iff
+    dist_second[x] <= d, so k ORs and ANDs of the members' balls per level
+    give both, O(L k) bitset operations in all.
+
+    As in ``marginal_value``'s table branch, a vertex x whose base b, its
+    distance from S - u, exceeds its distance e from v gains c(e) - c(b),
+    the sum of the weights w_d over the levels e <= d < b: c(d) - c(d+1),
+    or c(L) at the last level, which closes the sum of an unreached x at
+    c(e). Without u, b > d holds iff x lies beyond d or in cell_d(u). So
+    ``common`` sums w_d popcount(ball_d(v) & beyond_d) and ``entry[u]`` w_d
+    popcount(ball_d(v) & cell_d(u)); v, counted as moved to distance 1,
+    joins S - u + v instead, so c(1) is taken from ``common``. Where v's
+    ball meets the cells of a level in at most k bits, the row walks those
+    bits and adds w_d to each one's nearest member; otherwise it takes one
+    popcount per member. A member whose cells v's balls miss has no entry.
+    """
+    members = state.members
+    rep = state.nearest_member
+    everyone = (1 << len(table[0])) - 1
+    top = len(table) - 1
+    levels = []
+    for d in range(1, top + 1):
+        balls = table[d]
+        once = twice = 0  # within d of some member, of two or more
+        for m in members:
+            ball = balls[m]
+            twice |= once & ball
+            once |= ball
+        far, union = everyone ^ once, once & ~twice
+        if not (far or union):  # so are all later levels
+            break
+        levels.append((balls, far, union, [balls[m] & ~twice for m in members],
+                       c(d) if d == top else c(d) - c(d + 1)))
+    walk_up_to = len(members)
+    c_one = c(1)
+
+    def row(v):
+        common = -c_one
+        entry = {}
+        for balls, far, union, cells, w in levels:
+            ball = balls[v]
+            if far:
+                common += w * (ball & far).bit_count()
+            hit = ball & union
+            if not hit:
+                continue
+            if hit.bit_count() <= walk_up_to:
+                while hit:
+                    low = hit & -hit
+                    m = rep[low.bit_length() - 1]
+                    entry[m] = entry.get(m, 0) + w
+                    hit ^= low
+            else:
+                for m, cell in zip(members, cells):
+                    count = (ball & cell).bit_count()
+                    if count:
+                        entry[m] = entry.get(m, 0) + w * count
+        return common, entry
+
+    return row
+
+
+def local_search(g: Graph, group, c, plan, stats, table=None):
     """Single-swap local search from ``group``; ``c`` as in ``swap_rows``.
+    Unless ``table`` is None, the rows read it, the graph's ball table
+    (``unit_table``), and run no traversal.
 
     Each pass scores every removal with one ``removal_cost`` pass and scans
     the members by (cost, id), cheapest removal first. ``plan(state,
@@ -272,7 +348,7 @@ def local_search(g: Graph, group, c, plan, stats):
         state = state_init(g, group)
         objective, cost = removal_cost(state, c)
         candidates, accepts = plan(state, objective)
-        row = swap_rows(state, c)
+        row = swap_rows(state, c, table)
         rows = {}
         for u in sorted(cost, key=lambda m: (cost[m], m)):
             without = objective - cost[u]
@@ -472,6 +548,15 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     return Marginal(True, value - c_own)
 
 
+def unit_table(g: Graph):
+    """The ball table (``graph.ball_table``) that greedy and local search
+    read: None on weighted graphs and on unit graphs over its budget."""
+    return ball_table(g) if g.unit_weights else None
+
+
+_OWN_TABLE = object()  # greedy's default: build the table itself
+
+
 class Objective(NamedTuple):
     """What differs between the maximized objectives: what a vertex at
     distance d adds, and what follows from it. ``solve`` and the oracles
@@ -491,7 +576,7 @@ class Objective(NamedTuple):
     report: Callable
 
 
-def greedy(g: Graph, k: int, objective: Objective, stats):
+def greedy(g: Graph, k: int, objective: Objective, stats, table=_OWN_TABLE):
     """Greedy of ``objective`` from the empty group up to k members, with
     the lazy queue of Leskovec et al. (KDD 2007). Returns (group, best
     value per round, the group's distances, final bounds); k = 0 returns
@@ -501,16 +586,17 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
     with ``objective.c`` over the group's distances ``dist``: one list, all
     UNREACHABLE for the empty group, which the winner's closer-than-base
     traversal (``lower_distances``) lowers after each round, so it ends as
-    the final group's distances. On unit weights, while the graph's ball
-    table (``graph.ball_table``) fits its budget, every round passes the
-    group's ``ball_suffix``, so every value is exact and no candidate runs
-    a traversal; the table is local to this call, and r(v), the number of
-    vertices v reaches, is the popcount of v's last ball. Otherwise, in
-    round 1 ``suffix`` is ([], [r(v)], total, cdist) of the empty base,
-    with r(v) from ``reachable_counts``; later unit-weight rounds pass
-    ``base_suffixes(dist, c)``. Later weighted rounds are exact (an abort
-    leaves a bound that a later round evaluates again): they pass no stop
-    value, and only c of each base distance, (None, None, None, cdist).
+    the final group's distances. ``table`` is the graph's ball table
+    (``unit_table``), which ``solve`` passes and which is built here when
+    not given. With one, every round passes the group's ``ball_suffix``,
+    so every value is exact and no candidate runs a traversal, and r(v),
+    the number of vertices v reaches, is the popcount of v's last ball.
+    With None, in round 1 ``suffix`` is ([], [r(v)], total, cdist) of the
+    empty base, with r(v) from ``reachable_counts``; later unit-weight
+    rounds pass ``base_suffixes(dist, c)``. Later weighted rounds are
+    exact (an abort leaves a bound that a later round evaluates again):
+    they pass no stop value, and only c of each base distance, (None,
+    None, None, cdist).
 
     ``bound[v]`` is an upper bound on v's marginal value. It starts at
     min(out-degree, r(v) - 1) (c(1) - c(2)) + (r(v) - 1) c(2), the unit
@@ -532,7 +618,8 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
     in ``stats["pruned"]``."""
     c, margin, n = objective.c, objective.margin, g.n
     dist = [UNREACHABLE] * n
-    table = ball_table(g) if g.unit_weights else None
+    if table is _OWN_TABLE:
+        table = unit_table(g)
     if table:
         reach = [ball.bit_count() for ball in table[-1]]
     else:
@@ -577,21 +664,23 @@ def greedy(g: Graph, k: int, objective: Objective, stats):
 def solve(g: Graph, k: int, cfg: AlgoConfig | None, objective: Objective,
           algorithm: str) -> RunReport:
     """Report of ``algorithm``: greedy, then for "ls-*" local search from
-    greedy's group. The value is summed over the distances the last phase
-    holds for the final group; ``iterations`` counts greedy's rounds, or
-    local search's passes. A ``cfg`` of another k raises ValueError."""
+    greedy's group, both reading the one ball table (``unit_table``) built
+    here. The value is summed over the distances the last phase holds for
+    the final group; ``iterations`` counts greedy's rounds, or local
+    search's passes. A ``cfg`` of another k raises ValueError."""
     cfg = checked_config(cfg, k=k)
     objective.check(g, k)
     t0 = time.perf_counter()
     stats = {"evaluated": 0, "pruned": 0, "iterations": k}
-    group, gains, dist, bounds = greedy(g, k, objective, stats)
+    table = unit_table(g)
+    group, gains, dist, bounds = greedy(g, k, objective, stats, table)
     swaps = ()
     if algorithm.startswith("ls-"):
         stats["iterations"] = 0
         if k < g.n:  # a full group has no swap
             group, swaps, dist = local_search(
                 g, group, objective.c, objective.plan(g, k, cfg.eps, bounds),
-                stats)
+                stats, table)
     members = sorted(group)
     value, raw = objective.report(g, dist, set(members))
     return solver_report(g, algorithm, members, value, raw, cfg, t0, stats,

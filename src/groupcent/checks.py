@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 from .centrality import (ball_suffix, base_suffixes, greedy, group_harmonic,
                          marginal_value, removal_cost, state_init,
-                         swap_rows)
+                         swap_rows, unit_table)
 from .closeness import local_search_closeness
 from .generators import (directed_strongly_connected, layered_dag,
                          mixed_regime_graphs, undirected_connected)
-from .graph import (UNREACHABLE, ball_table, is_connected, multi_source_sssp,
+from .graph import (UNREACHABLE, is_connected, multi_source_sssp,
                     reachable_counts, sssp)
 from .harmonic import greedy_harmonic, local_search_harmonic
 from .oracles import OBJECTIVES, exhaustive_best, outside_sum
@@ -94,15 +94,16 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
     (the records with a nonzero ``margin``). v's marginal value over the
     base of S - u, from the record's ``gain`` and on unit weights from the
     ball table, must match the recomputed one, and every bound the gain's
-    traversal checks must be at least it; v's swap row must give the
-    objective of S - u + v, and the removal pass those of S and of S - u.
-    The group's nearest/second-nearest state must match one ``sssp`` per
-    member. For v in greedy's first round, greedy's first bound and every
-    bound of v's traversal over the empty group's base must be at least
-    v's singleton value, and that traversal's value, and on unit weights
-    the table's, must match it; so must those of a vertex of a generated
-    DAG, where no vertex reaches all. Given graphs that are not (strongly)
-    connected or have fewer than 3 vertices are skipped."""
+    traversal checks must be at least it; v's swap row, from a traversal
+    and on unit weights from the ball table, must give the objective of S
+    - u + v, and the removal pass those of S and of S - u. The group's
+    nearest/second-nearest state must match one ``sssp`` per member. For v
+    in greedy's first round, greedy's first bound and every bound of v's
+    traversal over the empty group's base must be at least v's singleton
+    value, and that traversal's value, and on unit weights the table's
+    value and swap row, must match it; so must those of a vertex of a
+    generated DAG, where no vertex reaches all. Given graphs that are not
+    (strongly) connected or have fewer than 3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
     dag_rng = random.Random(seed + 1)
@@ -130,7 +131,7 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
             u = rng.choice(group)  # connected: the others still cover every vertex
             v = rng.choice([x for x in range(g.n) if x not in group])
             done += 1
-            table = ball_table(g) if g.unit_weights else None
+            table = unit_table(g)
             for name, objective in OBJECTIVES.items():
                 _swap_case(state, u, v, table, name, objective, out)
             _singleton_bounds(g, v, out)
@@ -183,8 +184,8 @@ def _state_lists(state, out):
 def _swap_case(state, u, v, table, name, objective, out):
     """One case for one objective: v's marginal value over the base of S -
     u, from ``objective.gain``, whose bounds are recorded, and from
-    ``table`` unless it is None; v's swap row for (u, v); and the removal
-    pass."""
+    ``table`` unless it is None; v's swap row for (u, v), from a traversal
+    and from ``table``; and the removal pass."""
     g, c, members = state.graph, objective.c, state.members
     without_u = [m for m in members if m != u]
     dbase = multi_source_sssp(g, without_u)
@@ -200,8 +201,11 @@ def _swap_case(state, u, v, table, name, objective, out):
               ("removal pass", value, whole),
               ("removal pass without u", value - cost[u], before)]
     if table:
-        values.append(("table value", marginal_value(
-            g, dbase, v, c, ball_suffix(table, without_u, c)).value, gain))
+        common, entry = swap_rows(state, c, table)(v)
+        values += [("table value", marginal_value(
+                        g, dbase, v, c, ball_suffix(table, without_u, c)).value,
+                    gain),
+                   ("table swap row", before + common + entry.get(u, 0), after)]
     _expect(out, objective, values, rec, gain,
             f"{name} u={u} v={v} S={list(members)} edges={g.edges()}")
 
@@ -210,11 +214,14 @@ def _singleton_bounds(g, v, out):
     """Vertex v in greedy's first round, against its singleton value of
     each objective, recomputed as in ``_swap_case``. v's traversal over the
     empty group's base, with v's reach count as the suffix, must give that
-    value, as must the ball table on unit weights, and every bound it
+    value, as must the ball table on unit weights, both as a marginal value
+    and as the table swap row of v for the next vertex u of the group {u},
+    where every second distance is UNREACHABLE; every bound the traversal
     checks must be at least it, as must greedy's first bound for v."""
     reach = reachable_counts(g)
     nowhere = [UNREACHABLE] * g.n
-    table = ball_table(g) if g.unit_weights else None
+    table = unit_table(g)
+    u = (v + 1) % g.n
     for name, objective in OBJECTIVES.items():
         c = objective.c
         exact = outside_sum(c, sssp(g, v), (v,))
@@ -225,8 +232,12 @@ def _singleton_bounds(g, v, out):
             record=rec).value, exact)]
         rec.append(greedy(g, 0, objective, {})[3][v])
         if table:
-            values.append(("singleton table value", marginal_value(
-                g, nowhere, v, c, ball_suffix(table, (), c)).value, exact))
+            common, entry = swap_rows(state_init(g, (u,)), c, table)(v)
+            values += [("singleton table value", marginal_value(
+                            g, nowhere, v, c, ball_suffix(table, (), c)).value,
+                        exact),
+                       ("singleton table swap row", common + entry.get(u, 0),
+                        exact)]
         _expect(out, objective, values, rec, exact,
                 f"{name} v={v} edges={g.edges()}")
 

@@ -170,8 +170,8 @@ def test_criterion_07_bound_soundness(monkeypatch):
         return not g.unit_weights and min(dist) == 0
 
     # and the swap rows: a row off by one must fail it
-    def off_by_one(state, c):
-        row = centrality.swap_rows(state, c)
+    def off_by_one(state, c, table=None):
+        row = centrality.swap_rows(state, c, table)
 
         def corrupted(v):
             common, entry = row(v)
@@ -179,8 +179,8 @@ def test_criterion_07_bound_soundness(monkeypatch):
         return corrupted
 
     # and a harmonic row off by far less, whose farness rows are right
-    def harmonic_off(state, c):
-        row = centrality.swap_rows(state, c)
+    def harmonic_off(state, c, table=None):
+        row = centrality.swap_rows(state, c, table)
         if c is not harmonic._harmonic_term:
             return row
 

@@ -388,6 +388,85 @@ class TestSwapRows:
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         assert uncovered and orphaning
 
+    @pytest.mark.parametrize("directed", (False, True))
+    def test_table_rows_match_traversal_rows(self, directed):
+        # unit graphs, connected or not, k = 1 included, where every second
+        # distance is UNREACHABLE: the ball table's rows equal the
+        # traversal's, common and every entry, exactly for farness and to
+        # rounding for harmonic (farness only on connected graphs, as its
+        # traversal rows need c >= 0 where the group leaves vertices
+        # unreached); some candidates' balls reach members, and
+        # levels take both branches, the walk over at most k bits of v's
+        # ball in the cells and one popcount per member
+        rng = random.Random(90 + directed)
+        singletons = disconnected = reaching = walked = counted = 0
+        for trial in range(40):
+            connected = trial % 2 == 0
+            g = sparse_graph(rng, directed, (1,), connected)
+            table = ball_table(g)
+            k = rng.randrange(1, min(4, g.n - 1) + 1)
+            group = sorted(rng.sample(range(g.n), k))
+            st = state_init(g, group)
+            singletons += k == 1
+            disconnected += UNREACHABLE in st.dist_nearest
+            objectives = [(_harmonic_term, 1e-12)]
+            if connected:
+                objectives.append((_farness_term, 0))
+            for c, slack in objectives:
+                by_table = swap_rows(st, c, table)
+                by_traversal = swap_rows(st, c)
+                for v in range(g.n):
+                    if v in group:
+                        continue
+                    common, entry = by_table(v)
+                    want, want_entry = by_traversal(v)
+                    pairs = [(common, want)] + [
+                        (entry.get(u, 0), want_entry.get(u, 0)) for u in group]
+                    for got, want in pairs:
+                        assert abs(got - want) <= slack * max(1.0, abs(want))
+            # the bits of v's ball in level d's cells: within d of v and of
+            # exactly one member
+            for v in set(range(g.n)) - set(group):
+                dv = sssp(g, v)
+                reaching += any(dv[u] != UNREACHABLE for u in group)
+                for d in range(1, len(table)):
+                    hits = sum(dv[x] <= d and st.dist_nearest[x] <= d
+                               < st.dist_second[x] for x in range(g.n))
+                    walked += 0 < hits <= k
+                    counted += hits > k
+        assert singletons and disconnected and reaching and walked and counted
+
+    @pytest.mark.parametrize("algo", ("ls-h", "ls-c"))
+    def test_unit_solve_builds_one_table_and_rows_run_no_traversal(
+            self, algo, monkeypatch):
+        # solve builds the ball table once for greedy and local search, and
+        # local search's passes yield no closer_levels level
+        builds, searched = [], []
+        monkeypatch.setattr(centrality, "ball_table",
+                            lambda g: builds.append(g) or ball_table(g))
+        visits = count_visits(monkeypatch)
+        search = centrality.local_search
+
+        def tracked(*args):
+            before = visits[0]
+            result = search(*args)
+            searched.append(visits[0] - before)
+            return result
+
+        monkeypatch.setattr(centrality, "local_search", tracked)
+        solve = (harmonic.local_search_harmonic if algo == "ls-h"
+                 else closeness.local_search_closeness)
+        rng = random.Random(85)
+        swaps = 0
+        for trial in range(20):
+            make = directed_strongly_connected if trial % 2 else undirected_connected
+            g = make(rng.randrange(15, 40), rng, extra=0.05, weights=(1,))
+            k = rng.randrange(1, 5)
+            builds[:] = []
+            swaps += solve(g, k, AlgoConfig(k=k, eps=1e-6)).swaps_committed
+            assert builds == [g]
+        assert searched == [0] * 20 and swaps
+
     @pytest.mark.parametrize("algo", ("closeness", "harmonic"))
     def test_a_pass_builds_each_row_at_most_once(self, algo, monkeypatch):
         # every pass builds at most one row per non-member, local search
@@ -395,10 +474,10 @@ class TestSwapRows:
         # greedy's evaluations plus every row
         per_pass = []
 
-        def counting(state, c):
+        def counting(state, c, table):
             built = []
             per_pass.append((len(state.members), built))
-            row = swap_rows(state, c)
+            row = swap_rows(state, c, table)
             return lambda v: built.append(v) or row(v)
 
         kernels = []

@@ -400,7 +400,7 @@ class TestCheck:
         assert code == 0
         assert out.splitlines() == [
             "PASS submodularity: 1000 checks, 0 violations",
-            "PASS bounds: 24628 checks, 0 violations",
+            "PASS bounds: 25832 checks, 0 violations",
             "PASS oracle: 90 checks, 0 violations",
             "  note: directed greedy/opt mean ratio 0.9889 over 36 instances",
             "  note: undirected greedy/opt mean ratio 0.9954 over 36 instances",

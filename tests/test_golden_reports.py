@@ -18,7 +18,10 @@ evaluations, pruned traversals and visits went down; ``BFS_WORK`` keeps
 their earlier counters, which the BFS kernel still gives past the table's
 budget. When weighted traversals came to check the unit-weight level
 bound, with its cap counted from arc weights, the weighted rows' visits
-went down; no other field moved.
+went down; no other field moved. When local search came to score its
+swaps from the same ball table, with no traversal per row, the visits of
+the unit and 6-cycle ls rows fell to those of their greedy rows;
+``BFS_WORK`` keeps the traversal rows' visits.
 """
 
 import random
@@ -49,13 +52,13 @@ SOLVERS = {"greedy-h": greedy_harmonic, "ls-h": local_search_harmonic,
 # and two local searches swap
 GOLDEN = {
     ('undirected-unit', 3, 'greedy-h'): ([1, 6, 44], 41.5, None, 101, 0, 3, 0, 88),
-    ('undirected-unit', 3, 'ls-h'): ([1, 6, 44], 41.5, None, 158, 0, 1, 0, 580),
+    ('undirected-unit', 3, 'ls-h'): ([1, 6, 44], 41.5, None, 158, 0, 1, 0, 88),
     ('undirected-unit', 3, 'greedy-c'): ([1, 34, 44], 0.6741573033707865, 89, 149, 0, 3, 0, 86),
-    ('undirected-unit', 3, 'ls-c'): ([1, 34, 44], 0.6741573033707865, 89, 205, 0, 1, 0, 717),
+    ('undirected-unit', 3, 'ls-c'): ([1, 34, 44], 0.6741573033707865, 89, 205, 0, 1, 0, 86),
     ('undirected-unit', 5, 'greedy-h'): ([1, 6, 23, 25, 44], 46.0, None, 140, 0, 5, 0, 100),
-    ('undirected-unit', 5, 'ls-h'): ([1, 6, 23, 25, 44], 46.0, None, 195, 0, 1, 0, 425),
+    ('undirected-unit', 5, 'ls-h'): ([1, 6, 23, 25, 44], 46.0, None, 195, 0, 1, 0, 100),
     ('undirected-unit', 5, 'greedy-c'): ([1, 6, 31, 34, 44], 0.8108108108108109, 74, 197, 0, 5, 0, 100),
-    ('undirected-unit', 5, 'ls-c'): ([1, 6, 31, 34, 44], 0.8108108108108109, 74, 251, 0, 1, 0, 407),
+    ('undirected-unit', 5, 'ls-c'): ([1, 6, 31, 34, 44], 0.8108108108108109, 74, 251, 0, 1, 0, 100),
     ('undirected-weighted', 3, 'greedy-h'): ([7, 37, 84], 44.069047619047645, None, 255, 119, 3, 0, 3487),
     ('undirected-weighted', 3, 'ls-h'): ([7, 37, 84], 44.069047619047645, None, 372, 119, 1, 0, 6376),
     ('undirected-weighted', 3, 'greedy-c'): ([7, 28, 37], 0.3053435114503817, 393, 272, 119, 3, 0, 4836),
@@ -65,13 +68,13 @@ GOLDEN = {
     ('undirected-weighted', 5, 'greedy-c'): ([7, 28, 37, 44, 98], 0.3582089552238806, 335, 318, 119, 5, 0, 5302),
     ('undirected-weighted', 5, 'ls-c'): ([7, 28, 37, 44, 98], 0.3582089552238806, 335, 433, 119, 1, 0, 6886),
     ('directed-unit', 3, 'greedy-h'): ([1, 17, 55], 51.75000000000004, None, 217, 0, 3, 0, 155),
-    ('directed-unit', 3, 'ls-h'): ([1, 17, 55], 51.75000000000004, None, 314, 0, 1, 0, 1972),
+    ('directed-unit', 3, 'ls-h'): ([1, 17, 55], 51.75000000000004, None, 314, 0, 1, 0, 155),
     ('directed-unit', 3, 'greedy-c'): ([1, 17, 55], 0.4716981132075472, 212, 238, 0, 3, 0, 156),
-    ('directed-unit', 3, 'ls-c'): ([1, 17, 55], 0.4716981132075472, 212, 335, 0, 1, 0, 1973),
+    ('directed-unit', 3, 'ls-c'): ([1, 17, 55], 0.4716981132075472, 212, 335, 0, 1, 0, 156),
     ('directed-unit', 5, 'greedy-h'): ([1, 17, 55, 75, 80], 59.000000000000036, None, 268, 0, 5, 0, 177),
-    ('directed-unit', 5, 'ls-h'): ([1, 17, 55, 75, 80], 59.000000000000036, None, 363, 0, 1, 0, 1294),
+    ('directed-unit', 5, 'ls-h'): ([1, 17, 55, 75, 80], 59.000000000000036, None, 363, 0, 1, 0, 177),
     ('directed-unit', 5, 'greedy-c'): ([1, 17, 19, 55, 75], 0.5555555555555556, 180, 312, 0, 5, 0, 179),
-    ('directed-unit', 5, 'ls-c'): ([1, 17, 19, 55, 75], 0.5555555555555556, 180, 407, 0, 1, 0, 1317),
+    ('directed-unit', 5, 'ls-c'): ([1, 17, 19, 55, 75], 0.5555555555555556, 180, 407, 0, 1, 0, 179),
     ('directed-weighted', 3, 'greedy-h'): ([28, 32, 76], 34.027380952380945, None, 170, 76, 3, 0, 2572),
     ('directed-weighted', 3, 'ls-h'): ([28, 32, 76], 34.027380952380945, None, 247, 76, 1, 0, 3764),
     ('directed-weighted', 3, 'greedy-c'): ([2, 28, 32], 0.3333333333333333, 240, 190, 78, 3, 0, 3321),
@@ -87,9 +90,9 @@ GOLDEN = {
 # centrality and farness, so the start is an exact tie and goes to vertex 0
 CYCLE_GOLDEN = {
     'greedy-h': ([0, 3], 4.0, None, 11, 0, 2, 0, 9),
-    'ls-h': ([0, 3], 4.0, None, 15, 0, 1, 0, 25),
+    'ls-h': ([0, 3], 4.0, None, 15, 0, 1, 0, 9),
     'greedy-c': ([0, 3], 1.5, 4, 11, 0, 2, 0, 9),
-    'ls-c': ([0, 3], 1.5, 4, 15, 0, 1, 0, 25),
+    'ls-c': ([0, 3], 1.5, 4, 15, 0, 1, 0, 9),
 }
 
 
