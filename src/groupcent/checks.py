@@ -3,10 +3,11 @@
 Three families: diminishing-returns sampling for the harmonic objective,
 instrumented soundness checks run alike for each ``oracles.OBJECTIVES``
 record (marginal-value bounds and greedy's first bounds never undershoot;
-marginal values, from a traversal or the unit-weight ball table, swap
-rows and the removal pass match a from-scratch recomputation) and for
-local search's nearest/second-nearest state, and greedy/local-search
-quality floors against the exhaustive oracle on small sweeps.
+marginal values, from a traversal, the unit-weight ball table or the ball
+sweep, swap rows and the removal pass match a from-scratch recomputation)
+and for local search's nearest/second-nearest state, and
+greedy/local-search quality floors against the exhaustive oracle on small
+sweeps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .centrality import (ball_suffix, base_suffixes, greedy, group_harmonic,
                          marginal_value, removal_cost, state_init,
-                         swap_rows, unit_table)
+                         swap_rows, sweep_values, unit_table)
 from .closeness import local_search_closeness
 from .generators import (directed_strongly_connected, layered_dag,
                          mixed_regime_graphs, undirected_connected)
@@ -92,18 +93,19 @@ def bound_check(cases_per_regime: int = 200, seed: int = 2,
     from-scratch ``multi_source_sssp``: exactly for closeness's integer
     -farness, and up to the relative ``ROUNDING`` for harmonic's floats
     (the records with a nonzero ``margin``). v's marginal value over the
-    base of S - u, from the record's ``gain`` and on unit weights from the
-    ball table, must match the recomputed one, and every bound the gain's
-    traversal checks must be at least it; v's swap row, from a traversal
-    and on unit weights from the ball table, must give the objective of S
-    - u + v, and the removal pass those of S and of S - u. The group's
-    nearest/second-nearest state must match one ``sssp`` per member. For v
-    in greedy's first round, greedy's first bound and every bound of v's
-    traversal over the empty group's base must be at least v's singleton
-    value, and that traversal's value, and on unit weights the table's
-    value and swap row, must match it; so must those of a vertex of a
-    generated DAG, where no vertex reaches all. Given graphs that are not
-    (strongly) connected or have fewer than 3 vertices are skipped."""
+    base of S - u, from the record's ``gain``, and from the ball table on
+    unit weights or the ball sweep otherwise, must match the recomputed
+    one, and every bound the gain's traversal checks must be at least it;
+    v's swap row, from a traversal and on unit weights from the ball table,
+    must give the objective of S - u + v, and the removal pass those of S
+    and of S - u. The group's nearest/second-nearest state must match one
+    ``sssp`` per member. For v in greedy's first round, greedy's first
+    bound and every bound of v's traversal over the empty group's base must
+    be at least v's singleton value, and that traversal's value, the
+    table's value and swap row on unit weights and the sweep's value
+    otherwise, must match it; so must those of a vertex of a generated DAG,
+    where no vertex reaches all. Given graphs that are not (strongly)
+    connected or have fewer than 3 vertices are skipped."""
     out = CheckOutcome(name="bounds", passed=True, checked=0)
     rng = random.Random(seed)
     dag_rng = random.Random(seed + 1)
@@ -184,8 +186,8 @@ def _state_lists(state, out):
 def _swap_case(state, u, v, table, name, objective, out):
     """One case for one objective: v's marginal value over the base of S -
     u, from ``objective.gain``, whose bounds are recorded, and from
-    ``table`` unless it is None; v's swap row for (u, v), from a traversal
-    and from ``table``; and the removal pass."""
+    ``table``, or from the ball sweep where it is None; v's swap row for
+    (u, v), from a traversal and from ``table``; and the removal pass."""
     g, c, members = state.graph, objective.c, state.members
     without_u = [m for m in members if m != u]
     dbase = multi_source_sssp(g, without_u)
@@ -206,6 +208,8 @@ def _swap_case(state, u, v, table, name, objective, out):
                         g, dbase, v, c, ball_suffix(table, without_u, c)).value,
                     gain),
                    ("table swap row", before + common + entry.get(u, 0), after)]
+    else:
+        values += _swept(g, dbase, v, c, "sweep value", gain)
     _expect(out, objective, values, rec, gain,
             f"{name} u={u} v={v} S={list(members)} edges={g.edges()}")
 
@@ -216,8 +220,9 @@ def _singleton_bounds(g, v, out):
     empty group's base, with v's reach count as the suffix, must give that
     value, as must the ball table on unit weights, both as a marginal value
     and as the table swap row of v for the next vertex u of the group {u},
-    where every second distance is UNREACHABLE; every bound the traversal
-    checks must be at least it, as must greedy's first bound for v."""
+    where every second distance is UNREACHABLE, and the ball sweep
+    otherwise; every bound the traversal checks must be at least it, as
+    must greedy's first bound for v."""
     reach = reachable_counts(g)
     nowhere = [UNREACHABLE] * g.n
     table = unit_table(g)
@@ -238,8 +243,17 @@ def _singleton_bounds(g, v, out):
                         exact),
                        ("singleton table swap row", common + entry.get(u, 0),
                         exact)]
+        else:
+            values += _swept(g, nowhere, v, c, "singleton sweep value", exact)
         _expect(out, objective, values, rec, exact,
                 f"{name} v={v} edges={g.edges()}")
+
+
+def _swept(g, dist, v, c, what, want):
+    """v's value from ``sweep_values`` over ``dist``, as a (what, got,
+    want) of ``_expect``; none where the sweep is over its budget."""
+    values = sweep_values(g, dist, c)
+    return [] if values is None else [(what, values[v], want)]
 
 
 def harmonic_sweep(directed: bool, graphs_per_n: int = 24, ns=(5, 6, 7, 8, 9),

@@ -14,7 +14,7 @@ as ``Fraction``, so exact ties stay ties.
 suffix heaps it kept before its bound counted vertices per base distance,
 over suffixes of the base distances scanned by ``suffix_ge``.
 ``count_visits`` counts the vertices the solvers' traversals visit.
-``without_ball_table`` makes unit-weight greedy run its BFS kernel.
+``without_ball_table`` makes greedy run its kernels in every round.
 ``per_member_state`` is ``state_init``'s three lists from one ``sssp`` per
 member. ``radius_milp`` is an exact optimum of either objective from a
 mixed-integer program, where scipy is installed.
@@ -53,10 +53,11 @@ def count_visits(monkeypatch):
 
 
 def without_ball_table(monkeypatch):
-    """A bit budget of 0: ``graph.ball_table`` refuses every graph, so
-    unit-weight greedy scores candidates with the BFS kernel and its level
-    bound, as on graphs over the budget (and directed reach counts become
-    upper bounds)."""
+    """A bit budget of 0: ``graph.ball_table`` and
+    ``centrality.sweep_values`` refuse every graph, so greedy scores
+    candidates with its kernels and their level bound in every round, as on
+    graphs over both budgets (and directed reach counts become upper
+    bounds)."""
     monkeypatch.setattr(graph, "REACH_MASK_BITS", 0)
 
 

@@ -9,12 +9,13 @@ from itertools import product
 
 import pytest
 
-from groupcent import centrality, cli, closeness, harmonic
+from groupcent import centrality, cli, closeness, graph, harmonic
 from groupcent.centrality import (DisconnectedFarnessError, ball_suffix,
                                   base_suffixes, greedy, group_farness_raw,
                                   group_harmonic, harmonic_sum,
                                   marginal_value, patched_distances,
-                                  removal_cost, state_init, swap_rows)
+                                  removal_cost, state_init, swap_rows,
+                                  sweep_values)
 from groupcent.closeness import CLOSENESS
 from groupcent.closeness import _farness_term
 from groupcent.harmonic import HARMONIC, _harmonic_term
@@ -24,8 +25,10 @@ from groupcent.graph import (Graph, UNREACHABLE, ball_table, closer_levels,
                              multi_source_sssp, sssp)
 from groupcent.reporting import AlgoConfig
 from groupcent.generators import directed_strongly_connected
-from reference import (count_visits, per_member_state, suffix_ge,
-                       without_ball_table)
+from reference import (count_visits, per_member_state,
+                       plain_greedy_closeness, plain_greedy_harmonic,
+                       suffix_ge, without_ball_table)
+from test_cli import within
 
 
 def weighted_path_l2():
@@ -646,6 +649,89 @@ class TestBallSuffix:
                 assert seen == lowered
 
 
+class TestBallSweep:
+    @pytest.mark.parametrize("directed", (False, True))
+    @pytest.mark.parametrize("weights", ((1,), (1, 2, 3), (1, 5, 10)))
+    def test_sweep_values_match_the_traversal(self, directed, weights):
+        # over the base of a group of 0-4 members, on graphs that may leave
+        # vertices unreached, every vertex's value from the sweep is the
+        # traversal's exact one: equal for farness, to rounding for
+        # harmonic, and 0 for a member
+        rng = random.Random(55 + directed + 2 * len(weights) + weights[-1])
+        cases = empty = unreached = members = 0
+        for _ in range(120):
+            n = rng.randrange(2, 25)
+            p = rng.choice((0.03, 0.1, 0.3))
+            g = Graph(n, [(u, v, rng.choice(weights)) for u in range(n)
+                          for v in range(n) if u != v and rng.random() < p],
+                      directed=directed, check_isolated=False)
+            group = rng.sample(range(n), rng.randrange(0, min(4, n) + 1))
+            dist = multi_source_sssp(g, group) if group else [UNREACHABLE] * n
+            empty += not group
+            unreached += bool(group) and UNREACHABLE in dist
+            for c in (_farness_term, _harmonic_term):
+                swept = sweep_values(g, dist, c)
+                assert len(swept) == n
+                for v in range(n):
+                    exact, want = marginal_value(g, dist, v, c)
+                    assert exact
+                    if c is _farness_term:
+                        assert swept[v] == want
+                    else:
+                        assert swept[v] == pytest.approx(want, rel=1e-12,
+                                                         abs=1e-12)
+                    members += v in group
+                    cases += 1
+        assert cases > 2000 and empty > 10 and unreached > 30 and members
+
+    def test_budget_refuses_huge_weights_promptly(self, monkeypatch):
+        # the window of max_weight + 1 levels of n balls must fit the bit
+        # budget, which weights of 10**12 never do: the sweep answers None
+        # at once, and one level per distance is never stepped through
+        g = Graph(3, [(0, 1, 1), (1, 2, 10**12)])
+        nowhere = [UNREACHABLE] * 3
+        for c in (_farness_term, _harmonic_term):
+            assert within(5, sweep_values, g, nowhere, c) is None
+        g = Graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3)], directed=True)
+        monkeypatch.setattr(graph, "REACH_MASK_BITS", 4 * 4 * 4)
+        assert sweep_values(g, [UNREACHABLE] * 4, _farness_term) == [
+            -10, -7, -3, 0]
+        monkeypatch.setattr(graph, "REACH_MASK_BITS", 4 * 4 * 4 - 1)
+        assert sweep_values(g, [UNREACHABLE] * 4, _farness_term) is None
+
+    @pytest.mark.parametrize("directed", (False, True))
+    def test_weighted_greedy_sweeps_without_traversals(self, directed,
+                                                       monkeypatch):
+        # under the budget, weighted round 1 of both objectives, and
+        # closeness's round 2, whose bounds restart at +inf, score every
+        # candidate from one sweep: ``closer_levels`` yields only the
+        # vertices each winner's ``lower_distances`` lowers; the groups are
+        # those of the plain greedy references
+        visits = count_visits(monkeypatch)
+        rng = random.Random(57 + directed)
+        for _ in range(12):
+            g = random_graph(rng.randrange(10, 30), rng, directed=directed,
+                             p=0.1, weights=(1, 2, 3))
+            for objective, rounds in ((HARMONIC, 1), (CLOSENESS, 2)):
+                visits[0] = 0
+                stats = Counter()
+                group = greedy(g, rounds, objective, stats)[0]
+                seen = visits[0]
+                first = sssp(g, group[0])
+                lowered = sum(d != UNREACHABLE for d in first)
+                if rounds == 2:
+                    lowered += sum(a < b for a, b in
+                                   zip(multi_source_sssp(g, group), first))
+                assert seen == lowered
+                assert stats["pruned"] == 0
+                assert stats["evaluated"] == sum(g.n - i for i in range(rounds))
+            k = rng.randrange(2, 6)
+            assert sorted(greedy(g, k, HARMONIC, Counter())[0]) == \
+                plain_greedy_harmonic(g, k)
+            assert sorted(greedy(g, k, CLOSENESS, Counter())[0]) == \
+                plain_greedy_closeness(g, k)
+
+
 class TestLevelBound:
     @pytest.mark.parametrize("directed", (False, True))
     @pytest.mark.parametrize("weights", ((1,), (1, 2, 5), (1, 1000)))
@@ -708,7 +794,9 @@ class TestGreedyDistances:
     def test_every_round_sees_the_group_distances(self, algo, directed,
                                                   weights, monkeypatch):
         # members sit at distance 0 and nowhere else, so each round's
-        # group is the set of zeros in the dist its gains read
+        # group is the set of zeros in the dist its gains read; with the
+        # ball table and the sweep off, every round runs its kernel
+        without_ball_table(monkeypatch)
         seen = {}
         module = closeness if algo == "closeness" else harmonic
         name = "farness_decrease" if algo == "closeness" else "pruned_marginal_gain"

@@ -109,9 +109,9 @@ class TestSolve:
                       (5, 6, 2), (1, 5, 4), (0, 6, 1)])
         pinned = {
             harmonic.greedy_harmonic: "greedy-h,2,2 5,harmonic,3.833333333333333,,"
-            "2,0,13,5,12.5,7,8,False,True,1d9d563af8250ede,0.01,100,0,1,True",
+            "2,0,13,0,12.5,7,8,False,True,1d9d563af8250ede,0.01,100,0,1,True",
             closeness.local_search_closeness: "ls-c,2,2 6,closeness,0.875,8,"
-            "3,2,25,5,12.5,7,8,False,True,1d9d563af8250ede,0.01,100,0,1,True",
+            "3,2,25,0,12.5,7,8,False,True,1d9d563af8250ede,0.01,100,0,1,True",
         }
         for solve, row in pinned.items():
             report = solve(g, 2, AlgoConfig(k=2))
@@ -400,7 +400,7 @@ class TestCheck:
         assert code == 0
         assert out.splitlines() == [
             "PASS submodularity: 1000 checks, 0 violations",
-            "PASS bounds: 25832 checks, 0 violations",
+            "PASS bounds: 28228 checks, 0 violations",
             "PASS oracle: 90 checks, 0 violations",
             "  note: directed greedy/opt mean ratio 0.9889 over 36 instances",
             "  note: undirected greedy/opt mean ratio 0.9954 over 36 instances",

@@ -14,14 +14,18 @@ vertices in another order, or check another bound, move a work counter
 here even when the group and the objective value stay the same. When
 unit-weight greedy came to score candidates from a ball table, with exact
 values and no traversal per candidate, the unit and 6-cycle rows'
-evaluations, pruned traversals and visits went down; ``BFS_WORK`` keeps
+evaluations, pruned traversals and visits went down; ``KERNEL_WORK`` keeps
 their earlier counters, which the BFS kernel still gives past the table's
 budget. When weighted traversals came to check the unit-weight level
 bound, with its cap counted from arc weights, the weighted rows' visits
 went down; no other field moved. When local search came to score its
 swaps from the same ball table, with no traversal per row, the visits of
 the unit and 6-cycle ls rows fell to those of their greedy rows;
-``BFS_WORK`` keeps the traversal rows' visits.
+``KERNEL_WORK`` keeps the traversal rows' visits. When greedy came to score
+weighted round 1, and closeness's round 2, by one streamed ball sweep, the
+weighted rows' pruned traversals fell to 0 and their visits went down;
+``KERNEL_WORK`` keeps their earlier counters, which the kernels still give
+past the sweep's budget.
 """
 
 import random
@@ -48,8 +52,8 @@ SOLVERS = {"greedy-h": greedy_harmonic, "ls-h": local_search_harmonic,
 #  candidatesEvaluated, traversalsPruned, iterations, swapsCommitted,
 #  visits), where visits counts the vertices ``graph.closer_levels`` yields
 #  during the solve, a measure of traversal work independent of the host;
-# weighted runs abort traversals in round 1 only, unit-weight ones never,
-# and two local searches swap
+# no run aborts a traversal, since the table and the sweep give exact
+# values, and two local searches swap
 GOLDEN = {
     ('undirected-unit', 3, 'greedy-h'): ([1, 6, 44], 41.5, None, 101, 0, 3, 0, 88),
     ('undirected-unit', 3, 'ls-h'): ([1, 6, 44], 41.5, None, 158, 0, 1, 0, 88),
@@ -59,14 +63,14 @@ GOLDEN = {
     ('undirected-unit', 5, 'ls-h'): ([1, 6, 23, 25, 44], 46.0, None, 195, 0, 1, 0, 100),
     ('undirected-unit', 5, 'greedy-c'): ([1, 6, 31, 34, 44], 0.8108108108108109, 74, 197, 0, 5, 0, 100),
     ('undirected-unit', 5, 'ls-c'): ([1, 6, 31, 34, 44], 0.8108108108108109, 74, 251, 0, 1, 0, 100),
-    ('undirected-weighted', 3, 'greedy-h'): ([7, 37, 84], 44.069047619047645, None, 255, 119, 3, 0, 3487),
-    ('undirected-weighted', 3, 'ls-h'): ([7, 37, 84], 44.069047619047645, None, 372, 119, 1, 0, 6376),
-    ('undirected-weighted', 3, 'greedy-c'): ([7, 28, 37], 0.3053435114503817, 393, 272, 119, 3, 0, 4836),
-    ('undirected-weighted', 3, 'ls-c'): ([7, 28, 37], 0.3053435114503817, 393, 389, 119, 1, 0, 7864),
-    ('undirected-weighted', 5, 'greedy-h'): ([7, 11, 37, 44, 84], 51.05952380952386, None, 264, 119, 5, 0, 3639),
-    ('undirected-weighted', 5, 'ls-h'): ([11, 12, 23, 37, 84], 51.77619047619049, None, 609, 119, 3, 2, 8180),
-    ('undirected-weighted', 5, 'greedy-c'): ([7, 28, 37, 44, 98], 0.3582089552238806, 335, 318, 119, 5, 0, 5302),
-    ('undirected-weighted', 5, 'ls-c'): ([7, 28, 37, 44, 98], 0.3582089552238806, 335, 433, 119, 1, 0, 6886),
+    ('undirected-weighted', 3, 'greedy-h'): ([7, 37, 84], 44.069047619047645, None, 255, 0, 3, 0, 2442),
+    ('undirected-weighted', 3, 'ls-h'): ([7, 37, 84], 44.069047619047645, None, 372, 0, 1, 0, 5331),
+    ('undirected-weighted', 3, 'greedy-c'): ([7, 28, 37], 0.3053435114503817, 393, 272, 0, 3, 0, 620),
+    ('undirected-weighted', 3, 'ls-c'): ([7, 28, 37], 0.3053435114503817, 393, 389, 0, 1, 0, 3648),
+    ('undirected-weighted', 5, 'greedy-h'): ([7, 11, 37, 44, 84], 51.05952380952386, None, 264, 0, 5, 0, 2594),
+    ('undirected-weighted', 5, 'ls-h'): ([11, 12, 23, 37, 84], 51.77619047619049, None, 609, 0, 3, 2, 7135),
+    ('undirected-weighted', 5, 'greedy-c'): ([7, 28, 37, 44, 98], 0.3582089552238806, 335, 318, 0, 5, 0, 1086),
+    ('undirected-weighted', 5, 'ls-c'): ([7, 28, 37, 44, 98], 0.3582089552238806, 335, 433, 0, 1, 0, 2670),
     ('directed-unit', 3, 'greedy-h'): ([1, 17, 55], 51.75000000000004, None, 217, 0, 3, 0, 155),
     ('directed-unit', 3, 'ls-h'): ([1, 17, 55], 51.75000000000004, None, 314, 0, 1, 0, 155),
     ('directed-unit', 3, 'greedy-c'): ([1, 17, 55], 0.4716981132075472, 212, 238, 0, 3, 0, 156),
@@ -75,14 +79,14 @@ GOLDEN = {
     ('directed-unit', 5, 'ls-h'): ([1, 17, 55, 75, 80], 59.000000000000036, None, 363, 0, 1, 0, 177),
     ('directed-unit', 5, 'greedy-c'): ([1, 17, 19, 55, 75], 0.5555555555555556, 180, 312, 0, 5, 0, 179),
     ('directed-unit', 5, 'ls-c'): ([1, 17, 19, 55, 75], 0.5555555555555556, 180, 407, 0, 1, 0, 179),
-    ('directed-weighted', 3, 'greedy-h'): ([28, 32, 76], 34.027380952380945, None, 170, 76, 3, 0, 2572),
-    ('directed-weighted', 3, 'ls-h'): ([28, 32, 76], 34.027380952380945, None, 247, 76, 1, 0, 3764),
-    ('directed-weighted', 3, 'greedy-c'): ([2, 28, 32], 0.3333333333333333, 240, 190, 78, 3, 0, 3321),
-    ('directed-weighted', 3, 'ls-c'): ([28, 32, 76], 0.3418803418803419, 234, 308, 78, 3, 2, 5186),
-    ('directed-weighted', 5, 'greedy-h'): ([7, 28, 32, 74, 76], 39.20833333333333, None, 203, 76, 5, 0, 2826),
-    ('directed-weighted', 5, 'ls-h'): ([7, 28, 32, 74, 76], 39.20833333333333, None, 278, 76, 1, 0, 3522),
-    ('directed-weighted', 5, 'greedy-c'): ([1, 2, 28, 32, 74], 0.4, 200, 246, 78, 5, 0, 3712),
-    ('directed-weighted', 5, 'ls-c'): ([1, 2, 28, 32, 74], 0.4, 200, 321, 78, 1, 0, 4427),
+    ('directed-weighted', 3, 'greedy-h'): ([28, 32, 76], 34.027380952380945, None, 170, 0, 3, 0, 1688),
+    ('directed-weighted', 3, 'ls-h'): ([28, 32, 76], 34.027380952380945, None, 247, 0, 1, 0, 2880),
+    ('directed-weighted', 3, 'greedy-c'): ([2, 28, 32], 0.3333333333333333, 240, 190, 0, 3, 0, 474),
+    ('directed-weighted', 3, 'ls-c'): ([28, 32, 76], 0.3418803418803419, 234, 308, 0, 3, 2, 2339),
+    ('directed-weighted', 5, 'greedy-h'): ([7, 28, 32, 74, 76], 39.20833333333333, None, 203, 0, 5, 0, 1942),
+    ('directed-weighted', 5, 'ls-h'): ([7, 28, 32, 74, 76], 39.20833333333333, None, 278, 0, 1, 0, 2638),
+    ('directed-weighted', 5, 'greedy-c'): ([1, 2, 28, 32, 74], 0.4, 200, 246, 0, 5, 0, 865),
+    ('directed-weighted', 5, 'ls-c'): ([1, 2, 28, 32, 74], 0.4, 200, 321, 0, 1, 0, 1580),
 }
 
 
@@ -96,10 +100,10 @@ CYCLE_GOLDEN = {
 }
 
 
-# (candidatesEvaluated, traversalsPruned, visits) of the unit-weight rows
-# and the 6-cycle's with the BFS kernel, past the ball table's budget; the
-# other fields are GOLDEN's and CYCLE_GOLDEN's
-BFS_WORK = {
+# (candidatesEvaluated, traversalsPruned, visits) of every row with the
+# kernels, past the budgets of the ball table and the sweep; the other
+# fields are GOLDEN's and CYCLE_GOLDEN's
+KERNEL_WORK = {
     ('undirected-unit', 3, 'greedy-h'): (122, 110, 871),
     ('undirected-unit', 3, 'ls-h'): (179, 110, 1363),
     ('undirected-unit', 3, 'greedy-c'): (173, 164, 1322),
@@ -116,6 +120,22 @@ BFS_WORK = {
     ('directed-unit', 5, 'ls-h'): (443, 328, 4030),
     ('directed-unit', 5, 'greedy-c'): (411, 383, 4651),
     ('directed-unit', 5, 'ls-c'): (506, 383, 5789),
+    ('undirected-weighted', 3, 'greedy-h'): (255, 119, 3487),
+    ('undirected-weighted', 3, 'ls-h'): (372, 119, 6376),
+    ('undirected-weighted', 3, 'greedy-c'): (272, 119, 4836),
+    ('undirected-weighted', 3, 'ls-c'): (389, 119, 7864),
+    ('undirected-weighted', 5, 'greedy-h'): (264, 119, 3639),
+    ('undirected-weighted', 5, 'ls-h'): (609, 119, 8180),
+    ('undirected-weighted', 5, 'greedy-c'): (318, 119, 5302),
+    ('undirected-weighted', 5, 'ls-c'): (433, 119, 6886),
+    ('directed-weighted', 3, 'greedy-h'): (170, 76, 2572),
+    ('directed-weighted', 3, 'ls-h'): (247, 76, 3764),
+    ('directed-weighted', 3, 'greedy-c'): (190, 78, 3321),
+    ('directed-weighted', 3, 'ls-c'): (308, 78, 5186),
+    ('directed-weighted', 5, 'greedy-h'): (203, 76, 2826),
+    ('directed-weighted', 5, 'ls-h'): (278, 76, 3522),
+    ('directed-weighted', 5, 'greedy-c'): (246, 78, 3712),
+    ('directed-weighted', 5, 'ls-c'): (321, 78, 4427),
     ('6-cycle', 2, 'greedy-h'): (11, 2, 56),
     ('6-cycle', 2, 'ls-h'): (15, 2, 72),
     ('6-cycle', 2, 'greedy-c'): (11, 7, 40),
@@ -161,14 +181,14 @@ def test_tied_start_reports_match_golden(pinned):
 
 
 def test_bfs_kernel_reports_match_golden(pinned, monkeypatch):
-    # the same groups, values and swaps as with the table
+    # the same groups, values and swaps as with the table and the sweep
     without_ball_table(monkeypatch)
     cycle = Graph(6, [(i, (i + 1) % 6, 1) for i in range(6)])
-    for regime, k, algo in BFS_WORK:
+    for regime, k, algo in KERNEL_WORK:
         if regime == "6-cycle":
             g, want = cycle, CYCLE_GOLDEN[algo]
         else:
             g, want = regime_graph(regime), GOLDEN[regime, k, algo]
-        evaluated, pruned, visits = BFS_WORK[regime, k, algo]
+        evaluated, pruned, visits = KERNEL_WORK[regime, k, algo]
         want = want[:3] + (evaluated, pruned) + want[5:7] + (visits,)
         assert pinned(SOLVERS[algo], g, k) == want, (regime, k, algo)
