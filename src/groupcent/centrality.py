@@ -6,10 +6,10 @@ them for the ``Objective`` record that holds what differs. On unit weights,
 while a table of bitset balls fits its bit budget, ``solve`` builds it
 once: greedy scores candidates exactly from it, and local search scores
 swaps from it, with no traversal per candidate or per swap row. Without
-a table, the greedy rounds whose candidates have no finite bound yet,
-round 1 and closeness's round 2, score every candidate from one streamed
-sweep of masked balls (``sweep_values``) while its window fits the same
-budget.
+a table, greedy's round 1, and closeness's round 2, score every candidate
+from one streamed sweep of masked balls (``sweep_values``) after one
+traversal, while the sweep's window fits the same budget and its levels
+fit in the traversals it replaces.
 
 Group-harmonic centrality of a group S sums reciprocal distances from S to
 every outside vertex (unreachable vertices contribute zero). Group farness
@@ -553,13 +553,13 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
     return Marginal(True, value - c_own)
 
 
-def sweep_values(g: Graph, dist, c):
+def sweep_values(g: Graph, dist, c, max_level=math.inf):
     """Every vertex's exact marginal value over the group whose distances
     are ``dist``, 0 for a member, from one streamed sweep of the masked
     balls of ``graph.ball_levels``, the bit-parallel all-sources traversal
     of Then et al. (PVLDB 2014); None unless its window, (max_weight + 1)
-    n^2 bits, fits ``graph.REACH_MASK_BITS``, which also bounds the number
-    of levels. ``c`` is as in ``swap_rows``.
+    n^2 bits, fits ``graph.REACH_MASK_BITS``, and None once it would step
+    past level ``max_level``. ``c`` is as in ``swap_rows``.
 
     A vertex x enters v's masked ball at e = dist(v, x) and leaves it at
     its base b = dist[x] > e, so x gains c(e) - c(b). With p_d the size of
@@ -574,6 +574,8 @@ def sweep_values(g: Graph, dist, c):
     size = [ball.bit_count() for ball in next(levels)[1]]
     value = [0] * n
     for d, balls, changed in levels:
+        if d > max_level:
+            return None
         cd = c(d)
         for v in changed:
             p = balls[v].bit_count()
@@ -625,28 +627,43 @@ def greedy(g: Graph, k: int, objective: Objective, stats, table=_OWN_TABLE):
     not given. With one, every round passes the group's ``ball_suffix``,
     so every value is exact and no candidate runs a traversal, and r(v),
     the number of vertices v reaches, is the popcount of v's last ball.
-    With None, a round in which no candidate has a finite bound yet, round
-    1 and a round after the bounds restart at +inf, is swept: one
-    ``sweep_values`` over the group's distances gives every candidate's
-    exact value, each counted as evaluated, none pruned, and those values
-    are the bounds the next lazy round starts from. Past the sweep's
-    budget, round 1 runs the lazy loop with ``suffix`` ([], [r(v)],
-    total, cdist) of the empty base, r(v) from ``reachable_counts``; later
-    unit-weight rounds pass ``base_suffixes(dist, c)``. Later weighted
-    rounds are exact (an abort leaves a bound that a later round evaluates
-    again): they pass no stop value, and only c of each base distance,
-    (None, None, None, cdist).
+    With None, in round 1 ``suffix`` is ([], [r(v)], total, cdist) of the
+    empty base, with r(v) from ``reachable_counts``; later unit-weight
+    rounds pass ``base_suffixes(dist, c)``. Later weighted rounds are
+    exact (an abort leaves a bound that a later round evaluates again):
+    they pass no stop value, and only c of each base distance, (None,
+    None, None, cdist).
 
-    ``bound[v]`` is an upper bound on v's marginal value. Unless round 1
-    is swept, it starts at min(out-degree, r(v) - 1) (c(1) - c(2)) + (r(v)
-    - 1) c(2), the unit level bound after level 0, which holds for every
-    weight: arcs weigh at least 1, so at most v's out-degree vertices end
-    at distance 1 and the others v reaches at 2 or more. It then keeps the
-    last value computed for v, exact or the first bound below the stop
-    value; marginal values only shrink as the group grows, so it stays
-    one. Round 1's values are those of the groups of one; where
-    c(UNREACHABLE) > c(n max_weight), as for -farness, they lie below
-    every later value, so every bound restarts at +inf after round 1.
+    Also with None, round 1, and round 2 where the bounds restart at +inf,
+    may be swept. After the round's first value, which is exact, ``left``
+    counts the candidates the queue cannot yet rule out: the traversals
+    the lazy loop may still run, each reading each vertex and arc at most
+    once. A sweep level reads each ball and arc at most once too, so the
+    round sweeps when the sweep's levels, as far as they can be told,
+    fit in ``left``. A ball stops growing once it passes every vertex
+    still beyond the group, and is final ``max_weight`` quiet levels
+    later: in round 2 that is at most the group's farthest finite
+    distance, plus ``max_weight``, where the group reaches every vertex.
+    In round 1 the first candidate's traversal gives its eccentricity e:
+    at least its level count less one, at most that times ``max_weight``
+    (consecutive distances differ by at most that). Every eccentricity
+    is at most twice that on an undirected graph; on a directed one only
+    the lower bound is known. ``sweep_values``, allowed ``left`` levels,
+    then gives every candidate's exact value: the round counts one
+    evaluation per candidate and no abort, and the values are the bounds
+    the next round starts from. Where the sweep is over its budget or
+    gives up, the lazy loop goes on.
+
+    ``bound[v]`` is an upper bound on v's marginal value. It starts at
+    min(out-degree, r(v) - 1) (c(1) - c(2)) + (r(v) - 1) c(2), the unit
+    level bound after level 0, which holds for every weight: arcs weigh at
+    least 1, so at most v's out-degree vertices end at distance 1 and the
+    others v reaches at 2 or more. It then keeps the last value computed
+    for v, exact or the first bound below the stop value; marginal values
+    only shrink as the group grows, so it stays one. Round 1's values are
+    those of the groups of one; where c(UNREACHABLE) > c(n max_weight), as
+    for -farness, they lie below every later value, so every bound
+    restarts at +inf after round 1.
 
     A round pops candidates by (bound descending, id) and ends once the
     top one is below the incumbent (the best value, then the smallest id)
@@ -659,57 +676,65 @@ def greedy(g: Graph, k: int, objective: Objective, stats, table=_OWN_TABLE):
     dist = [UNREACHABLE] * n
     if table is _OWN_TABLE:
         table = unit_table(g)
-    swept = None if table else sweep_values(g, dist, c)
-    if swept is None:
-        if table:
-            reach = [ball.bit_count() for ball in table[-1]]
-        else:
-            reach = reachable_counts(g)
-            bases, _, total, cdist = base_suffixes(dist, c)
-        c1, c2 = c(1), c(2)
-        bound = [min(g.out_degree(v), r - 1) * (c1 - c2) + (r - 1) * c2
-                 for v, r in enumerate(reach)]
+    if table:
+        reach = [ball.bit_count() for ball in table[-1]]
     else:
-        bound = swept
+        reach = reachable_counts(g)
+        bases, _, total, cdist = base_suffixes(dist, c)
+    c1, c2 = c(1), c(2)
+    bound = [min(g.out_degree(v), r - 1) * (c1 - c2) + (r - 1) * c2
+             for v, r in enumerate(reach)]
+    restart = c(UNREACHABLE) > c(n * g.max_weight)
     group, gains = [], []
     while len(group) < k:
-        if swept is not None:  # every candidate's exact value
-            best_v = min((v for v in range(n) if dist[v]),
-                         key=lambda v: (-swept[v], v))
-            best, bound = swept[best_v], swept
-            stats["evaluated"] += n - len(group)
-        else:
-            bounded = g.unit_weights or not group
-            if table:
-                suffix = ball_suffix(table, group, c)
-            elif not bounded:  # exact rounds read only c of each base distance
-                suffix = None, None, None, [c(d) for d in dist]
-            elif group:
-                suffix = base_suffixes(dist, c)
-            heap = [(-bound[v], v) for v in range(n) if dist[v]]
-            heapify(heap)
-            best, best_v = -math.inf, n
-            while heap and heap[0] < (margin - best, best_v):
-                v = heappop(heap)[1]
-                if not (group or table):
-                    suffix = (bases, [reach[v]], total, cdist)
-                stop = best - margin if margin else best + (v > best_v)
-                exact, value = objective.gain(g, dist, v, suffix,
-                                              stop if bounded else None)
-                stats["evaluated"] += 1
-                bound[v] = value
-                if not exact:
-                    stats["pruned"] += 1
-                elif value > best or (value == best and v < best_v):
-                    best, best_v = value, v
+        bounded = g.unit_weights or not group
+        if table:
+            suffix = ball_suffix(table, group, c)
+        elif not bounded:  # exact rounds read only c of each base distance
+            suffix = None, None, None, [c(d) for d in dist]
+        elif group:
+            suffix = base_suffixes(dist, c)
+        heap = [(-bound[v], v) for v in range(n) if dist[v]]
+        heapify(heap)
+        best, best_v = -math.inf, n
+        sweep = not table and (not group or restart and len(group) == 1)
+        record = None if group else []  # a bound per level of v's traversal
+        while heap and heap[0] < (margin - best, best_v):
+            v = heappop(heap)[1]
+            if not (group or table):
+                suffix = (bases, [reach[v]], total, cdist)
+            stop = best - margin if margin else best + (v > best_v)
+            exact, value = objective.gain(g, dist, v, suffix,
+                                          stop if bounded else None,
+                                          record if sweep else None)
+            stats["evaluated"] += 1
+            bound[v] = value
+            if not exact:
+                stats["pruned"] += 1
+            elif value > best or (value == best and v < best_v):
+                best, best_v = value, v
+            if sweep:  # after the round's first value, which is exact
+                sweep = False
+                left = sum(top < (margin - best, best_v) for top in heap)
+                if group:
+                    far = max(d for d in dist if d != UNREACHABLE)
+                elif g.directed:
+                    far = len(record) - 1
+                else:
+                    far = 2 * (len(record) - 1) * g.max_weight
+                swept = (None if far + g.max_weight > left
+                         else sweep_values(g, dist, c, left))
+                if swept is not None:  # every candidate's exact value
+                    best_v = min((x for x in range(n) if dist[x]),
+                                 key=lambda x: (-swept[x], x))
+                    best, bound = swept[best_v], swept
+                    stats["evaluated"] += len(heap)
+                    break
+        if not group and restart:
+            bound = [math.inf] * n
         group.append(best_v)
         gains.append(best)
         lower_distances(g, dist, (best_v,))
-        swept = None
-        if len(group) == 1 and c(UNREACHABLE) > c(n * g.max_weight):
-            bound = [math.inf] * n
-            if not table and k > 1:
-                swept = sweep_values(g, dist, c)
     return group, gains, dist, bound
 
 

@@ -52,8 +52,8 @@ def farness_decrease(g: Graph, dbase, v: int, suffix=None, stop_below=None,
 def _closeness_start_vertex(g):
     """Vertex of least farness, the smallest id on ties: greedy's first
     pick. On a graph that is not (strongly) connected, a vertex ranks by
-    the sum of the distances it reaches, under the sweep's budget and,
-    past it, while the reach counts are exact
+    the sum of the distances it reaches where greedy sweeps round 1 and,
+    where it does not, while the reach counts are exact
     (``graph.reachable_counts``)."""
     return greedy(g, 1, CLOSENESS, {"evaluated": 0, "pruned": 0})[0][0]
 

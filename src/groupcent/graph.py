@@ -292,7 +292,7 @@ def ball_levels(g: Graph, dist=None):
     then on it is only masked, until its bits are all unreached by the
     group, which no level drops; the generator ends once every ball is
     final."""
-    n, top, arcs, adj = g.n, g.max_weight, g.arcs, g.adj
+    n, top, arcs = g.n, g.max_weight, g.arcs
     masked = dist is not None
     unreached = beyond = (1 << n) - 1
     drop = {}  # finite distance d: the vertices at d, which leave beyond_d
@@ -321,14 +321,8 @@ def ball_levels(g: Graph, dist=None):
         changed, growing, draining = [], [], []
         for v in live:
             ball = old = prev[v]
-            # unit weights read level d-1 through adj, about a tenth faster
-            # on the table build than through the (u, w) pairs
-            if top == 1:
-                for u in adj[v]:
-                    ball |= prev[u]
-            else:
-                for u, w in arcs[v]:
-                    ball |= back[w][u]
+            for u, w in arcs[v]:
+                ball |= back[w][u]
             if masked:
                 ball &= beyond
             if ball != old:

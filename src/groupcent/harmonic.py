@@ -3,13 +3,13 @@
 ``HARMONIC`` is the ``centrality.Objective`` that ``centrality.solve`` runs:
 a vertex at distance d adds 1/d (``_harmonic_term``). This module adds the
 float margins. A lazy round, and a gain's traversal where it checks the
-level bound (greedy's round 1 past the budgets of the ball table and the
-sweep, and every unit-weight round past the table's), only stops once a
-bound is below the incumbent by ``PRUNE_MARGIN``, so exact ties are
-always evaluated and go to the smallest id, as in a plain exhaustive
-greedy; round 1's values and bounds seed round 2's queue. Later weighted
-rounds, unit-weight gains from the ball table and a swept round 1 give
-exact gains, never abort bounds.
+level bound (greedy's round 1 where it is not swept, and every
+unit-weight round past the ball table's budget), only stops once a bound
+is below the incumbent by ``PRUNE_MARGIN``, so exact ties are always
+evaluated and go to the smallest id, as in a plain exhaustive greedy;
+round 1's values and bounds seed round 2's queue. Later weighted rounds,
+unit-weight gains from the ball table and a swept round 1 give exact
+gains, never abort bounds.
 """
 
 from __future__ import annotations

@@ -700,36 +700,66 @@ class TestBallSweep:
         assert sweep_values(g, [UNREACHABLE] * 4, _farness_term) is None
 
     @pytest.mark.parametrize("directed", (False, True))
-    def test_weighted_greedy_sweeps_without_traversals(self, directed,
-                                                       monkeypatch):
-        # under the budget, weighted round 1 of both objectives, and
-        # closeness's round 2, whose bounds restart at +inf, score every
-        # candidate from one sweep: ``closer_levels`` yields only the
-        # vertices each winner's ``lower_distances`` lowers; the groups are
-        # those of the plain greedy references
-        visits = count_visits(monkeypatch)
+    def test_rounds_without_a_table_sweep_after_one_traversal(
+            self, directed, monkeypatch):
+        # under the budget, weighted round 1, and closeness's round 2
+        # (whose bounds restart at +inf), each run the kernel for the
+        # first candidate the queue pops, then score every candidate from
+        # one sweep, and harmonic's round 2 runs the lazy loop; the groups
+        # are those of the plain greedy references
+        gains = Counter()
+        for module, name in ((closeness, "farness_decrease"),
+                             (harmonic, "pruned_marginal_gain")):
+            kernel = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, kernel=kernel: (
+                gains.update((kernel,)) or kernel(*args)))
         rng = random.Random(57 + directed)
         for _ in range(12):
-            g = random_graph(rng.randrange(10, 30), rng, directed=directed,
-                             p=0.1, weights=(1, 2, 3))
-            for objective, rounds in ((HARMONIC, 1), (CLOSENESS, 2)):
-                visits[0] = 0
+            g = random_graph(rng.randrange(60, 100), rng, directed=directed,
+                             p=0.06, weights=(1, 2, 3))
+            for objective, rounds in ((CLOSENESS, 2), (HARMONIC, 1)):
+                gains.clear()
                 stats = Counter()
-                group = greedy(g, rounds, objective, stats)[0]
-                seen = visits[0]
-                first = sssp(g, group[0])
-                lowered = sum(d != UNREACHABLE for d in first)
-                if rounds == 2:
-                    lowered += sum(a < b for a, b in
-                                   zip(multi_source_sssp(g, group), first))
-                assert seen == lowered
+                greedy(g, rounds, objective, stats)
+                assert sum(gains.values()) == rounds
                 assert stats["pruned"] == 0
-                assert stats["evaluated"] == sum(g.n - i for i in range(rounds))
+                assert stats["evaluated"] == rounds * g.n - rounds + 1
             k = rng.randrange(2, 6)
             assert sorted(greedy(g, k, HARMONIC, Counter())[0]) == \
                 plain_greedy_harmonic(g, k)
             assert sorted(greedy(g, k, CLOSENESS, Counter())[0]) == \
                 plain_greedy_closeness(g, k)
+
+    def test_a_sweep_deeper_than_the_candidates_is_not_run(self,
+                                                           monkeypatch):
+        # on a path of weight-3 edges, 117 levels deep, a sweep would read
+        # more arcs than n = 40 traversals could: allowed n levels, it
+        # gives up; the first traversal of each of greedy's closeness
+        # rounds shows as much, so no round sweeps, and the kernels pick
+        # the reference's group; nor does harmonic round 1 sweep on a
+        # weighted star, whose hub's value beats every leaf's bound
+        n = 40
+        g = Graph(n, [(i, i + 1, 3) for i in range(n - 1)])
+        nowhere = [UNREACHABLE] * n
+        assert sweep_values(g, nowhere, _farness_term, n) is None
+        assert sweep_values(g, nowhere, _farness_term, 3 * n) == [
+            marginal_value(g, nowhere, v, _farness_term).value
+            for v in range(n)]
+        sweeps = []
+        monkeypatch.setattr(centrality, "sweep_values",
+                            lambda *args: sweeps.append(args))
+        stats = Counter()
+        group = greedy(g, 2, CLOSENESS, stats)[0]
+        assert sorted(group) == plain_greedy_closeness(g, 2)
+        assert stats["evaluated"] > n
+        rng = random.Random(58)
+        n = 200
+        star = Graph(n, [(leaf, n - 1, rng.choice((1, 2, 3)))
+                         for leaf in range(n - 1)])
+        stats = Counter()
+        assert greedy(star, 1, HARMONIC, stats)[0] == [n - 1]
+        assert stats["evaluated"] == 1
+        assert not sweeps
 
 
 class TestLevelBound:

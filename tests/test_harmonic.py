@@ -260,10 +260,8 @@ class TestGreedy:
             greedy_harmonic(g, 4)
 
     def test_lazy_and_plain_select_identical_groups(self, monkeypatch):
-        # unit weights score candidates from the ball table and weighted
-        # round 1 from the sweep, whose values are exact; past their
-        # budget, the kernels abort: the BFS kernel in every unit round, a
-        # weighted one in round 1 only, as later weighted gains are exact
+        # unit weights score candidates from the ball table, whose values
+        # are exact, and, past its budget, with the BFS kernel, which aborts
         rng = random.Random(24)
         unit_aborts = weighted_aborts = 0
         for trial in range(40):
@@ -273,16 +271,16 @@ class TestGreedy:
             k = rng.randrange(2, 6)
             lazy = greedy_harmonic(g, k, AlgoConfig(k=k))
             assert lazy.group == plain_greedy_harmonic(g, k)
-            assert lazy.traversals_pruned == 0
-            with monkeypatch.context() as patch:
-                without_ball_table(patch)
-                kernel = greedy_harmonic(g, k, AlgoConfig(k=k))
-                first = greedy_harmonic(g, 1, AlgoConfig(k=1)).traversals_pruned
-            assert kernel.group == lazy.group
             if weights == (1,):
-                unit_aborts += kernel.traversals_pruned
-            else:
-                assert kernel.traversals_pruned == first
+                assert lazy.traversals_pruned == 0
+                with monkeypatch.context() as patch:
+                    without_ball_table(patch)
+                    bfs = greedy_harmonic(g, k, AlgoConfig(k=k))
+                assert bfs.group == lazy.group
+                unit_aborts += bfs.traversals_pruned
+            else:  # only round 1 checks a weighted bound; later gains are exact
+                first = greedy_harmonic(g, 1, AlgoConfig(k=1)).traversals_pruned
+                assert lazy.traversals_pruned == first
                 weighted_aborts += first
         assert unit_aborts and weighted_aborts
 
@@ -291,8 +289,8 @@ class TestGreedy:
         # every leaf's first bound, 1/2 + (n - 1)/2, is below the hub's
         # centrality (1,999 on unit weights, 1,234.3 here on weights 1-3),
         # so round 1 evaluates the hub alone, though it has the largest id:
-        # n visits, and n more to lower the distances to the hub's; the
-        # kernels run, as past the budget of the ball table and the sweep
+        # n visits, and n more to lower the distances to the hub's; unit
+        # weights run the BFS kernel, as past the ball table's budget
         n = 2000
         rng = random.Random(52)
         g = Graph(n, [(leaf, n - 1, rng.choice(weights)) for leaf in range(n - 1)])
