@@ -6,10 +6,11 @@ them for the ``Objective`` record that holds what differs. On unit weights,
 while a table of bitset balls fits its bit budget, ``solve`` builds it
 once: greedy scores candidates exactly from it, and local search scores
 swaps from it, with no traversal per candidate or per swap row. Without
-a table, greedy's round 1, and closeness's round 2, score every candidate
-from one streamed sweep of masked balls (``sweep_values``) after one
-traversal, while the sweep's window fits the same budget and its levels
-fit in the traversals it replaces.
+a table, greedy's rounds whose bounds are fresh (round 1, closeness's
+round 2, and any round after a swept one) score every candidate from one
+streamed sweep of masked balls (``sweep_values``) after one traversal,
+while the sweep's window fits the same budget and its levels fit in the
+traversals it replaces; the kernel then confirms the best.
 
 Group-harmonic centrality of a group S sums reciprocal distances from S to
 every outside vertex (unreachable vertices contribute zero). Group farness
@@ -554,12 +555,13 @@ def marginal_value(g: Graph, dist, v: int, c, suffix=None, stop_below=None,
 
 
 def sweep_values(g: Graph, dist, c, max_level=math.inf):
-    """Every vertex's exact marginal value over the group whose distances
-    are ``dist``, 0 for a member, from one streamed sweep of the masked
-    balls of ``graph.ball_levels``, the bit-parallel all-sources traversal
-    of Then et al. (PVLDB 2014); None unless its window, (max_weight + 1)
-    n^2 bits, fits ``graph.REACH_MASK_BITS``, and None once it would step
-    past level ``max_level``. ``c`` is as in ``swap_rows``.
+    """(values, levels): every vertex's exact marginal value over the group
+    whose distances are ``dist``, 0 for a member, and the last level
+    stepped through, from one streamed sweep of the masked balls of
+    ``graph.ball_levels``, the bit-parallel all-sources traversal of Then
+    et al. (PVLDB 2014); None unless its window, (max_weight + 1) n^2
+    bits, fits ``graph.REACH_MASK_BITS``, and None once it would step past
+    level ``max_level``. ``c`` is as in ``swap_rows``.
 
     A vertex x enters v's masked ball at e = dist(v, x) and leaves it at
     its base b = dist[x] > e, so x gains c(e) - c(b). With p_d the size of
@@ -573,6 +575,7 @@ def sweep_values(g: Graph, dist, c, max_level=math.inf):
     levels = ball_levels(g, dist)
     size = [ball.bit_count() for ball in next(levels)[1]]
     value = [0] * n
+    d = 0
     for d, balls, changed in levels:
         if d > max_level:
             return None
@@ -581,7 +584,7 @@ def sweep_values(g: Graph, dist, c, max_level=math.inf):
             p = balls[v].bit_count()
             value[v] += cd * (p - size[v])
             size[v] = p
-    return value
+    return value, d
 
 
 def unit_table(g: Graph):
@@ -634,25 +637,30 @@ def greedy(g: Graph, k: int, objective: Objective, stats, table=_OWN_TABLE):
     they pass no stop value, and only c of each base distance, (None,
     None, None, cdist).
 
-    Also with None, round 1, and round 2 where the bounds restart at +inf,
-    may be swept. After the round's first value, which is exact, ``left``
-    counts the candidates the queue cannot yet rule out: the traversals
-    the lazy loop may still run, each reading each vertex and arc at most
-    once. A sweep level reads each ball and arc at most once too, so the
-    round sweeps when the sweep's levels, as far as they can be told,
-    fit in ``left``. A ball stops growing once it passes every vertex
-    still beyond the group, and is final ``max_weight`` quiet levels
-    later: in round 2 that is at most the group's farthest finite
-    distance, plus ``max_weight``, where the group reaches every vertex.
-    In round 1 the first candidate's traversal gives its eccentricity e:
-    at least its level count less one, at most that times ``max_weight``
-    (consecutive distances differ by at most that). Every eccentricity
-    is at most twice that on an undirected graph; on a directed one only
-    the lower bound is known. ``sweep_values``, allowed ``left`` levels,
-    then gives every candidate's exact value: the round counts one
-    evaluation per candidate and no abort, and the values are the bounds
-    the next round starts from. Where the sweep is over its budget or
-    gives up, the lazy loop goes on.
+    Also with None, a round whose bounds are fresh may be swept: round 1,
+    a round whose bounds restart at +inf (closeness's round 2), and a
+    round after a swept one. After the round's first value, which is
+    exact, ``left`` counts the candidates the queue cannot yet rule out:
+    the traversals the lazy loop may still run, each reading each vertex
+    and arc at most once, as a sweep level reads each ball and arc. So the
+    round sweeps when the sweep's levels, as far as they can be told, fit
+    in ``left``. A ball grows up to its vertex's eccentricity, is masked
+    up to the group's farthest finite distance, and is final
+    ``max_weight`` quiet levels later; a larger group only stops balls
+    growing sooner, so a later sweep ends within ``max_weight`` levels of
+    the farthest distance or of E, the first sweep's levels less
+    ``max_weight`` (round 1's: the largest eccentricity). In round 1 the
+    first candidate's traversal gives its eccentricity e: at least its
+    level count less one, at most that times ``max_weight``. Every
+    eccentricity is at most twice that on an undirected graph; on a
+    directed one only the lower bound is known. ``sweep_values``, allowed
+    ``left`` levels, then gives every candidate's exact value as its
+    bound, and the lazy loop goes on: the kernel confirms the best
+    candidate and each one within ``margin`` of it, and selects as in any
+    round. A swept round counts an evaluation per candidate and per
+    confirming traversal, and no abort. Where the sweep is over its
+    budget or gives up, the lazy loop goes on from the old bounds, as do
+    later rounds until the bounds restart.
 
     ``bound[v]`` is an upper bound on v's marginal value. It starts at
     min(out-degree, r(v) - 1) (c(1) - c(2)) + (r(v) - 1) c(2), the unit
@@ -686,6 +694,7 @@ def greedy(g: Graph, k: int, objective: Objective, stats, table=_OWN_TABLE):
              for v, r in enumerate(reach)]
     restart = c(UNREACHABLE) > c(n * g.max_weight)
     group, gains = [], []
+    fresh, ecc = True, 0  # bounds are exact or +inf; E, from the first sweep
     while len(group) < k:
         bounded = g.unit_weights or not group
         if table:
@@ -697,7 +706,7 @@ def greedy(g: Graph, k: int, objective: Objective, stats, table=_OWN_TABLE):
         heap = [(-bound[v], v) for v in range(n) if dist[v]]
         heapify(heap)
         best, best_v = -math.inf, n
-        sweep = not table and (not group or restart and len(group) == 1)
+        sweep, swept = fresh and not table, None
         record = None if group else []  # a bound per level of v's traversal
         while heap and heap[0] < (margin - best, best_v):
             v = heappop(heap)[1]
@@ -717,7 +726,7 @@ def greedy(g: Graph, k: int, objective: Objective, stats, table=_OWN_TABLE):
                 sweep = False
                 left = sum(top < (margin - best, best_v) for top in heap)
                 if group:
-                    far = max(d for d in dist if d != UNREACHABLE)
+                    far = max(max(d for d in dist if d != UNREACHABLE), ecc)
                 elif g.directed:
                     far = len(record) - 1
                 else:
@@ -725,13 +734,14 @@ def greedy(g: Graph, k: int, objective: Objective, stats, table=_OWN_TABLE):
                 swept = (None if far + g.max_weight > left
                          else sweep_values(g, dist, c, left))
                 if swept is not None:  # every candidate's exact value
-                    best_v = min((x for x in range(n) if dist[x]),
-                                 key=lambda x: (-swept[x], x))
-                    best, bound = swept[best_v], swept
+                    bound, levels = swept
+                    ecc = ecc or levels - g.max_weight
+                    heap = [(-bound[x], x) for _, x in heap]
+                    heapify(heap)
                     stats["evaluated"] += len(heap)
-                    break
+        fresh = swept is not None
         if not group and restart:
-            bound = [math.inf] * n
+            bound, fresh = [math.inf] * n, True
         group.append(best_v)
         gains.append(best)
         lower_distances(g, dist, (best_v,))

@@ -252,8 +252,8 @@ def _singleton_bounds(g, v, out):
 def _swept(g, dist, v, c, what, want):
     """v's value from ``sweep_values`` over ``dist``, as a (what, got,
     want) of ``_expect``; none where the sweep is over its budget."""
-    values = sweep_values(g, dist, c)
-    return [] if values is None else [(what, values[v], want)]
+    swept = sweep_values(g, dist, c)
+    return [] if swept is None else [(what, swept[0][v], want)]
 
 
 def harmonic_sweep(directed: bool, graphs_per_n: int = 24, ns=(5, 6, 7, 8, 9),

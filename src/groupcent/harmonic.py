@@ -8,8 +8,8 @@ unit-weight round past the ball table's budget), only stops once a bound
 is below the incumbent by ``PRUNE_MARGIN``, so exact ties are always
 evaluated and go to the smallest id, as in a plain exhaustive greedy;
 round 1's values and bounds seed round 2's queue. Later weighted rounds,
-unit-weight gains from the ball table and a swept round 1 give exact
-gains, never abort bounds.
+unit-weight gains from the ball table and swept rounds give exact gains,
+never abort bounds.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ def _check(g, k):
 
 def _plan(g, k, eps, bounds):
     """Local search scans candidates by descending final greedy gain bound
-    (the last gain or abort bound computed for the vertex, or its first
-    bound if no round evaluated it); a swap
+    (the last gain, swept value or abort bound computed for the vertex, or
+    its first bound if no round evaluated it); a swap
     commits once the new objective clears the multiplicative threshold
     (1 + eps / (k (n - k))), or strictly improves on an objective of zero.
     Removal losses and swap scores are float sums in another order than a

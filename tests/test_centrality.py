@@ -670,7 +670,7 @@ class TestBallSweep:
             empty += not group
             unreached += bool(group) and UNREACHABLE in dist
             for c in (_farness_term, _harmonic_term):
-                swept = sweep_values(g, dist, c)
+                swept, _ = sweep_values(g, dist, c)
                 assert len(swept) == n
                 for v in range(n):
                     exact, want = marginal_value(g, dist, v, c)
@@ -694,64 +694,109 @@ class TestBallSweep:
             assert within(5, sweep_values, g, nowhere, c) is None
         g = Graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3)], directed=True)
         monkeypatch.setattr(graph, "REACH_MASK_BITS", 4 * 4 * 4)
-        assert sweep_values(g, [UNREACHABLE] * 4, _farness_term) == [
-            -10, -7, -3, 0]
+        # the last level is the largest eccentricity plus max_weight
+        assert sweep_values(g, [UNREACHABLE] * 4, _farness_term) == (
+            [-10, -7, -3, 0], 6 + 3)
         monkeypatch.setattr(graph, "REACH_MASK_BITS", 4 * 4 * 4 - 1)
         assert sweep_values(g, [UNREACHABLE] * 4, _farness_term) is None
 
     @pytest.mark.parametrize("directed", (False, True))
     def test_rounds_without_a_table_sweep_after_one_traversal(
             self, directed, monkeypatch):
-        # under the budget, weighted round 1, and closeness's round 2
-        # (whose bounds restart at +inf), each run the kernel for the
-        # first candidate the queue pops, then score every candidate from
-        # one sweep, and harmonic's round 2 runs the lazy loop; the groups
-        # are those of the plain greedy references
-        gains = Counter()
+        # under the budget, round 1, closeness's round 2 (whose bounds
+        # restart at +inf) and each round after a swept one run the kernel
+        # for the first candidate the queue pops, then sweep where the
+        # sweep's levels fit in what the queue may still run. The swept
+        # values only replace the bounds, so the kernel then confirms the
+        # best candidate and every one within the margin of it: a swept
+        # round counts every candidate plus those traversals, and prunes
+        # none. The swept rounds are the first ones; once a round runs
+        # lazily, so does every later one, also one that runs more
+        # traversals than the sweep would take levels. The groups are those
+        # of the plain greedy references
+        calls, sweeps = [], []
         for module, name in ((closeness, "farness_decrease"),
                              (harmonic, "pruned_marginal_gain")):
             kernel = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args, kernel=kernel: (
-                gains.update((kernel,)) or kernel(*args)))
+            monkeypatch.setattr(module, name, lambda g, dist, v, *args,
+                                kernel=kernel: (calls.append((dist.count(0), v))
+                                                or kernel(g, dist, v, *args)))
+        real = centrality.sweep_values
+
+        def sweep(g, dist, *args):
+            swept = real(g, dist, *args)
+            sweeps.append((dist.count(0), swept and swept[1]))
+            return swept
+
+        monkeypatch.setattr(centrality, "sweep_values", sweep)
         rng = random.Random(57 + directed)
+        confirmed = stopped = 0
         for _ in range(12):
             g = random_graph(rng.randrange(60, 100), rng, directed=directed,
                              p=0.06, weights=(1, 2, 3))
-            for objective, rounds in ((CLOSENESS, 2), (HARMONIC, 1)):
-                gains.clear()
+            for objective in (CLOSENESS, HARMONIC):
+                calls.clear()
+                sweeps.clear()
                 stats = Counter()
-                greedy(g, rounds, objective, stats)
-                assert sum(gains.values()) == rounds
-                assert stats["pruned"] == 0
-                assert stats["evaluated"] == rounds * g.n - rounds + 1
+                group = greedy(g, 5, objective, stats)[0]
+                swept = [r for r, levels in sweeps if levels]
+                assert len(swept) >= 2 and swept == list(range(len(swept)))
+                # past round 1 the levels told bound the sweep's: none gives up
+                assert all(levels for r, levels in sweeps if r)
+                evaluated = 0
+                for r in range(5):
+                    ran = [v for size, v in calls if size == r]
+                    dist = (multi_source_sssp(g, group[:r]) if r
+                            else [UNREACHABLE] * g.n)
+                    if r not in swept:
+                        evaluated += len(ran)
+                        need = max(max(d for d in dist if d != UNREACHABLE)
+                                   + g.max_weight, sweeps[0][1])
+                        stopped += len(ran) - 1 >= need
+                        continue
+                    value = {v: marginal_value(g, dist, v, objective.c).value
+                             for v in range(g.n) if dist[v]}
+                    best = max(value, key=lambda v: (value[v], -v))
+                    assert group[r] == best
+                    assert sorted(ran[1:]) == sorted(
+                        {v for v in value if v == best or
+                         value[v] > value[best] - objective.margin} - {ran[0]})
+                    evaluated += len(value) + len(ran) - 1
+                    confirmed += len(ran) - 1
+                assert (stats["evaluated"], stats["pruned"]) == (evaluated, 0)
             k = rng.randrange(2, 6)
             assert sorted(greedy(g, k, HARMONIC, Counter())[0]) == \
                 plain_greedy_harmonic(g, k)
             assert sorted(greedy(g, k, CLOSENESS, Counter())[0]) == \
                 plain_greedy_closeness(g, k)
+        assert confirmed and stopped
 
     def test_a_sweep_deeper_than_the_candidates_is_not_run(self,
                                                            monkeypatch):
         # on a path of weight-3 edges, 117 levels deep, a sweep would read
         # more arcs than n = 40 traversals could: allowed n levels, it
-        # gives up; the first traversal of each of greedy's closeness
-        # rounds shows as much, so no round sweeps, and the kernels pick
-        # the reference's group; nor does harmonic round 1 sweep on a
-        # weighted star, whose hub's value beats every leaf's bound
+        # gives up; the first traversal of round 1, and the group's
+        # farthest distance in closeness's round 2, show as much, so no
+        # round of either objective sweeps, round 3 included, and the
+        # kernels pick the reference's group; nor does harmonic round 1
+        # sweep on a weighted star, whose hub's value beats every leaf's
+        # bound, and so no later harmonic round does
         n = 40
         g = Graph(n, [(i, i + 1, 3) for i in range(n - 1)])
         nowhere = [UNREACHABLE] * n
         assert sweep_values(g, nowhere, _farness_term, n) is None
-        assert sweep_values(g, nowhere, _farness_term, 3 * n) == [
-            marginal_value(g, nowhere, v, _farness_term).value
-            for v in range(n)]
+        assert sweep_values(g, nowhere, _farness_term, 3 * n) == (
+            [marginal_value(g, nowhere, v, _farness_term).value
+             for v in range(n)], 3 * (n - 1) + 3)
         sweeps = []
         monkeypatch.setattr(centrality, "sweep_values",
                             lambda *args: sweeps.append(args))
-        stats = Counter()
-        group = greedy(g, 2, CLOSENESS, stats)[0]
-        assert sorted(group) == plain_greedy_closeness(g, 2)
-        assert stats["evaluated"] > n
+        for objective, reference in ((CLOSENESS, plain_greedy_closeness),
+                                     (HARMONIC, plain_greedy_harmonic)):
+            stats = Counter()
+            group = greedy(g, 3, objective, stats)[0]
+            assert sorted(group) == reference(g, 3)
+            assert stats["evaluated"] > n
         rng = random.Random(58)
         n = 200
         star = Graph(n, [(leaf, n - 1, rng.choice((1, 2, 3)))
@@ -759,7 +804,43 @@ class TestBallSweep:
         stats = Counter()
         assert greedy(star, 1, HARMONIC, stats)[0] == [n - 1]
         assert stats["evaluated"] == 1
+        group = greedy(star, 3, HARMONIC, stats)[0]
+        assert sorted(group) == plain_greedy_harmonic(star, 3)
         assert not sweeps
+
+    def test_a_swept_round_selects_as_the_kernel_does(self, monkeypatch):
+        # criterion 8's trial 94: in harmonic round 2, vertices 8 and 20
+        # both gain exactly 19/6, and the kernel's float sum ranks 20
+        # first, as in the plain greedy reference. The round is swept, and
+        # the kernel confirms the swept values within the margin, so greedy
+        # picks 20 too
+        rng = random.Random(800)
+        for trial in range(95):
+            g = random_graph(rng.randrange(10, 41), rng,
+                             directed=trial % 3 == 0,
+                             weights=(1,) if trial % 2 else (1, 2))
+            k = rng.randrange(2, 6)
+        swept = []
+        real = centrality.sweep_values
+
+        def sweep(g, dist, *args):
+            values = real(g, dist, *args)
+            swept.append((dist.count(0), values is not None))
+            return values
+
+        monkeypatch.setattr(centrality, "sweep_values", sweep)
+        group = greedy(g, k, HARMONIC, Counter())[0]
+        assert swept[:2] == [(0, True), (1, True)]
+        dist = multi_source_sssp(g, group[:1])
+        # a member's term, at distance 0, is never read
+        exact = lambda d: 0 if d in (0, UNREACHABLE) else Fraction(1, d)
+        for v in (8, 20):
+            assert marginal_value(g, dist, v, exact).value == Fraction(19, 6)
+        values = [marginal_value(g, dist, v, _harmonic_term).value
+                  for v in (8, 20)]
+        assert values[0] < values[1]
+        assert group[1] == 20
+        assert sorted(group) == plain_greedy_harmonic(g, k)
 
 
 class TestLevelBound:
