@@ -318,10 +318,10 @@ def _table_rows(state: GroupDistanceState, c, table):
                 continue
             if hit.bit_count() <= walk_up_to:
                 while hit:
-                    low = hit & -hit
-                    m = rep[low.bit_length() - 1]
+                    x = hit.bit_length() - 1
+                    m = rep[x]
                     entry[m] = entry.get(m, 0) + w
-                    hit ^= low
+                    hit ^= 1 << x
             else:
                 for m, cell in zip(members, cells):
                     count = (ball & cell).bit_count()

@@ -18,6 +18,8 @@ import math
 import warnings
 from collections import Counter
 from heapq import heappop, heappush
+from itertools import chain, compress, count
+from operator import itemgetter, ne
 
 UNREACHABLE = math.inf
 # reachable_counts keeps exact vertex bitsets while components x vertices
@@ -47,7 +49,8 @@ class Graph:
     ``arcs[u]`` the same arcs as ``(target, weight)`` pairs. An undirected
     edge sits in both endpoints' lists with equal weight. Duplicate edges
     are collapsed keeping the minimum weight and self-loops are dropped, so
-    distances are always well defined.
+    distances are always well defined. Equal (target, weight) pairs share
+    one tuple, which on unit weights is one per target.
     """
 
     __slots__ = (
@@ -58,54 +61,68 @@ class Graph:
     def __init__(self, n: int, edges, directed: bool = False, check_isolated: bool = True):
         if n < 1:
             raise GraphError("empty graph")
-        dedup: dict[tuple[int, int], int] = {}
-        for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if w < 1:
-                raise GraphError(f"nonpositive weight {w} on edge ({u},{v})")
-            if u == v:
-                continue
-            key = (u, v) if directed else (min(u, v), max(u, v))
-            old = dedup.get(key)
-            if old is None or w < old:
-                dedup[key] = w
-        keys = sorted(dedup)  # the canonical edge order
+        us, vs, ws = list(zip(*edges, strict=True)) or ((), (), ())
+        if us and not (0 <= min(us) and max(us) < n and 0 <= min(vs)
+                       and max(vs) < n and min(ws) >= 1):
+            for u, v, w in zip(us, vs, ws):  # the first bad edge raises
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+                if w < 1:
+                    raise GraphError(f"nonpositive weight {w} on edge ({u},{v})")
+        us, vs, ws = _without_loops(us, vs, ws)
         if check_isolated:
-            touched = set()
-            for u, v in keys:
-                touched.add(u)
-                touched.add(v)
+            touched = set(us)
+            touched.update(vs)
             if len(touched) != n:
                 missing = sorted(set(range(n)) - touched)
                 raise IsolatedVertexError(f"isolated vertices: {missing}")
+        self._build(n, us, vs, ws, directed)
 
+    def _build(self, n, us, vs, ws, directed):
+        """Fill the graph from edge columns with ids in range, weights >= 1
+        and no self-loops. Each arc is appended to its tail's list, and each
+        list is sorted and, if it holds a target twice, cut to its lightest
+        arc per target."""
         self.n = n
         self.directed = directed
-        self.num_edges = len(keys)
-        # canonical order appends every list in ascending target order: an
-        # undirected u gets its smaller neighbours (edges (x, u), x < u)
-        # before its larger ones (edges (u, y)). Equal (target, weight)
-        # pairs share one tuple, which on unit weights is one per target.
-        adj = [[] for _ in range(n)]
-        arcs = [[] for _ in range(n)]
-        pairs = {}
-        for key in keys:
-            u, v = key
-            w = dedup[key]
-            adj[u].append(v)
-            a = v, w
-            arcs[u].append(pairs.setdefault(a, a))
-            if not directed:
-                adj[v].append(u)
-                a = u, w
-                arcs[v].append(pairs.setdefault(a, a))
-        self.adj, self.arcs = adj, arcs
-        ws = dedup.values()
-        self.min_weight = min(ws) if ws else 1
-        self.max_weight = max(ws) if ws else 1
-        self.unit_weights = self.max_weight == 1
         self._weight_counts = None
+        if not directed:  # an undirected edge is an arc each way
+            us, vs, ws = us + vs, vs + us, ws + ws
+        if max(ws, default=1) == 1:
+            adj = [[] for _ in range(n)]
+            for u, v in zip(us, vs):
+                adj[u].append(v)
+            for u, out in enumerate(adj):
+                targets = set(out)
+                if len(targets) < len(out):
+                    adj[u] = sorted(targets)
+                else:
+                    out.sort()
+            one = [(v, 1) for v in range(n)]
+            self.arcs = [list(map(one.__getitem__, out)) for out in adj]
+            self.min_weight = self.max_weight = 1
+        else:
+            pairs = list(zip(vs, ws))
+            shared = {}
+            arcs = [[] for _ in range(n)]
+            for u, a in zip(us, map(shared.setdefault, pairs, pairs)):
+                arcs[u].append(a)
+            adj = []
+            for u, out in enumerate(arcs):
+                out.sort()  # by target, then weight
+                targets = [v for v, _ in out]
+                if len(set(targets)) < len(out):  # the first arc per target
+                    first = dict(zip(reversed(targets), reversed(out)))
+                    arcs[u] = out = sorted(first.values())
+                    targets = [v for v, _ in out]
+                adj.append(targets)
+            self.arcs = arcs
+            weights = list(map(itemgetter(1), chain.from_iterable(arcs)))
+            self.min_weight = min(weights, default=1)
+            self.max_weight = max(weights, default=1)
+        self.adj = adj
+        self.num_edges = sum(map(len, adj)) // (1 if directed else 2)
+        self.unit_weights = self.max_weight == 1
 
     @property
     def lambda_ratio(self) -> float:
@@ -129,11 +146,17 @@ class Graph:
                 if self.directed or u < v]
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"{int(self.directed)}\n{self.n}\n".encode())
-        for u, v, w in self.edges():
-            h.update(f"{u} {v} {w}\n".encode())
-        return h.hexdigest()[:16]
+        text = "".join([f"{int(self.directed)}\n{self.n}\n",
+                        *(f"{u} {v} {w}\n" for u, v, w in self.edges())])
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _without_loops(us, vs, ws):
+    """Edge columns without their self-loops."""
+    keep = list(map(ne, us, vs))
+    if all(keep):
+        return us, vs, ws
+    return [list(compress(col, keep)) for col in (us, vs, ws)]
 
 
 def load_edge_list(path, directed: bool = False, weighted: bool = False,
@@ -142,56 +165,80 @@ def load_edge_list(path, directed: bool = False, weighted: bool = False,
 
     ``on_isolated`` controls what happens to vertices left without any edge
     after self-loop removal: "drop" (default, with a warning) or "fail".
+
+    Valid input is read in bulk: every line's tokens at once, every token
+    converted by one ``map(int, ...)``, ids and weights checked by ``min``
+    and numbered by ``dict.fromkeys``. Only when a check fails is the file
+    read again line by line, for the first faulty line's error.
     """
     if on_isolated not in ("drop", "fail"):
         raise ValueError("on_isolated must be 'drop' or 'fail'")
-    remap: dict[int, int] = {}
-    triples: list[tuple[int, int, int]] = []
     expected = 3 if weighted else 2
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        rows = [tokens for tokens in map(str.split, fh)
+                if tokens and tokens[0][0] not in "%#"]
+    if not rows:
+        raise GraphError(f"{path}: empty graph")
+    nums = None
+    if all(map(expected.__eq__, map(len, rows))):
+        try:
+            nums = list(map(int, chain.from_iterable(rows)))
+        except ValueError:
+            pass
+    del rows
+    if weighted and nums:
+        ws = nums[2::3]
+        del nums[2::3]
+    if not nums or min(nums) < 0 or (weighted and min(ws) < 1):
+        raise _first_faulty_line(path, expected)
+    if not weighted:
+        ws = [1] * (len(nums) // 2)
+    remap = dict(zip(dict.fromkeys(nums), count()))
+    ids = list(map(remap.__getitem__, nums))
+    del nums
+    n = len(remap)
+    us, vs, ws = _without_loops(ids[0::2], ids[1::2], ws)
+    if len(us) < len(ids) // 2:  # every vertex has an edge unless it had a loop
+        touched = set(us)
+        touched.update(vs)
+        if len(touched) != n:
+            missing = sorted(set(range(n)) - touched)
+            if on_isolated == "fail":
+                raise IsolatedVertexError(f"{path}: isolated vertices {missing}")
+            warnings.warn(f"{path}: dropping {len(missing)} isolated vertices")
+            n = len(touched)
+            if n == 0:
+                raise GraphError(f"{path}: empty graph")
+            compact = dict(zip(sorted(touched), count()))
+            us = list(map(compact.__getitem__, us))
+            vs = list(map(compact.__getitem__, vs))
+    g = Graph.__new__(Graph)
+    g._build(n, us, vs, ws, directed)
+    return g
+
+
+def _first_faulty_line(path, expected):
+    """The EdgeListFormatError of the first line of the file that fails a
+    check, with the checks in their order on one line: token count,
+    integer tokens, non-negative ids, positive weight."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line[0] in "%#":
                 continue
             tokens = line.split()
             if len(tokens) != expected:
-                raise EdgeListFormatError(
+                return EdgeListFormatError(
                     line_no, f"expected {expected} tokens, got {len(tokens)}")
             try:
                 nums = [int(t) for t in tokens]
             except ValueError:
-                raise EdgeListFormatError(line_no, f"non-integer token in {line!r}") from None
-            fu, fv = nums[0], nums[1]
-            w = nums[2] if weighted else 1
-            if fu < 0 or fv < 0:
-                raise EdgeListFormatError(line_no, "negative vertex id")
-            if w < 1:
-                raise EdgeListFormatError(line_no, f"nonpositive weight {w}")
-            for fid in (fu, fv):
-                if fid not in remap:
-                    remap[fid] = len(remap)
-            triples.append((remap[fu], remap[fv], w))
-    if not triples:
-        raise GraphError(f"{path}: empty graph")
-    n = len(remap)
-    touched = set()
-    for u, v, _ in triples:
-        if u != v:
-            touched.add(u)
-            touched.add(v)
-    if len(touched) != n:
-        missing = sorted(set(range(n)) - touched)
-        if on_isolated == "fail":
-            raise IsolatedVertexError(f"{path}: isolated vertices {missing}")
-        warnings.warn(f"{path}: dropping {len(missing)} isolated vertices")
-        keep = sorted(touched)
-        compress = {old: new for new, old in enumerate(keep)}
-        triples = [(compress[u], compress[v], w) for u, v, w in triples if u != v]
-        n = len(keep)
-        if n == 0:
-            raise GraphError(f"{path}: empty graph")
-    # every vertex left has an edge: the Graph need not scan for isolated ones
-    return Graph(n, triples, directed=directed, check_isolated=False)
+                return EdgeListFormatError(line_no, f"non-integer token in {line!r}")
+            if nums[0] < 0 or nums[1] < 0:
+                return EdgeListFormatError(line_no, "negative vertex id")
+            if expected == 3 and nums[2] < 1:
+                return EdgeListFormatError(line_no, f"nonpositive weight {nums[2]}")
+    return GraphError(f"{path}: changed while being read")
 
 
 def sssp(g: Graph, source: int):
@@ -328,7 +375,7 @@ def ball_levels(g: Graph, dist=None):
             if ball != old:
                 level[v] = ball
                 changed.append(v)
-                if not masked or ball & ~old:
+                if not masked or ball | old != old:
                     grown[v] = d
                     growing.append(v)
                     continue
@@ -451,16 +498,16 @@ def largest_component(g: Graph) -> Graph:
     Ties go to the component containing the smallest vertex id; surviving
     ids are remapped densely in ascending order.
     """
-    comp, cid = strongly_connected_components(g)
-    groups: list[list[int]] = [[] for _ in range(cid)]
-    for v in range(g.n):
-        groups[comp[v]].append(v)
-    best = min(groups, key=lambda vs: (-len(vs), vs[0]))
-    keep = set(best)
-    remap = {old: new for new, old in enumerate(sorted(best))}
-    edges = [(remap[u], remap[v], w) for u, v, w in g.edges()
-             if u in keep and v in keep]
-    return Graph(len(best), edges, directed=g.directed, check_isolated=False)
+    comp, _ = strongly_connected_components(g)
+    sizes = Counter(comp)
+    # dict.fromkeys(comp) lists the components by their smallest vertex
+    best = max(dict.fromkeys(comp), key=sizes.__getitem__)
+    keep = list(compress(range(g.n), map(best.__eq__, comp)))
+    remap = dict(zip(keep, count()))
+    directed = g.directed
+    edges = [(x, remap[v], w) for x, u in enumerate(keep) for v, w in g.arcs[u]
+             if v in remap and (directed or u < v)]
+    return Graph(len(keep), edges, directed=directed, check_isolated=False)
 
 
 def reachable_counts(g: Graph):

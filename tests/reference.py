@@ -18,9 +18,12 @@ over suffixes of the base distances scanned by ``suffix_ge``.
 ``per_member_state`` is ``state_init``'s three lists from one ``sssp`` per
 member. ``radius_milp`` is an exact optimum of either objective from a
 mixed-integer program, where scipy is installed.
+``per_edge_graph`` and ``per_line_load`` build a ``Graph`` one edge and
+one line at a time, as the library did before it built graphs in bulk.
 """
 
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -29,7 +32,9 @@ from groupcent import graph
 from groupcent.centrality import (greedy, group_farness_raw, harmonic_sum,
                                   patched_distances, state_init)
 from groupcent.closeness import CLOSENESS, add_estimate, farness_decrease
-from groupcent.graph import UNREACHABLE, closer_levels, multi_source_sssp, sssp
+from groupcent.graph import (UNREACHABLE, EdgeListFormatError, Graph, GraphError,
+                             IsolatedVertexError, closer_levels,
+                             multi_source_sssp, sssp)
 from groupcent.harmonic import ABS_IMPROVE, HARMONIC, pruned_marginal_gain
 
 
@@ -329,3 +334,97 @@ def radius_milp(g, k, c, fixed=None):
     value = constant + sum(w * v for w, v in zip(gain, x) if v)
     assert abs(value - constant + res.fun) <= 1e-9 * max(1.0, abs(value))
     return [j for j in range(n) if x[j]], value
+
+
+def per_edge_graph(n, edges, directed=False, check_isolated=True):
+    """``graph.Graph(n, edges, directed, check_isolated)`` one edge at a
+    time: each edge is checked in turn, a tuple key per edge keeps the
+    lightest copy, the keys are sorted into the canonical order and each
+    one appends its arcs, with equal (target, weight) pairs shared through
+    one ``setdefault`` dict."""
+    if n < 1:
+        raise GraphError("empty graph")
+    dedup = {}
+    for u, v, w in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if w < 1:
+            raise GraphError(f"nonpositive weight {w} on edge ({u},{v})")
+        if u == v:
+            continue
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        old = dedup.get(key)
+        if old is None or w < old:
+            dedup[key] = w
+    keys = sorted(dedup)
+    if check_isolated:
+        touched = {x for key in keys for x in key}
+        if len(touched) != n:
+            missing = sorted(set(range(n)) - touched)
+            raise IsolatedVertexError(f"isolated vertices: {missing}")
+    g = object.__new__(Graph)
+    g.n, g.directed, g.num_edges = n, directed, len(keys)
+    g.adj = [[] for _ in range(n)]
+    g.arcs = [[] for _ in range(n)]
+    pairs = {}
+    for u, v in keys:
+        w = dedup[u, v]
+        for a, b in ((u, v),) if directed else ((u, v), (v, u)):
+            g.adj[a].append(b)
+            arc = b, w
+            g.arcs[a].append(pairs.setdefault(arc, arc))
+    ws = dedup.values()
+    g.min_weight = min(ws) if ws else 1
+    g.max_weight = max(ws) if ws else 1
+    g.unit_weights = g.max_weight == 1
+    g._weight_counts = None
+    return g
+
+
+def per_line_load(path, directed=False, weighted=False, on_isolated="drop"):
+    """``graph.load_edge_list`` one line at a time: each line is stripped,
+    split, converted and checked in turn, and each id numbered as it first
+    appears; the graph is ``per_edge_graph``'s. Files are read as UTF-8,
+    with or without a byte-order mark, as the loader reads them."""
+    if on_isolated not in ("drop", "fail"):
+        raise ValueError("on_isolated must be 'drop' or 'fail'")
+    remap, triples = {}, []
+    expected = 3 if weighted else 2
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line[0] in "%#":
+                continue
+            tokens = line.split()
+            if len(tokens) != expected:
+                raise EdgeListFormatError(
+                    line_no, f"expected {expected} tokens, got {len(tokens)}")
+            try:
+                nums = [int(t) for t in tokens]
+            except ValueError:
+                raise EdgeListFormatError(line_no, f"non-integer token in {line!r}") from None
+            fu, fv = nums[0], nums[1]
+            w = nums[2] if weighted else 1
+            if fu < 0 or fv < 0:
+                raise EdgeListFormatError(line_no, "negative vertex id")
+            if w < 1:
+                raise EdgeListFormatError(line_no, f"nonpositive weight {w}")
+            for fid in (fu, fv):
+                if fid not in remap:
+                    remap[fid] = len(remap)
+            triples.append((remap[fu], remap[fv], w))
+    if not triples:
+        raise GraphError(f"{path}: empty graph")
+    n = len(remap)
+    touched = {x for u, v, _ in triples if u != v for x in (u, v)}
+    if len(touched) != n:
+        missing = sorted(set(range(n)) - touched)
+        if on_isolated == "fail":
+            raise IsolatedVertexError(f"{path}: isolated vertices {missing}")
+        warnings.warn(f"{path}: dropping {len(missing)} isolated vertices")
+        compress = {old: new for new, old in enumerate(sorted(touched))}
+        triples = [(compress[u], compress[v], w) for u, v, w in triples if u != v]
+        n = len(touched)
+        if n == 0:
+            raise GraphError(f"{path}: empty graph")
+    return per_edge_graph(n, triples, directed=directed, check_isolated=False)

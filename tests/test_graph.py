@@ -1,4 +1,6 @@
 import random
+import warnings
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,6 +12,7 @@ from groupcent.graph import (EdgeListFormatError, Graph, GraphError,
                              lower_distances, multi_source_sssp,
                              reachable_counts, sssp)
 from groupcent.generators import random_graph
+from reference import per_edge_graph, per_line_load
 from test_cli import within
 
 
@@ -73,6 +76,43 @@ class TestLoader:
         with pytest.raises(EdgeListFormatError, match="negative"):
             load_edge_list(write(tmp_path, "0 1\n-2 1\n"))
 
+    # one weighted line per fault kind, and the message it raises
+    FAULTS = {
+        "count": ("0 1", "expected 3 tokens, got 2"),
+        "integer": ("0 x\t1", "non-integer token in '0 x\\t1'"),
+        "negative": ("2 -1 1", "negative vertex id"),
+        "weight": ("0 2 0", "nonpositive weight 0"),
+    }
+
+    @pytest.mark.parametrize("first", FAULTS)
+    @pytest.mark.parametrize("second", FAULTS)
+    def test_first_faulty_line_wins(self, tmp_path, first, second):
+        # the earlier faulty line is reported, with its own message,
+        # whichever kind of fault a later line has
+        line, message = self.FAULTS[first]
+        text = f"% header\n0 1 1\n\n  {line}\r\n1 2 3\n{self.FAULTS[second][0]}\n"
+        with pytest.raises(EdgeListFormatError) as err:
+            load_edge_list(write(tmp_path, text), weighted=True)
+        assert str(err.value) == f"line 4: {message}"
+        assert err.value.line_no == 4
+
+    @pytest.mark.parametrize("line, message", [
+        ("x -1 0 9", "expected 3 tokens, got 4"),
+        ("-1 x 0", "non-integer token in '-1 x 0'"),
+        ("-1 0 0", "negative vertex id"),
+    ])
+    def test_faults_of_one_line_in_check_order(self, tmp_path, line, message):
+        with pytest.raises(EdgeListFormatError, match=f"^line 2: {message}$"):
+            load_edge_list(write(tmp_path, f"0 1 1\n{line}\n"), weighted=True)
+
+    @pytest.mark.parametrize("bom", ("\ufeff", ""))
+    @pytest.mark.parametrize("header", ("% a header\n", ""))
+    def test_byte_order_mark_accepted(self, tmp_path, bom, header):
+        p = tmp_path / "bom.txt"
+        p.write_text(f"{bom}{header}7 3\n3 9\n", encoding="utf-8")
+        g = load_edge_list(p)
+        assert (g.n, g.edges()) == (3, [(0, 1, 1), (1, 2, 1)])
+
 
 class TestLayout:
     # duplicates in both directions, a self-loop and an edge given twice
@@ -125,6 +165,101 @@ class TestLayout:
                              (2, 4, 1), (3, 1, 4), (4, 0, 3), (5, 1, 6),
                              (5, 3, 2)]
 
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1, 1), (0, 3, 1), (1, 2, 0)], "edge (0,3) out of range for n=3"),
+        ([(0, 1, 1), (1, 2, 0), (0, 3, 1)], "nonpositive weight 0 on edge (1,2)"),
+        ([(2, 2, 1), (-1, 1, 1), (1, 7, 1)], "edge (-1,1) out of range for n=3"),
+        ([(1, 1, -2), (2, 0, 0)], "nonpositive weight -2 on edge (1,1)"),
+        ([(0, 1, 1), (0, 3, 0), (1, 2, -1)], "edge (0,3) out of range for n=3"),
+    ])
+    def test_first_bad_edge_raises(self, edges, message):
+        for directed in (False, True):
+            with pytest.raises(GraphError) as err:
+                Graph(3, edges, directed=directed)
+            assert str(err.value) == message
+
+
+def fields(g):
+    """Everything a Graph holds, its canonical edges and hash, and whether
+    equal (target, weight) pairs share one tuple."""
+    arcs = [a for row in g.arcs for a in row]
+    return (g.n, g.directed, g.adj, g.arcs, g.num_edges, g.min_weight,
+            g.max_weight, g.unit_weights, g.edges(), g.content_hash(),
+            len(set(map(id, arcs))) == len(set(arcs)))
+
+
+def outcome(build, *args, **kwargs):
+    """``fields`` of what ``build`` returns, or the type and message of what
+    it raises, with the warnings it gave either way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fields(build(*args, **kwargs))
+        except GraphError as exc:
+            result = type(exc), str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+class TestAgainstPerEdgeReference:
+    """The bulk loader and graph build against the per-line and per-edge
+    ones in ``reference``: equal fields, errors and warnings."""
+
+    @staticmethod
+    def edge_list_text(rng, weighted):
+        ids = rng.sample(range(rng.choice((6, 40, 10 ** 12))), rng.randrange(1, 7))
+        lines = []
+        for _ in range(rng.randrange(1, 14)):
+            u, v = rng.choice(ids), rng.choice(ids)
+            if rng.random() < 0.15:
+                v = u  # a self-loop; a vertex may have only these
+            tokens = [str(u), str(v)] + [str(rng.randint(1, 4))] * weighted
+            gap = rng.choice((" ", "\t", "  ", "\x0c", "\u2028"))  # whitespace, not newlines
+            lines.append(rng.choice(("", " ", "\t")) + gap.join(tokens)
+                         + rng.choice(("", " ", "\t ")))
+            if rng.random() < 0.2:  # the same edge again, either way round
+                lines.append(" ".join([str(v), str(u)] + [str(rng.randint(1, 4))] * weighted))
+            if rng.random() < 0.15:
+                lines.append(rng.choice(("", "   ", "% c", "# 1 2", "  %x y", "\t#", "%")))
+        if rng.random() < 0.2:  # a fault, or a line of the other weight mode
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice((
+                "0 1 2", "5", "1 -3 2", "0 1 0", "0 1 -1", "x 1 1", "1 2.5", "1 2 3 4",
+                "-0 1 1", "07 7 1", "1_0 2 1")))
+        text = "".join(line + rng.choice(("\n", "\r\n", "\r")) for line in lines)
+        return ("\ufeff" if rng.random() < 0.05 else "") + text
+
+    def test_load_edge_list(self, tmp_path):
+        rng = random.Random(29)
+        p = tmp_path / "g.txt"
+        kinds = Counter()
+        for trial in range(3000):
+            weighted = rng.random() < 0.5
+            p.write_bytes(self.edge_list_text(rng, weighted).encode())
+            args = dict(directed=rng.random() < 0.5,
+                        weighted=weighted if rng.random() < 0.9 else not weighted,
+                        on_isolated=rng.choice(("drop", "drop", "fail")))
+            want = outcome(per_line_load, p, **args)
+            assert outcome(load_edge_list, p, **args) == want, (trial, p.read_bytes())
+            # an error's type, or for a graph whether a warning came
+            kinds[want[0][0] if len(want[0]) == 2 else bool(want[1])] += 1
+        # loaded graphs, some after dropping vertices, and every error type
+        assert kinds[False] > 1000 and kinds[True] > 100
+        assert kinds[EdgeListFormatError] > 100 and kinds[IsolatedVertexError] > 30
+
+    def test_graph(self):
+        rng = random.Random(30)
+        for trial in range(3000):
+            n = rng.randrange(1, 9)
+            weights = rng.choice(((1,), (1, 2, 5)))
+            edges = [(rng.randrange(n), rng.randrange(n), rng.choice(weights))
+                     for _ in range(rng.randrange(3 * n))]
+            if rng.random() < 0.1:
+                edges.insert(rng.randrange(len(edges) + 1), rng.choice((
+                    (0, n, 1), (-1, 0, 1), (0, 0, 0), (n - 1, 0, -2))))
+            args = dict(directed=rng.random() < 0.5,
+                        check_isolated=rng.random() < 0.5)
+            assert (outcome(Graph, n, edges, **args)
+                    == outcome(per_edge_graph, n, edges, **args)), trial
+
 
 class TestLargestComponent:
     def test_two_triangles_tie_to_smallest_id(self):
@@ -139,11 +274,37 @@ class TestLargestComponent:
         assert lc.n == 2
         assert lc.edges() == [(0, 1, 1), (1, 0, 1)]
 
+    def test_directed_tie_to_smallest_id_found_last(self):
+        # {2, 3} is reachable from {0, 1}, so the search finishes it first
+        g = Graph(4, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 3, 2), (3, 2, 2)],
+                  directed=True)
+        assert graph.strongly_connected_components(g) == ([1, 1, 0, 0], 2)
+        assert largest_component(g).edges() == [(0, 1, 1), (1, 0, 1)]
+
     def test_connected_graph_identity(self):
         g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
         lc = largest_component(g)
         assert lc.n == 4
         assert lc.edges() == g.edges()
+
+    @pytest.mark.parametrize("directed", (False, True))
+    def test_largest_class_of_mutual_reachability(self, directed):
+        rng = random.Random(31 + directed)
+        for _ in range(200):
+            n = rng.randrange(1, 12)
+            weights = rng.choice(((1,), (1, 3)))
+            edges = [(rng.randrange(n), rng.randrange(n), rng.choice(weights))
+                     for _ in range(rng.randrange(2 * n))]
+            g = Graph(n, edges, directed=directed, check_isolated=False)
+            reach = [sssp(g, u) for u in range(n)]
+            classes = [[v for v in range(n) if UNREACHABLE not in (reach[u][v], reach[v][u])]
+                       for u in range(n)]
+            best = min(classes, key=lambda vs: (-len(vs), vs[0]))
+            remap = {v: i for i, v in enumerate(best)}
+            want = per_edge_graph(len(best), [(remap[u], remap[v], w) for u, v, w in g.edges()
+                                              if u in remap and v in remap],
+                                  directed=directed, check_isolated=False)
+            assert fields(largest_component(g)) == fields(want)
 
 
 class TestShortestPaths:
